@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
-from . import _decode_kernels as kernels
 from .annotation_store import Box
 
 MAP_SPACE = "map"
@@ -75,11 +76,60 @@ def softmax_map(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+# ---------------------------------------------------------------------------
+# windowed argmax: for every cell, the row-major index of the best cell in
+# its (2d+1) x (2d+1) Chebyshev window, "best" meaning highest value with
+# ties going to the lowest index. Separable: a horizontal then a vertical
+# pass over (value, index) pairs.
+
+def _numpy_window_winner(p: np.ndarray, d: int) -> np.ndarray:
+    H, W = p.shape
+    sentinel = H * W  # never wins: paired with -inf value
+    idx = np.arange(H * W, dtype=np.int64).reshape(H, W)
+    L = 2 * d + 1
+
+    pv = np.pad(p, ((0, 0), (d, d)), constant_values=-np.inf)
+    pi = np.pad(idx, ((0, 0), (d, d)), constant_values=sentinel)
+    wv = sliding_window_view(pv, L, axis=1)
+    wi = sliding_window_view(pi, L, axis=1)
+    bv = wv.max(axis=2)
+    bi = np.where(wv == bv[:, :, None], wi, sentinel).min(axis=2)
+
+    bvp = np.pad(bv, ((d, d), (0, 0)), constant_values=-np.inf)
+    bip = np.pad(bi, ((d, d), (0, 0)), constant_values=sentinel)
+    wv2 = sliding_window_view(bvp, L, axis=0)
+    wi2 = sliding_window_view(bip, L, axis=0)
+    bv2 = wv2.max(axis=2)
+    return np.where(wv2 == bv2[:, :, None], wi2, sentinel).min(axis=2)
+
+
+# ---------------------------------------------------------------------------
+# region growing: seeds are processed in the given order; each unclaimed
+# seed floods 8-connected unclaimed cells with alpha*peak <= p <= peak.
+# A seed landing on an already-claimed cell is merged into that region.
+
+def _numpy_assign_regions(p: np.ndarray, seeds: np.ndarray, alpha: float):
+    claimed = np.full(p.shape, -1, dtype=np.int32)
+    seed_region = np.empty(len(seeds), dtype=np.int32)
+    eight = np.ones((3, 3), dtype=bool)
+    next_id = 0
+    for i, (r, c) in enumerate(seeds):
+        if claimed[r, c] != -1:
+            seed_region[i] = claimed[r, c]
+            continue
+        peak = p[r, c]
+        mask = (claimed == -1) & (p >= alpha * peak) & (p <= peak)
+        labels, _ = ndimage.label(mask, structure=eight)
+        claimed[labels == labels[r, c]] = next_id
+        seed_region[i] = next_id
+        next_id += 1
+    return claimed, seed_region
+
+
 def maximal_filter_regions(
     prob_map: np.ndarray,
     class_index: int,
     params: DecodeParams,
-    backend: str | None = None,
 ) -> list[PeakRegion]:
     """Peak regions of one class channel.
 
@@ -96,7 +146,7 @@ def maximal_filter_regions(
         )
     p = np.ascontiguousarray(prob_map[class_index], dtype=np.float64)
     H, W = p.shape
-    winner = kernels.window_winner(p, int(params.d), backend)
+    winner = _numpy_window_winner(p, int(params.d))
     own = np.arange(H * W, dtype=np.int64).reshape(H, W)
     rs, cs = np.nonzero((winner == own) & (p >= params.tau))
     seeds = sorted(
@@ -106,7 +156,7 @@ def maximal_filter_regions(
     if not seeds:
         return []
     seed_arr = np.asarray(seeds, dtype=np.int64)
-    claimed, seed_region = kernels.assign_regions(p, seed_arr, float(params.alpha), backend)
+    claimed, seed_region = _numpy_assign_regions(p, seed_arr, float(params.alpha))
 
     regions: list[PeakRegion] = []
     for s_idx, (r, c) in enumerate(seeds):
@@ -146,23 +196,18 @@ def region_to_detection(region: PeakRegion) -> Detection:
     )
 
 
-def decode(
-    logits: np.ndarray,
-    params: DecodeParams,
-    background_index: int = 0,
-    backend: str | None = None,
-) -> list[Detection]:
+def decode(logits: np.ndarray, params: DecodeParams) -> list[Detection]:
     """Full decode of a logit map: softmax, per-class regions, boxes.
+
+    Channel 0 is the background and yields no detections.
 
     Detections come back sorted by confidence descending, ties broken by
     (class index, row-major centroid).
     """
     probs = softmax_map(logits)
     detections = []
-    for k in range(probs.shape[0]):
-        if k == background_index:
-            continue
-        for region in maximal_filter_regions(probs, k, params, backend):
+    for k in range(1, probs.shape[0]):
+        for region in maximal_filter_regions(probs, k, params):
             detections.append(region_to_detection(region))
     detections.sort(key=lambda det: (-det.confidence, det.class_index, det.centroid))
     return detections
@@ -211,12 +256,15 @@ def load_map(npy_path) -> LoadedMap:
     if not sidecar.exists():
         raise ValueError(f"map {npy_path.name} has no JSON sidecar")
     meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    meta = MapMeta(
-        image_id=meta_doc["image_id"],
-        classes=tuple(meta_doc["classes"]),
-        space=meta_doc.get("space", MAP_SPACE),
-        map_to_net_scale=float(meta_doc.get("map_to_net_scale", 1.0)),
-    )
+    try:
+        meta = MapMeta(
+            image_id=meta_doc["image_id"],
+            classes=tuple(meta_doc["classes"]),
+            space=meta_doc.get("space", MAP_SPACE),
+            map_to_net_scale=float(meta_doc.get("map_to_net_scale", 1.0)),
+        )
+    except KeyError as e:
+        raise ValueError(f"{sidecar}: missing field {e}") from e
     arr = np.load(npy_path, allow_pickle=False)
     if arr.dtype != np.float32:
         raise ValueError(f"map {npy_path.name}: expected float32, got {arr.dtype}")
@@ -263,15 +311,19 @@ def detections_from_json(path) -> dict[str, list[Detection]]:
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
     per_image: dict[str, list[Detection]] = {}
-    for e in entries:
-        box = Box(*(float(v) for v in e["box"]), space=e["space"])
-        det = Detection(
-            class_index=0,  # class carried by name in the file
-            box=box,
-            confidence=float(e["confidence"]),
-            centroid=(float(e["centroid"][0]), float(e["centroid"][1])),
-        )
-        per_image.setdefault(e["image_id"], []).append(det)
+    for i, e in enumerate(entries):
+        try:
+            box = Box(*(float(v) for v in e["box"]), space=e["space"])
+            det = Detection(
+                class_index=0,  # class carried by name in the file
+                box=box,
+                confidence=float(e["confidence"]),
+                centroid=(float(e["centroid"][0]), float(e["centroid"][1])),
+            )
+            image_id = e["image_id"]
+        except KeyError as err:
+            raise ValueError(f"{path}: entry {i}: missing field {err}") from err
+        per_image.setdefault(image_id, []).append(det)
     for dets in per_image.values():
         dets.sort(key=lambda det: (-det.confidence, det.centroid))
     return per_image

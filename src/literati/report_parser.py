@@ -26,7 +26,6 @@ CATEGORIES = ("R1", "R5", "R6", "R7")
 # Canonical component order inside a composed expression.
 CATEGORY_ORDER = ("R7", "R1", "R5", "R6")
 LEVELS = ("scene_label", "referring", "disease_emphasis")
-DISEASES = ("pneumonia", "pneumothorax")
 
 SCENE_PHRASES = {
     frozenset(): "no pneumo",
@@ -408,7 +407,7 @@ def _canonical_order(spans: list[AttributeSpan]) -> tuple[AttributeSpan, ...]:
 
 
 def compose_referring_expression(
-    spans: list[AttributeSpan], sentence: Sentence, lexicon: Lexicon | None = None
+    spans: list[AttributeSpan], sentence: Sentence, lexicon: Lexicon
 ) -> Optional[ReferringExpression]:
     """Recompose attribute spans into a referring expression.
 
@@ -420,7 +419,6 @@ def compose_referring_expression(
     r1 = [s for s in spans if s.category == "R1"]
     if not r1:
         return None
-    lexicon = lexicon or default_lexicon()
     lowered = [t.surface.lower() for t in sentence.tokens]
     scope = _negation_scope(lowered, lexicon)
     head = r1[0]
@@ -481,7 +479,7 @@ def _scene_label(report: Report, lexicon: Lexicon) -> ReferringExpression:
     return ReferringExpression(
         report_id=report.report_id,
         sentence_index=-1,  # report-level, not tied to one sentence
-        phrase=SCENE_PHRASES[tags],
+        phrase=SCENE_PHRASES.get(tags, " and ".join(sorted(tags))),
         components=(),
         polarity="positive" if tags else "negative",
         disease_tags=tags,

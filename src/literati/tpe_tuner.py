@@ -349,7 +349,6 @@ def tune_decoder(
     cfg: TpeConfig | None = None,
     iou_threshold: float = 0.1,
     mode: str = "top1",
-    backend: str | None = None,
 ):
     """Tune decode parameters against detection accuracy on held-out maps.
 
@@ -379,7 +378,7 @@ def tune_decoder(
         results = []
         for m in maps:
             dets = [detection_to_net416(det, m.meta)
-                    for det in decode(m.logits, params, backend=backend)]
+                    for det in decode(m.logits, params)]
             gts = gts_net416.get(m.meta.image_id, [])
             results.append(match_image(dets, gts, iou_threshold, mode=mode,
                                        image_id=m.meta.image_id))

@@ -51,6 +51,33 @@ def test_invalid_content_exits_1(tmp_path):
                 "--out", str(tmp_path / "o.json")]) == 1
 
 
+@pytest.mark.parametrize("missing", ["classes", "image_id"])
+def test_sidecar_missing_field_exits_1(tmp_path, caplog, missing):
+    maps_dir, _, planted = _write_maps(tmp_path, n=1)
+    sidecar = maps_dir / f"{planted[0].meta.image_id}.json"
+    doc = json.loads(sidecar.read_text())
+    del doc[missing]
+    sidecar.write_text(json.dumps(doc))
+    assert run(["decode", "--maps", str(maps_dir),
+                "--out", str(tmp_path / "det.json")]) == 1
+    assert f"{sidecar}: missing field '{missing}'" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("missing", ["confidence", "box", "space", "centroid", "image_id"])
+def test_detections_missing_field_exits_1(tmp_path, caplog, missing):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(det)]) == 0
+    entries = json.loads(det.read_text())
+    del entries[1][missing]
+    det.write_text(json.dumps(entries))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert f"{det}: entry 1: missing field '{missing}'" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 # --- parse -------------------------------------------------------------------------
 
 def test_parse_scene_labels_closed_vocabulary(tmp_path):

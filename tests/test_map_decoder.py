@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from literati import _decode_kernels as kernels
 from literati.eval_harness import iou
 from literati.map_decoder import (
     DecodeParams,
@@ -22,8 +21,6 @@ from literati.map_decoder import (
 from literati.synthetic import make_planted_maps
 
 from _oracles import brute_force_regions, region_lists_equal
-
-BACKENDS = kernels.available_backends()
 
 
 def _two_channel(disease: np.ndarray) -> np.ndarray:
@@ -71,28 +68,24 @@ def test_softmax_normalization_property():
 
 # --- maximal_filter_regions ------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_delta_peak(backend):
+def test_delta_peak():
     disease = np.full((8, 8), 0.01)
     disease[3, 4] = 0.9
     regions = maximal_filter_regions(_two_channel(disease), 1,
-                                     DecodeParams(d=2, tau=0.1, alpha=0.5),
-                                     backend=backend)
+                                     DecodeParams(d=2, tau=0.1, alpha=0.5))
     assert len(regions) == 1
     assert regions[0].members == frozenset({(3, 4)})
     assert regions[0].centroid == (3.0, 4.0)
     assert regions[0].peak_prob == 0.9
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_two_gaussian_bumps(backend):
+def test_two_gaussian_bumps():
     rows = np.arange(41.0)[:, None]
     cols = np.arange(41.0)[None, :]
     bump = lambda r0, c0: np.exp(-((rows - r0) ** 2 + (cols - c0) ** 2) / (2 * 3.0 ** 2))
     disease = 0.45 * bump(10, 10) + 0.45 * bump(30, 30) + 0.01
     regions = maximal_filter_regions(_two_channel(disease), 1,
-                                     DecodeParams(d=5, tau=0.1, alpha=0.5),
-                                     backend=backend)
+                                     DecodeParams(d=5, tau=0.1, alpha=0.5))
     assert len(regions) == 2
     centroids = sorted(r.centroid for r in regions)
     assert abs(centroids[0][0] - 10) <= 0.5 and abs(centroids[0][1] - 10) <= 0.5
@@ -113,8 +106,7 @@ def test_uniform_map_below_tau_empty():
     assert regions == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_oracle_equivalence_random_maps(backend):
+def test_oracle_equivalence_random_maps():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         H, W = int(rng.integers(4, 33)), int(rng.integers(4, 33))
@@ -122,13 +114,12 @@ def test_oracle_equivalence_random_maps(backend):
         params = DecodeParams(d=int(rng.integers(1, 5)),
                               tau=float(rng.uniform(0, 0.8)),
                               alpha=float(rng.uniform(0.2, 1.0)))
-        got = maximal_filter_regions(probs, 1, params, backend=backend)
+        got = maximal_filter_regions(probs, 1, params)
         want = brute_force_regions(probs[1].tolist(), params.d, params.tau, params.alpha)
         assert region_lists_equal(got, want), f"seed {seed}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_oracle_equivalence_plateau_maps(backend):
+def test_oracle_equivalence_plateau_maps():
     # quantized values force ties; exercises the row-major tie-break
     for seed in range(30):
         rng = np.random.default_rng(900 + seed)
@@ -137,20 +128,9 @@ def test_oracle_equivalence_plateau_maps(backend):
         params = DecodeParams(d=int(rng.integers(1, 4)),
                               tau=float(rng.choice([0.0, 0.3, 0.5])),
                               alpha=float(rng.choice([0.4, 0.7, 1.0])))
-        got = maximal_filter_regions(_two_channel(disease), 1, params, backend=backend)
+        got = maximal_filter_regions(_two_channel(disease), 1, params)
         want = brute_force_regions(disease.tolist(), params.d, params.tau, params.alpha)
         assert region_lists_equal(got, want), f"seed {seed}"
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numba unavailable")
-def test_backends_agree():
-    for seed in range(25):
-        rng = np.random.default_rng(seed)
-        probs = softmax_map(rng.normal(0, 2, size=(2, 24, 24)))
-        params = DecodeParams(d=2, tau=0.3, alpha=0.5)
-        a = maximal_filter_regions(probs, 1, params, backend="numba")
-        b = maximal_filter_regions(probs, 1, params, backend="numpy")
-        assert a == b
 
 
 def test_peak_dominance_property():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -213,6 +214,17 @@ def test_scene_label_conflict_flagged(lexicon):
     exprs = parse_report(report, lexicon, "scene_label")
     assert exprs[0].phrase == "pneumonia"
     assert exprs[0].conflicts == ("pneumonia",)
+
+
+def test_scene_label_any_lexicon_disease(lexicon):
+    custom = dataclasses.replace(
+        lexicon, disease_terms={**lexicon.disease_terms, "effusion": ("effusion",)})
+    report = Report("s", "t", "Small left effusion. No pneumothorax.")
+    assert parse_report(report, custom, "scene_label")[0].phrase == "effusion"
+    report = Report("s", "t", "Right effusion. Multifocal pneumonia.")
+    exprs = parse_report(report, custom, "scene_label")
+    assert exprs[0].phrase == "effusion and pneumonia"
+    assert exprs[0].disease_tags == frozenset({"effusion", "pneumonia"})
 
 
 def test_scene_phrases_closed_vocabulary():

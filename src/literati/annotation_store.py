@@ -23,7 +23,8 @@ NET_SIZE = 416
 
 
 class CocoParseError(ValueError):
-    """The document is not valid JSON or lacks the required arrays."""
+    """The document is not valid JSON, lacks a required array, or an entry
+    of one is not an object or lacks its id."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -89,6 +90,15 @@ class DatasetSplit:
 _DISEASE_CATEGORIES = {"pneumonia", "pneumothorax"}
 
 
+def _required(record, array: str, i: int, key: str):
+    """``record[key]`` for entry ``i`` of a COCO array, or a CocoParseError."""
+    if not isinstance(record, dict):
+        raise CocoParseError(f"{array}[{i}] is not an object")
+    if key not in record:
+        raise CocoParseError(f"{array}[{i}] is missing {key!r}")
+    return record[key]
+
+
 def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
     """Load images and annotations from a COCO-style export.
 
@@ -111,13 +121,12 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
             raise CocoParseError(f"document is missing the {key!r} array")
 
     categories = {}
-    for cat in doc["categories"]:
-        name = str(cat.get("name", ""))
-        categories[cat["id"]] = name
+    for i, cat in enumerate(doc["categories"]):
+        categories[_required(cat, "categories", i, "id")] = str(cat.get("name", ""))
 
     images: dict[str, ImageRecord] = {}
-    for im in doc["images"]:
-        image_id = str(im["id"])
+    for i, im in enumerate(doc["images"]):
+        image_id = str(_required(im, "images", i, "id"))
         width = im.get("width", 0)
         height = im.get("height", 0)
         if width <= 0 or height <= 0:
@@ -127,8 +136,8 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
         images[image_id] = ImageRecord(image_id, int(width), int(height))
 
     grouped: dict[tuple[str, str], dict] = {}
-    for ann in doc["annotations"]:
-        image_id = str(ann["image_id"])
+    for i, ann in enumerate(doc["annotations"]):
+        image_id = str(_required(ann, "annotations", i, "image_id"))
         if image_id not in images:
             raise ReferentialIntegrityError(
                 f"annotation references unknown image id {image_id!r}"

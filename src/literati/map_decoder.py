@@ -3,19 +3,25 @@
 The pipeline per class channel: softmax across channels gives a per-cell
 class distribution; cells that dominate their Chebyshev-d window (ties to
 the lowest row-major index) and clear the probability floor ``tau`` become
-peaks; each peak grows an 8-connected region over cells within
+peaks; each peak grows an 8-connected region over unclaimed cells within
 [alpha * peak, peak]; the region's bounding rectangle becomes the
 detection box, with the region centroid kept as metadata.
+
+Peaks come from separable maximum filters over the whole channel, in
+O(H * W * d). Each region is labelled on a crop around its peak that
+widens only while the region reaches a crop edge inside the map, so
+region growth costs about the size of the regions found, not
+peaks x H x W. Regions are kept as a bounding box plus a boolean mask of
+that box, never as per-cell Python objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .annotation_store import Box
@@ -41,11 +47,25 @@ class DecodeParams:
 @dataclass(frozen=True)
 class PeakRegion:
     class_index: int
-    members: frozenset[tuple[int, int]]  # (row, col) grid cells
-    centroid: tuple[float, float]        # (row, col), mean of members
+    bbox: tuple[int, int, int, int]  # (row0, col0, row1, col1), ends exclusive
+    mask: np.ndarray = field(compare=False, repr=False)  # bool, bbox-sized
+    centroid: tuple[float, float]    # (row, col), mean of members
     peak_prob: float
     member_count: int
     peak: tuple[int, int]
+
+    @property
+    def members(self) -> frozenset[tuple[int, int]]:
+        """The region's (row, col) grid cells."""
+        rr, cc = np.nonzero(self.mask)
+        return frozenset(zip((rr + self.bbox[0]).tolist(), (cc + self.bbox[1]).tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PeakRegion):
+            return NotImplemented
+        return (self.class_index, self.bbox, self.centroid, self.peak_prob, self.peak) == (
+            other.class_index, other.bbox, other.centroid, other.peak_prob, other.peak
+        ) and np.array_equal(self.mask, other.mask)
 
 
 @dataclass(frozen=True)
@@ -77,53 +97,66 @@ def softmax_map(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# windowed argmax: for every cell, the row-major index of the best cell in
-# its (2d+1) x (2d+1) Chebyshev window, "best" meaning highest value with
-# ties going to the lowest index. Separable: a horizontal then a vertical
-# pass over (value, index) pairs.
+# peaks: a cell wins its (2d+1) x (2d+1) window when it equals the window's
+# maximum and no cell before it in row-major order holds that value. The
+# window cells before (r, c) are the d rows above it, full window width,
+# and the d cells to its left, so both maxima come from separable 1-D
+# filters plus 2d shifted maxima: O(H * W * d), with no per-cell Python
+# even on plateaus.
 
-def _numpy_window_winner(p: np.ndarray, d: int) -> np.ndarray:
-    H, W = p.shape
-    sentinel = H * W  # never wins: paired with -inf value
-    idx = np.arange(H * W, dtype=np.int64).reshape(H, W)
+def _peaks(p: np.ndarray, d: int, tau: float) -> list[tuple[int, int]]:
+    """Peak cells by descending probability, row-major on ties."""
     L = 2 * d + 1
-
-    pv = np.pad(p, ((0, 0), (d, d)), constant_values=-np.inf)
-    pi = np.pad(idx, ((0, 0), (d, d)), constant_values=sentinel)
-    wv = sliding_window_view(pv, L, axis=1)
-    wi = sliding_window_view(pi, L, axis=1)
-    bv = wv.max(axis=2)
-    bi = np.where(wv == bv[:, :, None], wi, sentinel).min(axis=2)
-
-    bvp = np.pad(bv, ((d, d), (0, 0)), constant_values=-np.inf)
-    bip = np.pad(bi, ((d, d), (0, 0)), constant_values=sentinel)
-    wv2 = sliding_window_view(bvp, L, axis=0)
-    wi2 = sliding_window_view(bip, L, axis=0)
-    bv2 = wv2.max(axis=2)
-    return np.where(wv2 == bv2[:, :, None], wi2, sentinel).min(axis=2)
+    row_max = ndimage.maximum_filter1d(p, L, axis=1, mode="constant", cval=-np.inf)
+    window_max = ndimage.maximum_filter1d(row_max, L, axis=0, mode="constant", cval=-np.inf)
+    before = np.full_like(p, -np.inf)
+    for k in range(1, d + 1):
+        np.maximum(before[k:], row_max[:-k], out=before[k:])
+        np.maximum(before[:, k:], p[:, :-k], out=before[:, k:])
+    rs, cs = np.nonzero((p == window_max) & (p > before) & (p >= tau))
+    order = np.argsort(-p[rs, cs], kind="stable")  # nonzero is row-major
+    return list(zip(rs[order].tolist(), cs[order].tolist()))
 
 
 # ---------------------------------------------------------------------------
-# region growing: seeds are processed in the given order; each unclaimed
-# seed floods 8-connected unclaimed cells with alpha*peak <= p <= peak.
-# A seed landing on an already-claimed cell is merged into that region.
+# region growth: each unclaimed peak labels the 8-connected components of
+# unclaimed cells within [alpha * peak, peak] on a crop around itself. An
+# 8-connected component that touches no crop edge lying inside the map has
+# no neighbour outside the crop, so it is the whole region; for each inner
+# edge it does touch, the crop's reach past the peak on that side doubles
+# and the crop is labelled again. The last crop reaches at most twice as
+# far as the region on each side (or _GROW_RADIUS), and each side doubles
+# at most log2(map side / _GROW_RADIUS) times, so the cost follows region
+# size, not peaks x H x W. Peaks landing on claimed cells cost one lookup.
 
-def _numpy_assign_regions(p: np.ndarray, seeds: np.ndarray, alpha: float):
-    claimed = np.full(p.shape, -1, dtype=np.int32)
-    seed_region = np.empty(len(seeds), dtype=np.int32)
-    eight = np.ones((3, 3), dtype=bool)
-    next_id = 0
-    for i, (r, c) in enumerate(seeds):
-        if claimed[r, c] != -1:
-            seed_region[i] = claimed[r, c]
-            continue
-        peak = p[r, c]
-        mask = (claimed == -1) & (p >= alpha * peak) & (p <= peak)
-        labels, _ = ndimage.label(mask, structure=eight)
-        claimed[labels == labels[r, c]] = next_id
-        seed_region[i] = next_id
-        next_id += 1
-    return claimed, seed_region
+_GROW_RADIUS = 16  # half-width of the first crop, in cells
+_EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
+    """Region of the peak at (r, c): (row0, col0, mask) of its crop."""
+    H, W = p.shape
+    peak = p[r, c]
+    lo = alpha * peak
+    up = down = left = right = _GROW_RADIUS  # crop reach on each side of (r, c)
+    while True:
+        r0, r1 = max(0, r - up), min(H, r + down + 1)
+        c0, c1 = max(0, c - left), min(W, c + right + 1)
+        crop = p[r0:r1, c0:c1]
+        mask = ~claimed[r0:r1, c0:c1] & (crop >= lo) & (crop <= peak)
+        labels, _ = ndimage.label(mask, structure=_EIGHT)
+        region = labels == labels[r - r0, c - c0]
+        grown = False
+        if r0 > 0 and region[0].any():
+            up, grown = 2 * up, True
+        if r1 < H and region[-1].any():
+            down, grown = 2 * down, True
+        if c0 > 0 and region[:, 0].any():
+            left, grown = 2 * left, True
+        if c1 < W and region[:, -1].any():
+            right, grown = 2 * right, True
+        if not grown:
+            return r0, c0, region
 
 
 def maximal_filter_regions(
@@ -145,33 +178,24 @@ def maximal_filter_regions(
             f"class index {class_index} out of range for {prob_map.shape[0]} channels"
         )
     p = np.ascontiguousarray(prob_map[class_index], dtype=np.float64)
-    H, W = p.shape
-    winner = _numpy_window_winner(p, int(params.d))
-    own = np.arange(H * W, dtype=np.int64).reshape(H, W)
-    rs, cs = np.nonzero((winner == own) & (p >= params.tau))
-    seeds = sorted(
-        zip(rs.tolist(), cs.tolist()),
-        key=lambda rc: (-p[rc[0], rc[1]], rc[0] * W + rc[1]),
-    )
-    if not seeds:
-        return []
-    seed_arr = np.asarray(seeds, dtype=np.int64)
-    claimed, seed_region = _numpy_assign_regions(p, seed_arr, float(params.alpha))
-
+    claimed = np.zeros(p.shape, dtype=bool)
     regions: list[PeakRegion] = []
-    for s_idx, (r, c) in enumerate(seeds):
-        rid = int(seed_region[s_idx])
-        if rid != len(regions):
+    for r, c in _peaks(p, int(params.d), params.tau):
+        if claimed[r, c]:
             continue  # merged into an earlier region
-        mr, mc = np.nonzero(claimed == rid)
-        members = frozenset(zip(mr.tolist(), mc.tolist()))
-        centroid = (int(mr.sum()) / mr.size, int(mc.sum()) / mc.size)
+        r0, c0, region = _grow(p, claimed, r, c, float(params.alpha))
+        claimed[r0:r0 + region.shape[0], c0:c0 + region.shape[1]] |= region
+        rr, cc = np.nonzero(region)
+        n = rr.size
+        top, left = int(rr.min()), int(cc.min())
+        bottom, right = int(rr.max()) + 1, int(cc.max()) + 1
         regions.append(PeakRegion(
             class_index=class_index,
-            members=members,
-            centroid=centroid,
+            bbox=(r0 + top, c0 + left, r0 + bottom, c0 + right),
+            mask=region[top:bottom, left:right].copy(),
+            centroid=((int(rr.sum()) + r0 * n) / n, (int(cc.sum()) + c0 * n) / n),
             peak_prob=float(p[r, c]),
-            member_count=int(mr.size),
+            member_count=n,
             peak=(r, c),
         ))
     return regions
@@ -179,13 +203,12 @@ def maximal_filter_regions(
 
 def region_to_detection(region: PeakRegion) -> Detection:
     """Axis-aligned bounding rectangle of the region's member cells."""
-    rows = [r for r, _ in region.members]
-    cols = [c for _, c in region.members]
+    row0, col0, row1, col1 = region.bbox
     box = Box(
-        x=float(min(cols)),
-        y=float(min(rows)),
-        w=float(max(cols) - min(cols) + 1),
-        h=float(max(rows) - min(rows) + 1),
+        x=float(col0),
+        y=float(row0),
+        w=float(col1 - col0),
+        h=float(row1 - row0),
         space=MAP_SPACE,
     )
     return Detection(
@@ -312,13 +335,19 @@ def detections_from_json(path) -> dict[str, list[Detection]]:
         entries = json.load(f)
     per_image: dict[str, list[Detection]] = {}
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{path}: entry {i}: not an object")
         try:
-            box = Box(*(float(v) for v in e["box"]), space=e["space"])
+            box_values, centroid = e["box"], e["centroid"]
+            if not isinstance(box_values, list) or len(box_values) != 4:
+                raise ValueError(f"{path}: entry {i}: box must be a list of 4 numbers")
+            if not isinstance(centroid, list) or len(centroid) != 2:
+                raise ValueError(f"{path}: entry {i}: centroid must be a list of 2 numbers")
             det = Detection(
                 class_index=0,  # class carried by name in the file
-                box=box,
+                box=Box(*(float(v) for v in box_values), space=e["space"]),
                 confidence=float(e["confidence"]),
-                centroid=(float(e["centroid"][0]), float(e["centroid"][1])),
+                centroid=(float(centroid[0]), float(centroid[1])),
             )
             image_id = e["image_id"]
         except KeyError as err:

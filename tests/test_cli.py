@@ -78,6 +78,43 @@ def test_detections_missing_field_exits_1(tmp_path, caplog, missing):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("box", "box must be a list of 4 numbers"),
+    ("centroid", "centroid must be a list of 2 numbers"),
+    ("entry", "not an object"),
+], ids=["box", "centroid", "entry"])
+def test_detections_malformed_entry_exits_1(tmp_path, caplog, fault, message):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(det)]) == 0
+    entries = json.loads(det.read_text())
+    if fault == "entry":
+        entries[1] = "not a detection"
+    else:
+        entries[1][fault] = entries[1][fault][:-1]
+    det.write_text(json.dumps(entries))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert f"{det}: entry 1: {message}" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("array, key", [
+    ("images", "id"), ("categories", "id"), ("annotations", "image_id"),
+])
+def test_coco_missing_id_exits_1(tmp_path, caplog, array, key):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    doc = json.loads(ann_path.read_text())
+    del doc[array][0][key]
+    ann_path.write_text(json.dumps(doc))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert f"{array}[0] is missing '{key}'" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 # --- parse -------------------------------------------------------------------------
 
 def test_parse_scene_labels_closed_vocabulary(tmp_path):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import ndimage
 
 from literati.eval_harness import iou
 from literati.map_decoder import (
+    _GROW_RADIUS,
     DecodeParams,
     Detection,
     MapMeta,
@@ -133,6 +135,30 @@ def test_oracle_equivalence_plateau_maps():
         assert region_lists_equal(got, want), f"seed {seed}"
 
 
+def test_oracle_equivalence_crop_growth():
+    # smoothed non-square, 1 x N and N x 1 maps, d over the tuner's whole
+    # 1..8 range and low alpha: regions outgrow the first crop and regrow
+    widest = 0
+    for seed in range(30):
+        rng = np.random.default_rng(300 + seed)
+        shape = [(int(rng.integers(20, 71)), int(rng.integers(60, 141))),
+                 (1, int(rng.integers(60, 300))),
+                 (int(rng.integers(60, 300)), 1)][seed % 3]
+        smooth = ndimage.gaussian_filter(rng.normal(0, 1, size=shape), sigma=2.0)
+        logits = np.stack([np.zeros(shape), smooth / smooth.std()])
+        probs = softmax_map(logits)
+        params = DecodeParams(d=int(rng.integers(1, 9)),
+                              tau=float(rng.uniform(0.2, 0.6)),
+                              alpha=float(rng.uniform(0.1, 0.7)))
+        got = maximal_filter_regions(probs, 1, params)
+        want = brute_force_regions(probs[1].tolist(), params.d, params.tau, params.alpha)
+        assert region_lists_equal(got, want), f"seed {seed}"
+        for region in got:
+            row0, col0, row1, col1 = region.bbox
+            widest = max(widest, row1 - row0, col1 - col0)
+    assert widest > 2 * _GROW_RADIUS + 1  # some region needed a wider crop
+
+
 def test_peak_dominance_property():
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -175,7 +201,11 @@ def _region(members, peak_prob=0.8, class_index=1):
     cols = [c for _, c in members]
     centroid = (sum(rows) / len(rows), sum(cols) / len(cols))
     peak = max(members, key=lambda rc: rc)
-    return PeakRegion(class_index=class_index, members=frozenset(members),
+    bbox = (min(rows), min(cols), max(rows) + 1, max(cols) + 1)
+    mask = np.zeros((bbox[2] - bbox[0], bbox[3] - bbox[1]), dtype=bool)
+    for r, c in members:
+        mask[r - bbox[0], c - bbox[1]] = True
+    return PeakRegion(class_index=class_index, bbox=bbox, mask=mask,
                       centroid=centroid, peak_prob=peak_prob,
                       member_count=len(members), peak=peak)
 

@@ -129,6 +129,10 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
         image_id = str(_required(im, "images", i, "id"))
         width = im.get("width", 0)
         height = im.get("height", 0)
+        for key, value in (("width", width), ("height", height)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise CocoParseError(f"images[{i}] {key!r} is not a finite number: {value!r}")
         if width <= 0 or height <= 0:
             raise CocoValidationError(
                 f"image {image_id}: non-positive dimensions {width}x{height}"

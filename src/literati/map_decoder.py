@@ -333,6 +333,8 @@ def detections_to_json(per_image: dict[str, list[Detection]], classes_by_image: 
 def detections_from_json(path) -> dict[str, list[Detection]]:
     with open(path, "r", encoding="utf-8") as f:
         entries = json.load(f)
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a JSON array of detections")
     per_image: dict[str, list[Detection]] = {}
     for i, e in enumerate(entries):
         if not isinstance(e, dict):

@@ -8,6 +8,12 @@ forward-scoped negation rule: a cue negates every disease term after it in
 the same sentence until a clause boundary that carries its own verb (or a
 hard adversative boundary) resets the scope.
 
+Every lexicon lookup (attribute terms, negation cues, pseudo-negations,
+disease synonyms) goes through one longest-match helper over a first-token
+index: a dict from a lowercased token to the entries that start with it,
+longest first. A token costs one dict lookup plus a comparison per entry
+sharing its first token, whatever the size of the lexicon.
+
 All operations are pure functions of their inputs and safe to call
 concurrently.
 """
@@ -21,6 +27,10 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
+
+# First-token index: lowercased first token -> ((entry tokens, value), ...),
+# longest entry first.
+_MatchIndex = dict[str, tuple[tuple[tuple[str, ...], object], ...]]
 
 CATEGORIES = ("R1", "R5", "R6", "R7")
 # Canonical component order inside a composed expression.
@@ -63,6 +73,21 @@ _PSEUDO_NEGATIONS = (
     ("no", "increase"),
     ("no", "improvement"),
 )
+
+
+def _first_token_index(pairs: Iterable[tuple[tuple[str, ...], object]]) -> _MatchIndex:
+    """Group (entry, value) pairs by first token, longest entry first.
+
+    The sort is stable, so among equal-length entries (a synonym listed
+    under two diseases) the one given first keeps winning.
+    """
+    index: dict[str, list] = {}
+    for entry, value in sorted(pairs, key=lambda p: -len(p[0])):
+        index.setdefault(entry[0], []).append((entry, value))
+    return {tok: tuple(candidates) for tok, candidates in index.items()}
+
+
+_PSEUDO_INDEX = _first_token_index((entry, None) for entry in _PSEUDO_NEGATIONS)
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)?|[^\sA-Za-z0-9]")
 
@@ -155,20 +180,30 @@ class Lexicon:
     r7_terms: frozenset[str]
     negation_cues: tuple[str, ...]
     disease_terms: dict[str, tuple[str, ...]]
-    # token-sequence match tables, built in __post_init__
-    _entries: tuple = field(default=(), compare=False, repr=False)
-    _cues: tuple = field(default=(), compare=False, repr=False)
-    _diseases: tuple = field(default=(), compare=False, repr=False)
+    # First-token indexes (see _first_token_index), built in __post_init__:
+    # attribute terms -> category, negation cues -> None, disease synonyms
+    # -> disease name.
+    _entries: _MatchIndex = field(init=False, compare=False, repr=False)
+    _cues: _MatchIndex = field(init=False, compare=False, repr=False)
+    _diseases: _MatchIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sets = {
             "R1": self.r1_terms, "R5": self.r5_terms,
             "R6": self.r6_terms, "R7": self.r7_terms,
         }
-        for name, terms in sets.items():
+        groups = {
+            **{f"{cat.lower()}_terms": terms for cat, terms in sets.items()},
+            "negation_cues": self.negation_cues,
+            **{f"disease_terms[{d!r}]": syns for d, syns in self.disease_terms.items()},
+        }
+        for key, terms in groups.items():
             for t in terms:
+                # an empty entry would match without consuming a token
+                if not t.strip():
+                    raise LexiconError(f"{key}: empty term {t!r}")
                 if t != t.lower():
-                    raise LexiconError(f"{name} term not lowercase: {t!r}")
+                    raise LexiconError(f"{key}: term not lowercase: {t!r}")
         cats = list(sets.items())
         for i in range(len(cats)):
             for j in range(i + 1, len(cats)):
@@ -177,39 +212,59 @@ class Lexicon:
                     raise LexiconError(
                         f"{cats[i][0]} and {cats[j][0]} overlap: {sorted(overlap)}"
                     )
-        entries = []
-        for cat, terms in sets.items():
-            for term in terms:
-                entries.append((tuple(term.split()), cat))
-        entries.sort(key=lambda e: (-len(e[0]), e[0]))
-        cues = sorted((tuple(c.split()) for c in self.negation_cues), key=len, reverse=True)
-        diseases = []
-        for disease, synonyms in self.disease_terms.items():
-            for s in synonyms:
-                diseases.append((tuple(s.split()), disease))
-        diseases.sort(key=lambda e: -len(e[0]))
-        object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "_cues", tuple(cues))
-        object.__setattr__(self, "_diseases", tuple(diseases))
+        object.__setattr__(self, "_entries", _first_token_index(
+            (tuple(t.split()), cat) for cat, terms in sets.items() for t in terms))
+        object.__setattr__(self, "_cues", _first_token_index(
+            (tuple(c.split()), None) for c in self.negation_cues))
+        object.__setattr__(self, "_diseases", _first_token_index(
+            (tuple(s.split()), disease)
+            for disease, synonyms in self.disease_terms.items() for s in synonyms))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
-        try:
-            return cls(
-                r1_terms=frozenset(doc["r1_terms"]),
-                r5_terms=frozenset(doc["r5_terms"]),
-                r6_terms=frozenset(doc["r6_terms"]),
-                r7_terms=frozenset(doc["r7_terms"]),
-                negation_cues=tuple(doc["negation_cues"]),
-                disease_terms={k: tuple(v) for k, v in doc["disease_terms"].items()},
-            )
-        except KeyError as e:
-            raise LexiconError(f"lexicon file missing key {e}") from e
+        """Build a lexicon from its JSON form; a LexiconError names the bad key."""
+        if not isinstance(doc, dict):
+            raise LexiconError(f"top level must be a JSON object, not {type(doc).__name__}")
+        for key in _LEXICON_KEYS:
+            if key not in doc:
+                raise LexiconError(f"lexicon file missing key {key!r}")
+        diseases = doc["disease_terms"]
+        if not isinstance(diseases, dict):
+            raise LexiconError("disease_terms must be an object mapping names to lists of strings")
+        return cls(
+            r1_terms=frozenset(_string_list(doc["r1_terms"], "r1_terms")),
+            r5_terms=frozenset(_string_list(doc["r5_terms"], "r5_terms")),
+            r6_terms=frozenset(_string_list(doc["r6_terms"], "r6_terms")),
+            r7_terms=frozenset(_string_list(doc["r7_terms"], "r7_terms")),
+            negation_cues=tuple(_string_list(doc["negation_cues"], "negation_cues")),
+            disease_terms={
+                name: tuple(_string_list(synonyms, f"disease_terms[{name!r}]"))
+                for name, synonyms in diseases.items()
+            },
+        )
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise LexiconError(f"{path}: invalid JSON ({e})") from e
+        try:
+            return cls.from_dict(doc)
+        except LexiconError as e:
+            raise LexiconError(f"{path}: {e}") from e
+
+
+_LEXICON_KEYS = ("r1_terms", "r5_terms", "r6_terms", "r7_terms",
+                 "negation_cues", "disease_terms")
+
+
+def _string_list(value, key: str) -> list[str]:
+    """A lexicon value that must be a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise LexiconError(f"{key} must be a list of strings")
+    return value
 
 
 @lru_cache(maxsize=1)
@@ -287,23 +342,35 @@ def segment_sentences(text: str, report_id: str = "") -> list[Sentence]:
     return sentences
 
 
+def _longest_match(lowered: tuple[str, ...], i: int, index: _MatchIndex) -> Optional[tuple[int, object]]:
+    """(length, value) of the longest index entry matching at token i, or None.
+
+    Only the entries starting with ``lowered[i]`` are tried. Two entries of
+    one length with one first token cannot both match at i, so the first
+    candidate that matches is the longest match.
+    """
+    for entry, value in index.get(lowered[i], ()):
+        if lowered[i:i + len(entry)] == entry:
+            return len(entry), value
+    return None
+
+
+def _lowered(sentence: Sentence) -> tuple[str, ...]:
+    return tuple(t.surface.lower() for t in sentence.tokens)
+
+
 def classify_attributes(sentence: Sentence, lexicon: Lexicon) -> list[AttributeSpan]:
     """Chunk a sentence into attribute spans by longest lexicon match.
 
     Matching is left to right over lowercased tokens; a matched span
     consumes its tokens, so spans never overlap.
     """
-    lowered = [t.surface.lower() for t in sentence.tokens]
+    lowered = _lowered(sentence)
     spans = []
     i = 0
     n = len(lowered)
     while i < n:
-        hit = None
-        for entry, category in lexicon._entries:
-            L = len(entry)
-            if i + L <= n and tuple(lowered[i:i + L]) == entry:
-                hit = (L, category)
-                break
+        hit = _longest_match(lowered, i, lexicon._entries)
         if hit is None:
             i += 1
             continue
@@ -317,7 +384,7 @@ def classify_attributes(sentence: Sentence, lexicon: Lexicon) -> list[AttributeS
     return spans
 
 
-def _negation_scope(lowered: list[str], lexicon: Lexicon) -> list[bool]:
+def _negation_scope(lowered: tuple[str, ...], lexicon: Lexicon) -> list[bool]:
     """Per-token flag: is a negation cue in scope at this token?"""
     n = len(lowered)
     scope = [False] * n
@@ -341,34 +408,25 @@ def _negation_scope(lowered: list[str], lexicon: Lexicon) -> list[bool]:
             scope[i] = active
             i += 1
             continue
-        pseudo = _match_at(lowered, i, _PSEUDO_NEGATIONS)
+        pseudo = _longest_match(lowered, i, _PSEUDO_INDEX)
         if pseudo:
-            for j in range(i, i + pseudo):
+            for j in range(i, i + pseudo[0]):
                 scope[j] = active
-            i += pseudo
+            i += pseudo[0]
             continue
-        cue = _match_at(lowered, i, lexicon._cues)
+        cue = _longest_match(lowered, i, lexicon._cues)
         if cue:
-            for j in range(i, i + cue):
+            for j in range(i, i + cue[0]):
                 scope[j] = active
             active = True
-            i += cue
+            i += cue[0]
             continue
         scope[i] = active
         i += 1
     return scope
 
 
-def _match_at(lowered: list[str], i: int, entries: Iterable[tuple[str, ...]]) -> int:
-    """Length of the longest entry matching at token i, or 0."""
-    for entry in entries:
-        L = len(entry)
-        if i + L <= len(lowered) and tuple(lowered[i:i + L]) == entry:
-            return L
-    return 0
-
-
-def _clause_has_verb(lowered: list[str], start: int) -> bool:
+def _clause_has_verb(lowered: tuple[str, ...], start: int) -> bool:
     for tok in lowered[start:]:
         if tok in {",", ";", ":"} or tok in _HARD_BOUNDARIES:
             return False
@@ -378,22 +436,23 @@ def _clause_has_verb(lowered: list[str], start: int) -> bool:
 
 
 def _disease_occurrences(sentence: Sentence, lexicon: Lexicon) -> list[tuple[str, int, bool]]:
-    """(disease, token index, negated) per disease-term occurrence."""
-    lowered = [t.surface.lower() for t in sentence.tokens]
-    scope = _negation_scope(lowered, lexicon)
+    """(disease, token index, negated) per disease-term occurrence.
+
+    The negation scope is built at the first occurrence; most sentences
+    name no disease and never need it.
+    """
+    lowered = _lowered(sentence)
+    scope = None
     found = []
     i = 0
     while i < len(lowered):
-        hit = None
-        for entry, disease in lexicon._diseases:
-            L = len(entry)
-            if i + L <= len(lowered) and tuple(lowered[i:i + L]) == entry:
-                hit = (L, disease)
-                break
+        hit = _longest_match(lowered, i, lexicon._diseases)
         if hit is None:
             i += 1
             continue
         L, disease = hit
+        if scope is None:
+            scope = _negation_scope(lowered, lexicon)
         found.append((disease, i, scope[i]))
         i += L
     return found
@@ -419,18 +478,20 @@ def compose_referring_expression(
     r1 = [s for s in spans if s.category == "R1"]
     if not r1:
         return None
-    lowered = [t.surface.lower() for t in sentence.tokens]
+    lowered = _lowered(sentence)
     scope = _negation_scope(lowered, lexicon)
     head = r1[0]
     polarity = "negative" if scope[head.token_range[0]] else "positive"
     components = _canonical_order(spans)
+    # every disease with a synonym anywhere inside a span, overlapping or
+    # nested synonyms included -- not only the longest match
     tags = set()
     for s in spans:
         a, b = s.token_range
-        for entry, disease in lexicon._diseases:
-            L = len(entry)
-            if any(tuple(lowered[i:i + L]) == entry for i in range(a, b - L + 1)):
-                tags.add(disease)
+        for i in range(a, b):
+            for entry, disease in lexicon._diseases.get(lowered[i], ()):
+                if i + len(entry) <= b and lowered[i:i + len(entry)] == entry:
+                    tags.add(disease)
     return ReferringExpression(
         report_id=sentence.report_id,
         sentence_index=sentence.index,

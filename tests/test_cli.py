@@ -115,6 +115,35 @@ def test_coco_missing_id_exits_1(tmp_path, caplog, array, key):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("width", "640", "images[0] 'width' is not a finite number: '640'"),
+    ("height", True, "images[0] 'height' is not a finite number: True"),
+    ("width", None, "images[0] 'width' is not a finite number: None"),
+    ("height", 0, "non-positive dimensions"),
+], ids=["str-width", "bool-height", "null-width", "zero-height"])
+def test_coco_bad_dimension_exits_1(tmp_path, caplog, key, value, message):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    doc = json.loads(ann_path.read_text())
+    doc["images"][0][key] = value
+    ann_path.write_text(json.dumps(doc))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_detections_not_an_array_exits_1(tmp_path, caplog):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("5")
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    assert f"{det}: expected a JSON array of detections" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 # --- parse -------------------------------------------------------------------------
 
 def test_parse_scene_labels_closed_vocabulary(tmp_path):
@@ -142,6 +171,68 @@ def test_parse_idempotent_bytes(tmp_path):
         out = tmp_path / name
         assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
                     "--level", "disease_emphasis", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def _bundled_lexicon() -> dict:
+    ref = resources.files("literati").joinpath("data/lexicon.json")
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _set_pneumonia_synonyms(synonyms):
+    def mutate(doc):
+        doc["disease_terms"]["pneumonia"] = synonyms
+        return doc
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: [doc], "top level must be a JSON object, not list"),
+    (lambda doc: {**doc, "disease_terms": []}, "disease_terms must be an object"),
+    (lambda doc: {**doc, "r1_terms": [1]}, "r1_terms must be a list of strings"),
+    (lambda doc: {**doc, "r1_terms": "opacity"}, "r1_terms must be a list of strings"),
+    (_set_pneumonia_synonyms("pneumonia"),
+     "disease_terms['pneumonia'] must be a list of strings"),
+    (lambda doc: {**doc, "negation_cues": doc["negation_cues"] + ["No"]},
+     "negation_cues: term not lowercase: 'No'"),
+    (_set_pneumonia_synonyms(["Pneumonia"]),
+     "disease_terms['pneumonia']: term not lowercase: 'Pneumonia'"),
+    (lambda doc: {**doc, "r1_terms": doc["r1_terms"] + [""]}, "r1_terms: empty term ''"),
+    (_set_pneumonia_synonyms(["pneumonia", " "]), "disease_terms['pneumonia']: empty term ' '"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "r6_terms"},
+     "lexicon file missing key 'r6_terms'"),
+], ids=["top-level-array", "disease-terms-array", "non-string-term", "bare-string-terms",
+        "bare-string-synonyms", "uppercase-cue", "uppercase-synonym", "empty-term",
+        "blank-synonym", "missing-key"])
+def test_parse_bad_lexicon_exits_1(tmp_path, caplog, mutate, message):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps(mutate(_bundled_lexicon())), encoding="utf-8")
+    assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                "--level", "referring", "--lexicon", str(lexicon),
+                "--out", str(tmp_path / "expr.jsonl")]) == 1
+    assert f"{lexicon}: {message}" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_parse_lexicon_invalid_json_exits_1(tmp_path, caplog):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text('{"r1_terms": [', encoding="utf-8")
+    assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                "--level", "referring", "--lexicon", str(lexicon),
+                "--out", str(tmp_path / "expr.jsonl")]) == 1
+    assert f"{lexicon}: invalid JSON" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_parse_bundled_lexicon_file_matches_default(tmp_path):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps(_bundled_lexicon()), encoding="utf-8")
+    outs = []
+    for extra in ([], ["--lexicon", str(lexicon)]):
+        out = tmp_path / f"expr{len(extra)}.jsonl"
+        assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                    "--level", "referring", "--out", str(out), *extra]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from literati import report_parser
 from literati.report_parser import (
     AttributeSpan,
     CATEGORY_ORDER,
@@ -324,8 +327,161 @@ def test_lexicon_rejects_uppercase():
         )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r1_terms", frozenset({"opacity", ""})),
+    ("r6_terms", frozenset({"  "})),
+    ("negation_cues", ("no", "\t")),
+    ("disease_terms", {"pneumonia": ("pneumonia", " ")}),
+])
+def test_lexicon_rejects_empty_term(field, value):
+    fields = dict(
+        r1_terms=frozenset({"opacity"}),
+        r5_terms=frozenset(),
+        r6_terms=frozenset(),
+        r7_terms=frozenset(),
+        negation_cues=("no",),
+        disease_terms={"pneumonia": ("pneumonia",)},
+    )
+    fields[field] = value
+    with pytest.raises(LexiconError, match="empty term"):
+        Lexicon(**fields)
+
+
 def test_report_validation():
     with pytest.raises(ValueError):
         Report("", "t", "text")
     with pytest.raises(ValueError):
         Report("s", "t", "")
+
+
+# --- longest-match oracle -----------------------------------------------------
+# A brute-force scan over every lexicon entry, independent of the first-token
+# index: at each position take the longest entry that matches, the first one
+# listed on a tie of length, then skip past it.
+
+ORACLE_LEXICON = Lexicon(
+    r1_terms=frozenset({"opacity", "pneumonia", "pneumothorax", "air space disease",
+                        "lobe pneumonia", "consolidation"}),
+    r5_terms=frozenset({"left", "left lower", "lower", "right"}),
+    r6_terms=frozenset({"left lower lobe", "lobe", "at the bases", "bases", "no change zone"}),
+    r7_terms=frozenset({"patchy", "small", "space"}),
+    negation_cues=("no", "no evidence of", "without", "free of", "not"),
+    disease_terms={
+        # "consolidation" under two diseases: the first listed wins an
+        # occurrence, both are tags; "air space" nests in "air space disease";
+        # "lower lobe" starts in an R5 span and ends in an R6 one
+        "pneumonia": ("pneumonia", "air space disease", "consolidation"),
+        "pneumothorax": ("pneumothorax",),
+        "lobar": ("lobe pneumonia", "lower lobe"),
+        "airspace": ("air space", "consolidation"),
+    },
+)
+
+# Whole entries as well as their words, so multi-token matches are frequent.
+ORACLE_WORDS = sorted({
+    *ORACLE_LEXICON.r1_terms, *ORACLE_LEXICON.r5_terms, *ORACLE_LEXICON.r6_terms,
+    *ORACLE_LEXICON.r7_terms, *ORACLE_LEXICON.negation_cues,
+    *(" ".join(p) for p in report_parser._PSEUDO_NEGATIONS),
+    *(w for p in report_parser._PSEUDO_NEGATIONS for w in p),
+    "air", "disease", "evidence", "of", "free", "the", "zone", "is", "seen", "but",
+    "however", ",", ";", ":", "Left", "PNEUMONIA", "No",
+})
+
+
+def _oracle_entries(lexicon):
+    categories = [(t, c) for c, terms in (("R1", lexicon.r1_terms), ("R5", lexicon.r5_terms),
+                                          ("R6", lexicon.r6_terms), ("R7", lexicon.r7_terms))
+                  for t in sorted(terms)]
+    diseases = [(s, d) for d, synonyms in lexicon.disease_terms.items() for s in synonyms]
+    return categories, diseases
+
+
+def _oracle_scan(lowered, entries):
+    """(start, length, value) of each longest match, left to right."""
+    found = []
+    i = 0
+    while i < len(lowered):
+        best = None
+        for term, value in entries:
+            words = term.split()
+            if lowered[i:i + len(words)] == words and (best is None or len(words) > best[0]):
+                best = (len(words), value)
+        if best is None:
+            i += 1
+        else:
+            found.append((i, *best))
+            i += best[0]
+    return found
+
+
+def _oracle_scope(lowered, lexicon):
+    pseudo = [(" ".join(p), "pseudo") for p in report_parser._PSEUDO_NEGATIONS]
+    cues = [(c, "cue") for c in lexicon.negation_cues]
+    boundaries = set(report_parser._HARD_BOUNDARIES) | {";", ":"}
+    scope, active, i = [], False, 0
+    while i < len(lowered):
+        tok = lowered[i]
+        if tok in boundaries:
+            active = False
+        elif tok == ",":
+            for later in lowered[i + 1:]:
+                if later in boundaries or later == ",":
+                    break
+                if later in report_parser._CLAUSE_VERBS:
+                    active = False
+                    break
+        else:
+            # a pseudo-negation is tried before any cue, whatever their lengths
+            hits = _oracle_scan(lowered[i:], pseudo)
+            if not (hits and hits[0][0] == 0):
+                hits = _oracle_scan(lowered[i:], cues)
+            if hits and hits[0][0] == 0:
+                _, length, kind = hits[0]
+                scope.extend([active] * length)
+                active = active or kind == "cue"
+                i += length
+                continue
+        scope.append(active)
+        i += 1
+    return scope
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=12))
+# adjacent pairs the random search rarely draws: synonyms crossing span
+# edges, nested and shared synonyms, a pseudo-negation before a cue
+@example(["lower", "lobe", "opacity"])
+@example(["left lower lobe", "pneumonia"])
+@example(["air space disease", "consolidation"])
+@example(["no change", "pneumonia", "without", "opacity", "lobe pneumonia"])
+@example(["no", ",", "is", "pneumothorax", "but", "not", "consolidation"])
+def test_matcher_equals_brute_force_oracle(words):
+    lexicon = ORACLE_LEXICON
+    sentences = segment_sentences(" ".join(words), "r/s")
+    assert len(sentences) == 1
+    sentence = sentences[0]
+    lowered = [t.surface.lower() for t in sentence.tokens]
+    categories, diseases = _oracle_entries(lexicon)
+
+    spans = classify_attributes(sentence, lexicon)
+    expected_spans = _oracle_scan(lowered, categories)
+    assert [(s.token_range, s.category) for s in spans] == [
+        ((i, i + n), c) for i, n, c in expected_spans]
+
+    scope = _oracle_scope(lowered, lexicon)
+    assert report_parser._disease_occurrences(sentence, lexicon) == [
+        (d, i, scope[i]) for i, _, d in _oracle_scan(lowered, diseases)]
+
+    expr = compose_referring_expression(spans, sentence, lexicon)
+    if not any(c == "R1" for _, _, c in expected_spans):
+        assert expr is None
+        return
+    tags = set()
+    for i, n, _ in expected_spans:
+        for term, disease in diseases:
+            words = term.split()
+            if any(lowered[j:j + len(words)] == words for j in range(i, i + n - len(words) + 1)):
+                tags.add(disease)
+    assert expr.disease_tags == tags
+    head = next(i for i, _, c in expected_spans if c == "R1")
+    assert expr.polarity == ("negative" if scope[head] else "positive")

@@ -23,8 +23,9 @@ NET_SIZE = 416
 
 
 class CocoParseError(ValueError):
-    """The document is not valid JSON, lacks a required array, or an entry
-    of one is not an object or lacks its id."""
+    """The document is not valid JSON or not an object, lacks a required
+    array or holds a non-array there, or an entry of one is not an object
+    or lacks its id."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -116,9 +117,13 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
     else:
         doc = source
 
+    if not isinstance(doc, dict):
+        raise CocoParseError(f"document must be a JSON object, not {type(doc).__name__}")
     for key in ("images", "annotations", "categories"):
         if key not in doc:
             raise CocoParseError(f"document is missing the {key!r} array")
+        if not isinstance(doc[key], list):
+            raise CocoParseError(f"{key!r} must be an array, not {type(doc[key]).__name__}")
 
     categories = {}
     for i, cat in enumerate(doc["categories"]):

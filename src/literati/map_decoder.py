@@ -13,6 +13,14 @@ widens only while the region reaches a crop edge inside the map, so
 region growth costs about the size of the regions found, not
 peaks x H x W. Regions are kept as a bounding box plus a boolean mask of
 that box, never as per-cell Python objects.
+
+Work that no parameter touches is done once per map: a PreparedMap
+validates and softmaxes the logits once and keeps the class channels.
+Window winners depend on d alone, so it memoises them per (class, d),
+sorted by descending probability with no tau cut; the peaks for a tau are
+a prefix of that order, found by one binary search. Only region growth
+and boxes are redone for each (d, tau, alpha), which is what the tuner
+varies from trial to trial.
 """
 
 from __future__ import annotations
@@ -102,10 +110,11 @@ def softmax_map(logits: np.ndarray) -> np.ndarray:
 # window cells before (r, c) are the d rows above it, full window width,
 # and the d cells to its left, so both maxima come from separable 1-D
 # filters plus 2d shifted maxima: O(H * W * d), with no per-cell Python
-# even on plateaus.
+# even on plateaus. The winners are sorted once by descending probability,
+# so the peaks for any tau are the prefix with p >= tau.
 
-def _peaks(p: np.ndarray, d: int, tau: float) -> list[tuple[int, int]]:
-    """Peak cells by descending probability, row-major on ties."""
+def _window_winners(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, -p) of the window winners by descending p, row-major on ties."""
     L = 2 * d + 1
     row_max = ndimage.maximum_filter1d(p, L, axis=1, mode="constant", cval=-np.inf)
     window_max = ndimage.maximum_filter1d(row_max, L, axis=0, mode="constant", cval=-np.inf)
@@ -113,9 +122,48 @@ def _peaks(p: np.ndarray, d: int, tau: float) -> list[tuple[int, int]]:
     for k in range(1, d + 1):
         np.maximum(before[k:], row_max[:-k], out=before[k:])
         np.maximum(before[:, k:], p[:, :-k], out=before[:, k:])
-    rs, cs = np.nonzero((p == window_max) & (p > before) & (p >= tau))
-    order = np.argsort(-p[rs, cs], kind="stable")  # nonzero is row-major
-    return list(zip(rs[order].tolist(), cs[order].tolist()))
+    rs, cs = np.nonzero((p == window_max) & (p > before))
+    neg = -p[rs, cs]
+    order = np.argsort(neg, kind="stable")  # nonzero is row-major
+    return rs[order], cs[order], neg[order]
+
+
+def _peaks(winners, tau: float) -> list[tuple[int, int]]:
+    """The winners with p >= tau, in the winners' order."""
+    rs, cs, neg = winners
+    n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
+    return list(zip(rs[:n].tolist(), cs[:n].tolist()))
+
+
+class PreparedMap:
+    """A logit map validated and softmaxed once, to decode under many params.
+
+    Keeps the class channels 1..K-1 of the softmax (channel 0, the
+    background, is never decoded) and memoises each channel's window
+    winners per d. ``shape`` is the (K, H, W) of the logit map.
+    """
+
+    def __init__(self, logits: np.ndarray):
+        probs = softmax_map(logits)
+        self.shape = probs.shape
+        self._probs = probs[1:].copy()
+        self._probs.flags.writeable = False  # the memoised winners depend on it
+        self._winners: dict[tuple[int, int], tuple] = {}
+
+    def channel(self, class_index: int) -> np.ndarray:
+        """Read-only probabilities of class channel ``class_index`` (1..K-1)."""
+        if not 1 <= class_index < self.shape[0]:
+            raise ValueError(
+                f"class index {class_index} out of range for classes 1..{self.shape[0] - 1}"
+            )
+        return self._probs[class_index - 1]
+
+    def peaks(self, class_index: int, d: int, tau: float) -> list[tuple[int, int]]:
+        """Peak cells of a class channel by descending probability, row-major on ties."""
+        key = (class_index, d)
+        if key not in self._winners:
+            self._winners[key] = _window_winners(self.channel(class_index), d)
+        return _peaks(self._winners[key], tau)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +208,14 @@ def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
 
 
 def maximal_filter_regions(
-    prob_map: np.ndarray,
+    prob_map: np.ndarray | PreparedMap,
     class_index: int,
     params: DecodeParams,
 ) -> list[PeakRegion]:
     """Peak regions of one class channel.
+
+    ``prob_map`` is a PreparedMap, whose memoised peaks are read, or a
+    [K, H, W] array of probabilities.
 
     A cell is a peak when its probability is >= tau and no cell in its
     (2d+1) x (2d+1) window beats it (higher value, or equal value at a
@@ -173,14 +224,20 @@ def maximal_filter_regions(
     cells within [alpha * peak, peak] around it, and peaks landing inside
     an existing region merge into it.
     """
-    if not 0 <= class_index < prob_map.shape[0]:
-        raise ValueError(
-            f"class index {class_index} out of range for {prob_map.shape[0]} channels"
-        )
-    p = np.ascontiguousarray(prob_map[class_index], dtype=np.float64)
+    d = int(params.d)
+    if isinstance(prob_map, PreparedMap):
+        p = prob_map.channel(class_index)
+        peaks = prob_map.peaks(class_index, d, params.tau)
+    else:
+        if not 0 <= class_index < prob_map.shape[0]:
+            raise ValueError(
+                f"class index {class_index} out of range for {prob_map.shape[0]} channels"
+            )
+        p = np.ascontiguousarray(prob_map[class_index], dtype=np.float64)
+        peaks = _peaks(_window_winners(p, d), params.tau)
     claimed = np.zeros(p.shape, dtype=bool)
     regions: list[PeakRegion] = []
-    for r, c in _peaks(p, int(params.d), params.tau):
+    for r, c in peaks:
         if claimed[r, c]:
             continue  # merged into an earlier region
         r0, c0, region = _grow(p, claimed, r, c, float(params.alpha))
@@ -219,18 +276,20 @@ def region_to_detection(region: PeakRegion) -> Detection:
     )
 
 
-def decode(logits: np.ndarray, params: DecodeParams) -> list[Detection]:
+def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detection]:
     """Full decode of a logit map: softmax, per-class regions, boxes.
 
-    Channel 0 is the background and yields no detections.
+    ``logits`` is a [K, H, W] array, prepared afresh, or a PreparedMap
+    that is reused across calls. Channel 0 is the background and yields
+    no detections.
 
     Detections come back sorted by confidence descending, ties broken by
     (class index, row-major centroid).
     """
-    probs = softmax_map(logits)
+    prepared = logits if isinstance(logits, PreparedMap) else PreparedMap(logits)
     detections = []
-    for k in range(1, probs.shape[0]):
-        for region in maximal_filter_regions(probs, k, params):
+    for k in range(1, prepared.shape[0]):
+        for region in maximal_filter_regions(prepared, k, params):
             detections.append(region_to_detection(region))
     detections.sort(key=lambda det: (-det.confidence, det.class_index, det.centroid))
     return detections

@@ -213,11 +213,11 @@ class Lexicon:
                         f"{cats[i][0]} and {cats[j][0]} overlap: {sorted(overlap)}"
                     )
         object.__setattr__(self, "_entries", _first_token_index(
-            (tuple(t.split()), cat) for cat, terms in sets.items() for t in terms))
+            (_term_tokens(t), cat) for cat, terms in sets.items() for t in terms))
         object.__setattr__(self, "_cues", _first_token_index(
-            (tuple(c.split()), None) for c in self.negation_cues))
+            (_term_tokens(c), None) for c in self.negation_cues))
         object.__setattr__(self, "_diseases", _first_token_index(
-            (tuple(s.split()), disease)
+            (_term_tokens(s), disease)
             for disease, synonyms in self.disease_terms.items() for s in synonyms))
 
     @classmethod
@@ -272,6 +272,12 @@ def default_lexicon() -> Lexicon:
     """The bundled, versioned lexicon."""
     ref = resources.files("literati").joinpath("data/lexicon.json")
     return Lexicon.from_dict(json.loads(ref.read_text(encoding="utf-8")))
+
+
+def _term_tokens(term: str) -> tuple[str, ...]:
+    """A lexicon entry split the way report text is, so ``ill-defined``
+    is the three tokens a report holding it yields."""
+    return tuple(_TOKEN_RE.findall(term))
 
 
 def _tokenize(text: str, offset: int) -> tuple[Token, ...]:
@@ -573,14 +579,25 @@ def read_reports_jsonl(path) -> list[Report]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+                raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
+            if not isinstance(doc, dict):
+                raise ValueError(f"{where}: expected a JSON object, not {type(doc).__name__}")
+            for key, types in (("subject_id", (str, int)), ("study_id", (str, int)),
+                               ("text", str)):
+                if key not in doc:
+                    raise ValueError(f"{where}: missing field {key!r}")
+                value = doc[key]
+                if isinstance(value, bool) or not isinstance(value, types):
+                    kind = "a string" if types is str else "a string or an integer"
+                    raise ValueError(f"{where}: {key!r} must be {kind}, not {value!r}")
             try:
                 reports.append(Report(doc["subject_id"], doc["study_id"], doc["text"]))
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: missing field {e}") from e
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from e
     return reports
 
 

@@ -71,18 +71,46 @@ class SearchSpace:
 
     @classmethod
     def from_file(cls, path) -> "SearchSpace":
+        """Read a JSON array of parameter objects; a ValueError names the
+        file, the entry index and the key at fault."""
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: invalid JSON ({e})") from e
+        if not isinstance(doc, list):
+            raise ValueError(f"{path}: top level must be a JSON array of parameters, "
+                             f"not {type(doc).__name__}")
         specs = []
-        for entry in doc:
-            specs.append(ParamSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                low=entry.get("low"),
-                high=entry.get("high"),
-                choices=tuple(entry["choices"]) if "choices" in entry else None,
-            ))
-        return cls(tuple(specs))
+        for i, entry in enumerate(doc):
+            where = f"{path}: entry {i}"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: not an object")
+            for key in ("name", "kind"):
+                if key not in entry:
+                    raise ValueError(f"{where}: missing {key!r}")
+                if not isinstance(entry[key], str):
+                    raise ValueError(f"{where}: {key!r} must be a string, not {entry[key]!r}")
+            for key in ("low", "high"):
+                value = entry.get(key, 0.0)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{where}: {key!r} must be a number, not {value!r}")
+            if "choices" in entry and not isinstance(entry["choices"], list):
+                raise ValueError(f"{where}: 'choices' must be an array")
+            try:
+                specs.append(ParamSpec(
+                    name=entry["name"],
+                    kind=entry["kind"],
+                    low=entry.get("low"),
+                    high=entry.get("high"),
+                    choices=tuple(entry["choices"]) if "choices" in entry else None,
+                ))
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from e
+        try:
+            return cls(tuple(specs))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -333,6 +361,9 @@ def write_trials(path, history: Sequence[Trial]) -> None:
         json.dump([t.to_dict() for t in history], f, indent=2)
 
 
+DECODER_PARAMS = ("d", "tau", "alpha")  # the DecodeParams fields a space may tune
+
+
 def default_decoder_space() -> SearchSpace:
     return SearchSpace((
         ParamSpec("d", "integer_uniform", 1, 8),
@@ -358,27 +389,33 @@ def tune_decoder(
     Returns (best DecodeParams, best Trial, history).
     """
     from .eval_harness import match_image
-    from .map_decoder import DecodeParams, decode, detection_to_net416
+    from .map_decoder import DecodeParams, PreparedMap, decode, detection_to_net416
 
     if not maps:
         raise ValueError("no maps to tune on")
     if not any(gts_net416.get(m.meta.image_id) for m in maps):
         raise ValueError("no ground-truth boxes for the provided maps")
     space = space or default_decoder_space()
-    defaults = DecodeParams()
+    for spec in space.params:
+        if spec.name not in DECODER_PARAMS:
+            raise ValueError(f"search space parameter {spec.name!r} is not a decoder "
+                             f"parameter ({', '.join(DECODER_PARAMS)})")
+    defaults = {name: getattr(DecodeParams(), name) for name in DECODER_PARAMS}
 
     def to_params(raw: dict) -> DecodeParams:
-        merged = {"d": defaults.d, "tau": defaults.tau, "alpha": defaults.alpha}
-        merged.update(raw)
+        merged = {**defaults, **raw}
         return DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                             alpha=float(merged["alpha"]))
+
+    # softmax and window winners are shared by every trial
+    prepared = [PreparedMap(m.logits) for m in maps]
 
     def objective(raw: dict) -> float:
         params = to_params(raw)
         results = []
-        for m in maps:
+        for m, prepared_map in zip(maps, prepared):
             dets = [detection_to_net416(det, m.meta)
-                    for det in decode(m.logits, params)]
+                    for det in decode(prepared_map, params)]
             gts = gts_net416.get(m.meta.image_id, [])
             results.append(match_image(dets, gts, iou_threshold, mode=mode,
                                        image_id=m.meta.image_id))
@@ -387,8 +424,6 @@ def tune_decoder(
         return hits / len(included)
 
     names = {p.name for p in space.params}
-    trial0 = {k: v for k, v in
-              {"d": defaults.d, "tau": defaults.tau, "alpha": defaults.alpha}.items()
-              if k in names}
+    trial0 = {k: v for k, v in defaults.items() if k in names}
     best, history = optimize(objective, space, budget, cfg, initial_params=[trial0])
     return to_params(best.params), best, history

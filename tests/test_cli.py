@@ -21,6 +21,14 @@ def _write_maps(tmp_path, n=6, seed=11, peaks=1):
     return maps_dir, ann_path, planted
 
 
+def _one_line_error(caplog, message):
+    """The run logged exactly one error, on one line, holding ``message``."""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    assert message in errors[0]
+    assert "Traceback" not in caplog.text
+
+
 # --- exit codes and global flags ------------------------------------------------
 
 def test_unknown_flag_exits_1(capsys):
@@ -134,6 +142,22 @@ def test_coco_bad_dimension_exits_1(tmp_path, caplog, key, value, message):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: 5, "document must be a JSON object, not int"),
+    (lambda doc: {**doc, "images": 5}, "'images' must be an array, not int"),
+    (lambda doc: {**doc, "annotations": 5}, "'annotations' must be an array, not int"),
+    (lambda doc: {**doc, "categories": "pneumonia"}, "'categories' must be an array, not str"),
+], ids=["top-level", "images", "annotations", "categories"])
+def test_coco_wrong_type_exits_1(tmp_path, caplog, mutate, message):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    ann_path.write_text(json.dumps(mutate(json.loads(ann_path.read_text()))))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    _one_line_error(caplog, message)
+
+
 def test_detections_not_an_array_exits_1(tmp_path, caplog):
     _, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"
@@ -163,6 +187,23 @@ def test_parse_referring_level(tmp_path):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert all(row["level"] == "referring" for row in rows)
     assert all(any(c["category"] == "R1" for c in row["components"]) for row in rows)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('[1]', "expected a JSON object, not list"),
+    ('{"subject_id": "s9", "study_id": "st9", "text": 5}', "'text' must be a string, not 5"),
+    ('{"subject_id": null, "study_id": "st9", "text": "No pneumonia."}',
+     "'subject_id' must be a string or an integer, not None"),
+    ('{"subject_id": "s9", "study_id": ["st9"], "text": "No pneumonia."}',
+     "'study_id' must be a string or an integer, not ['st9']"),
+], ids=["array-line", "int-text", "null-subject", "list-study"])
+def test_parse_malformed_report_exits_1(tmp_path, caplog, line, message):
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"subject_id": "s1", "study_id": "st1", "text": "No pneumonia."}\n'
+                       + line + "\n", encoding="utf-8")
+    assert run(["parse", "--reports", str(reports), "--level", "referring",
+                "--out", str(tmp_path / "expr.jsonl")]) == 1
+    _one_line_error(caplog, f"{reports}:2: {message}")
 
 
 def test_parse_idempotent_bytes(tmp_path):
@@ -311,6 +352,36 @@ def test_tune_writes_trials(tmp_path, capsys):
     assert log[0]["params"] == {"d": 3, "tau": 0.5, "alpha": 0.5}
     summary = json.loads(capsys.readouterr().out)
     assert summary["objective"] >= log[0]["objective"]
+
+
+_TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
+
+
+@pytest.mark.parametrize("space, message", [
+    ({"params": [_TAU]}, "{path}: top level must be a JSON array of parameters, not dict"),
+    ([_TAU, "alpha"], "{path}: entry 1: not an object"),
+    ([{"kind": "uniform", "low": 0.1, "high": 0.9}], "{path}: entry 0: missing 'name'"),
+    ([{"name": "tau", "low": 0.1, "high": 0.9}], "{path}: entry 0: missing 'kind'"),
+    ([_TAU, {"name": "alpha", "kind": "uniform", "low": "0.2", "high": 0.9}],
+     "{path}: entry 1: 'low' must be a number, not '0.2'"),
+    ([{"name": "d", "kind": "choice", "choices": 3}],
+     "{path}: entry 0: 'choices' must be an array"),
+    ([{"name": 5, "kind": "uniform", "low": 0.1, "high": 0.9}],
+     "{path}: entry 0: 'name' must be a string, not 5"),
+    ([{"name": "tau", "kind": "uniform", "low": 0.9, "high": 0.1}],
+     "{path}: entry 0: param 'tau': low must be < high"),
+    ([_TAU, {"name": "gamma", "kind": "uniform", "low": 0.1, "high": 0.9}],
+     "search space parameter 'gamma' is not a decoder parameter (d, tau, alpha)"),
+], ids=["top-level-object", "entry-string", "missing-name", "missing-kind",
+        "string-bound", "number-choices", "number-name", "inverted-bounds", "unknown-name"])
+def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space), encoding="utf-8")
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                "--space", str(path), "--budget", "3",
+                "--out", str(tmp_path / "trials.json")]) == 1
+    _one_line_error(caplog, message.format(path=path))
 
 
 # --- gradcheck / demo -------------------------------------------------------------------

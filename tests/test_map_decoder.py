@@ -12,6 +12,7 @@ from literati.map_decoder import (
     Detection,
     MapMeta,
     PeakRegion,
+    PreparedMap,
     decode,
     load_map,
     load_maps_dir,
@@ -278,6 +279,57 @@ def test_decode_params_validation():
         DecodeParams(tau=1.0)
     with pytest.raises(ValueError):
         DecodeParams(alpha=0.0)
+
+
+# --- PreparedMap --------------------------------------------------------------------
+
+def _sweep_logits():
+    """Smoothed 2- and 3-channel maps, and quantized 3-channel plateau maps."""
+    rng = np.random.default_rng(55)
+    maps = []
+    for k, shape in ((2, (40, 52)), (3, (36, 30))):
+        smooth = ndimage.gaussian_filter(rng.normal(0, 1, size=(k, *shape)), sigma=(0, 2, 2))
+        maps.append(3 * smooth / smooth.std())
+    for _ in range(2):  # few distinct values: tied window winners
+        maps.append(rng.choice([-1.0, 0.0, 0.5, 1.5], size=(3, 18, 22)))
+    return maps
+
+
+def test_prepared_map_sweep_equals_fresh_decode():
+    # one prepared map per logit map, decoded over an interleaved sweep:
+    # every d from 1 to 8 three times in shuffled order, so memoised
+    # winners are reused across d, tau and alpha. Each class's regions are
+    # also checked against a probability array, which memoises nothing.
+    rng = np.random.default_rng(56)
+    alphas = np.linspace(0.1, 0.95, 7).tolist()
+    exact_tau = tied = False
+    for logits in _sweep_logits():
+        prepared = PreparedMap(logits)
+        probs = softmax_map(logits)
+        assert prepared.shape == logits.shape
+        peak_probs = sorted({det.confidence for det in decode(logits, DecodeParams(d=1, tau=0))})
+        # the highest probability wins its window at every d, so tau set to
+        # it exactly must keep that peak
+        taus = [0.0, peak_probs[len(peak_probs) // 2], peak_probs[-1], 0.35, 0.6]
+        ds = rng.permutation(np.repeat(np.arange(1, 9), 3)).tolist()
+        for i, d in enumerate(ds):
+            params = DecodeParams(d=d, tau=taus[i % len(taus)], alpha=alphas[i % len(alphas)])
+            got = decode(prepared, params)
+            assert got == decode(logits, params), f"step {i}: {params}"
+            for k in range(1, logits.shape[0]):
+                assert (maximal_filter_regions(prepared, k, params)
+                        == maximal_filter_regions(probs, k, params)), f"step {i}: {params}"
+            exact_tau |= any(det.confidence == params.tau for det in got)
+            tied |= len({det.confidence for det in got}) < len(got)
+    assert exact_tau and tied
+
+
+def test_prepared_map_has_no_background_channel():
+    prepared = PreparedMap(np.zeros((3, 5, 5)))
+    with pytest.raises(ValueError, match="class index 0"):
+        maximal_filter_regions(prepared, 0, DecodeParams())
+    with pytest.raises(ValueError, match="class index 3"):
+        maximal_filter_regions(prepared, 3, DecodeParams())
 
 
 # --- map files ---------------------------------------------------------------------

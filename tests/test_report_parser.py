@@ -357,14 +357,15 @@ def test_report_validation():
 # --- longest-match oracle -----------------------------------------------------
 # A brute-force scan over every lexicon entry, independent of the first-token
 # index: at each position take the longest entry that matches, the first one
-# listed on a tie of length, then skip past it.
+# listed on a tie of length, then skip past it. Entries are split into tokens
+# the way report text is, so "ill-defined" is three tokens.
 
 ORACLE_LEXICON = Lexicon(
     r1_terms=frozenset({"opacity", "pneumonia", "pneumothorax", "air space disease",
                         "lobe pneumonia", "consolidation"}),
     r5_terms=frozenset({"left", "left lower", "lower", "right"}),
     r6_terms=frozenset({"left lower lobe", "lobe", "at the bases", "bases", "no change zone"}),
-    r7_terms=frozenset({"patchy", "small", "space"}),
+    r7_terms=frozenset({"patchy", "small", "space", "ill-defined"}),
     negation_cues=("no", "no evidence of", "without", "free of", "not"),
     disease_terms={
         # "consolidation" under two diseases: the first listed wins an
@@ -384,7 +385,7 @@ ORACLE_WORDS = sorted({
     *(" ".join(p) for p in report_parser._PSEUDO_NEGATIONS),
     *(w for p in report_parser._PSEUDO_NEGATIONS for w in p),
     "air", "disease", "evidence", "of", "free", "the", "zone", "is", "seen", "but",
-    "however", ",", ";", ":", "Left", "PNEUMONIA", "No",
+    "however", ",", ";", ":", "Left", "PNEUMONIA", "No", "ill", "-", "defined", "Ill-Defined",
 })
 
 
@@ -403,7 +404,7 @@ def _oracle_scan(lowered, entries):
     while i < len(lowered):
         best = None
         for term, value in entries:
-            words = term.split()
+            words = report_parser._TOKEN_RE.findall(term)
             if lowered[i:i + len(words)] == words and (best is None or len(words) > best[0]):
                 best = (len(words), value)
         if best is None:
@@ -479,9 +480,16 @@ def test_matcher_equals_brute_force_oracle(words):
     tags = set()
     for i, n, _ in expected_spans:
         for term, disease in diseases:
-            words = term.split()
+            words = report_parser._TOKEN_RE.findall(term)
             if any(lowered[j:j + len(words)] == words for j in range(i, i + n - len(words) + 1)):
                 tags.add(disease)
     assert expr.disease_tags == tags
     head = next(i for i, _, c in expected_spans if c == "R1")
     assert expr.polarity == ("negative" if scope[head] else "positive")
+
+
+def test_hyphenated_term_matches():
+    sentence = segment_sentences("Ill-defined opacity.", "r/s")[0]
+    spans = classify_attributes(sentence, ORACLE_LEXICON)
+    assert [(s.category, s.token_range, s.surface) for s in spans] == [
+        ("R7", (0, 3), "Ill-defined"), ("R1", (3, 4), "opacity")]

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from literati.map_decoder import DecodeParams, decode
+from literati.eval_harness import match_image
+from literati.map_decoder import DecodeParams, decode, detection_to_net416
 from literati.synthetic import boxes_to_net416, make_planted_maps
 from literati.tpe_tuner import (
     ParamSpec,
     SearchSpace,
     TpeConfig,
     Trial,
+    default_decoder_space,
     optimize,
     suggest,
     suggest_with_trace,
@@ -276,3 +278,34 @@ def test_tune_decoder_deterministic_log():
         _, _, history = tune_decoder(maps, gts, budget=12, cfg=TpeConfig(seed=2))
         logs.append([t.to_dict() for t in history])
     assert logs[0] == logs[1]
+
+
+def test_tune_decoder_log_equals_fresh_decode_loop():
+    # the tuner prepares each map once; a loop that decodes the raw logits
+    # afresh in every trial must log the same trials
+    maps, gts, _ = _tune_fixture()
+    cfg = TpeConfig(seed=3)
+    _, _, history = tune_decoder(maps, gts, budget=16, cfg=cfg)
+
+    def objective(raw):
+        params = DecodeParams(d=int(raw["d"]), tau=float(raw["tau"]), alpha=float(raw["alpha"]))
+        results = [match_image([detection_to_net416(det, m.meta)
+                                for det in decode(m.logits, params)],
+                               gts[m.meta.image_id], 0.1, mode="top1",
+                               image_id=m.meta.image_id)
+                   for m in maps]
+        included = [r for r in results if not r.excluded]
+        return sum(r.outcomes[0.1].hit for r in included) / len(included)
+
+    _, want = optimize(objective, default_decoder_space(), 16, cfg,
+                       initial_params=[{"d": 3, "tau": 0.5, "alpha": 0.5}])
+    assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
+    assert len({t.objective for t in history}) > 1
+
+
+def test_tune_decoder_rejects_unknown_param():
+    maps, gts, _ = _tune_fixture()
+    space = SearchSpace((ParamSpec("tau", "uniform", 0.1, 0.9),
+                         ParamSpec("gamma", "uniform", 0.1, 0.9)))
+    with pytest.raises(ValueError, match="'gamma' is not a decoder parameter"):
+        tune_decoder(maps, gts, space=space, budget=5)

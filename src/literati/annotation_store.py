@@ -24,8 +24,8 @@ NET_SIZE = 416
 
 class CocoParseError(ValueError):
     """The document is not valid JSON or not an object, lacks a required
-    array or holds a non-array there, or an entry of one is not an object
-    or lacks its id."""
+    array or holds a non-array there, or an entry of one is not an object,
+    lacks its id or holds a bbox that is not 4 finite numbers."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -151,9 +151,12 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
             raise ReferentialIntegrityError(
                 f"annotation references unknown image id {image_id!r}"
             )
-        bbox = ann.get("bbox")
-        if not bbox or len(bbox) != 4:
-            raise CocoValidationError(f"annotation on image {image_id}: missing bbox")
+        bbox = _required(ann, "annotations", i, "bbox")
+        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4 and all(
+                not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+                for v in bbox)):
+            raise CocoParseError(
+                f"annotations[{i}] 'bbox' is not an array of 4 finite numbers: {bbox!r}")
         x, y, w, h = (float(v) for v in bbox)
         if w <= 0 or h <= 0:
             raise CocoValidationError(

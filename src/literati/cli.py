@@ -12,8 +12,10 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import FORMAT_VERSIONS, __version__
@@ -131,15 +133,46 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@contextmanager
+def _replaced_on_success(path):
+    """A text file whose contents replace ``path`` only if the block completes.
+
+    The file is written next to the target's real path and renamed onto it
+    at the end, so an error leaves no partial output and an existing file
+    its old bytes. A target that exists but is not a regular file (a pipe,
+    or ``/dev/stdout``) cannot be replaced and is written directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as f:
+            yield f
+        return
+    tmp = os.path.join(os.path.dirname(target),
+                       f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_parse(args) -> int:
     lexicon = (parser_mod.Lexicon.from_file(args.lexicon)
                if args.lexicon else parser_mod.default_lexicon())
-    reports = parser_mod.read_reports_jsonl(args.reports)
-    expressions = []
-    for report in reports:
-        expressions.extend(parser_mod.parse_report(report, lexicon, args.level))
-    parser_mod.write_expressions_jsonl(args.out, expressions)
-    logger.info("parsed %d reports into %d expressions", len(reports), len(expressions))
+    # one report at a time, so memory does not grow with the corpus
+    n_reports = n_expressions = 0
+    with _replaced_on_success(args.out) as out:
+        for report in parser_mod.iter_reports_jsonl(args.reports):
+            expressions = parser_mod.parse_report(report, lexicon, args.level)
+            parser_mod.write_expressions_jsonl(out, expressions)
+            n_reports += 1
+            n_expressions += len(expressions)
+    logger.info("parsed %d reports into %d expressions", n_reports, n_expressions)
     return 0
 
 

@@ -8,11 +8,20 @@ forward-scoped negation rule: a cue negates every disease term after it in
 the same sentence until a clause boundary that carries its own verb (or a
 hard adversative boundary) resets the scope.
 
+Each sentence is tokenised once: one regex pass finds the boundary
+candidates of a report, and one ``_TOKEN_RE`` pass per sentence yields its
+tokens, kept as parallel tuples of lowercased surfaces and character
+offsets that every later scan reads.
+
 Every lexicon lookup (attribute terms, negation cues, pseudo-negations,
 disease synonyms) goes through one longest-match helper over a first-token
 index: a dict from a lowercased token to the entries that start with it,
-longest first. A token costs one dict lookup plus a comparison per entry
-sharing its first token, whatever the size of the lexicon.
+longest first. The helper is tried only at tokens that start some entry,
+so a token costs one membership test, whatever the size of the lexicon.
+
+Reports are read one line at a time (``iter_reports_jsonl``), so a caller
+that writes each report's expressions before reading the next, as
+``literati parse`` does, keeps its memory flat as the corpus grows.
 
 All operations are pure functions of their inputs and safe to call
 concurrently.
@@ -25,8 +34,9 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 # First-token index: lowercased first token -> ((entry tokens, value), ...),
 # longest entry first.
@@ -35,6 +45,7 @@ _MatchIndex = dict[str, tuple[tuple[tuple[str, ...], object], ...]]
 CATEGORIES = ("R1", "R5", "R6", "R7")
 # Canonical component order inside a composed expression.
 CATEGORY_ORDER = ("R7", "R1", "R5", "R6")
+_CATEGORY_RANK = {cat: rank for rank, cat in enumerate(CATEGORY_ORDER)}
 LEVELS = ("scene_label", "referring", "disease_emphasis")
 
 SCENE_PHRASES = {
@@ -49,6 +60,7 @@ _ABBREVIATIONS = frozenset({
     "dr.", "mr.", "mrs.", "ms.", "st.", "a.m.", "p.m.", "p.a.",
     "e.g.", "i.e.", "vs.", "cf.", "etc.", "approx.", "fig.",
 })
+_ABBREVIATION_CHARS = max(map(len, _ABBREVIATIONS))
 
 # Crossing one of these tokens always ends a negation scope.
 _HARD_BOUNDARIES = frozenset({"but", "however", "although", "though", "yet"})
@@ -89,7 +101,16 @@ def _first_token_index(pairs: Iterable[tuple[tuple[str, ...], object]]) -> _Matc
 
 _PSEUDO_INDEX = _first_token_index((entry, None) for entry in _PSEUDO_NEGATIONS)
 
+# A negation scope ends at one of these tokens.
+_SCOPE_ENDS = _HARD_BOUNDARIES | {";", ":"}
+# Tokens at which a scope can change, besides the first tokens of cues.
+_SCOPE_EVENTS = _SCOPE_ENDS | {",", *_PSEUDO_INDEX}
+
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)?|[^\sA-Za-z0-9]")
+
+# Sentence boundary candidates: '.', '!', '?', and a blank line (two
+# newlines with only spaces, tabs or carriage returns between them).
+_BOUNDARY_RE = re.compile(r"[.!?]|\n[ \t\r]*\n")
 
 
 @dataclass(frozen=True)
@@ -117,17 +138,26 @@ class Report:
 
 @dataclass(frozen=True)
 class Sentence:
+    """One sentence; its tokens are kept as parallel tuples."""
     report_id: str
     index: int
     char_span: tuple[int, int]
-    tokens: tuple[Token, ...]
     text: str  # the sentence substring of the report text
+    lowered: tuple[str, ...]  # each token's surface, lowercased on its own
+    starts: tuple[int, ...]  # half-open char offsets of each token
+    ends: tuple[int, ...]    # into the report text
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens as objects, built on each access from the tuples."""
+        a = self.char_span[0]
+        return tuple(Token(self.text[s - a:e - a], (s, e))
+                     for s, e in zip(self.starts, self.ends))
 
     def token_slice(self, start: int, stop: int) -> str:
         """Raw text between the first and last token of a token range."""
-        a = self.tokens[start].span[0] - self.char_span[0]
-        b = self.tokens[stop - 1].span[1] - self.char_span[0]
-        return self.text[a:b]
+        a = self.char_span[0]
+        return self.text[self.starts[start] - a:self.ends[stop - 1] - a]
 
 
 @dataclass(frozen=True)
@@ -280,70 +310,53 @@ def _term_tokens(term: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(term))
 
 
-def _tokenize(text: str, offset: int) -> tuple[Token, ...]:
-    return tuple(
-        Token(m.group(0), (offset + m.start(), offset + m.end()))
-        for m in _TOKEN_RE.finditer(text)
-    )
-
-
 def segment_sentences(text: str, report_id: str = "") -> list[Sentence]:
     """Split report text into sentences.
 
     Boundaries are '.', '!', '?' and blank lines. A '.' that closes a known
-    abbreviation or sits between two digits does not end a sentence.
+    abbreviation or is not followed by whitespace ("a.m.", "3.5") does not
+    end a sentence.
     """
     spans: list[tuple[int, int]] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ".!?":
-            if ch == ".":
-                # internal dot: "a.m.", "3.5" -- not followed by whitespace
-                if i < n - 1 and not text[i + 1].isspace():
-                    i += 1
-                    continue
-                w = i
-                while w > start and not text[w - 1].isspace():
-                    w -= 1
-                if text[w:i + 1].lower() in _ABBREVIATIONS:
-                    i += 1
-                    continue
-            spans.append((start, i + 1))
-            start = i + 1
-            i += 1
+    for m in _BOUNDARY_RE.finditer(text):
+        i = m.start()
+        if text[i] == "\n":
+            spans.append((start, i))
+            start = m.end()
             continue
-        if ch == "\n":
-            k = i + 1
-            while k < n and text[k] in " \t\r":
-                k += 1
-            if k < n and text[k] == "\n":
-                spans.append((start, i))
-                start = k + 1
-                i = k + 1
+        if text[i] == ".":
+            if i < n - 1 and not text[i + 1].isspace():
                 continue
-        i += 1
+            # the word the '.' closes, cut at the sentence start; a word longer
+            # than the window is no abbreviation, as lower() never shortens one
+            word = text[max(start, i - _ABBREVIATION_CHARS):i + 1].split()[-1]
+            if word.lower() in _ABBREVIATIONS:
+                continue
+        spans.append((start, i + 1))
+        start = i + 1
     if start < n:
         spans.append((start, n))
 
     sentences = []
     for a, b in spans:
-        # trim whitespace off both ends
-        while a < b and text[a].isspace():
-            a += 1
-        while b > a and text[b - 1].isspace():
-            b -= 1
-        if a == b:
+        # trim whitespace off both ends (str.strip and str.isspace agree)
+        seg = text[a:b].lstrip()
+        a = b - len(seg)
+        seg = seg.rstrip()
+        if not seg:
             continue
-        seg = text[a:b]
+        b = a + len(seg)
+        matches = list(_TOKEN_RE.finditer(text, a, b))
         sentences.append(Sentence(
             report_id=report_id,
             index=len(sentences),
             char_span=(a, b),
-            tokens=_tokenize(seg, a),
             text=seg,
+            lowered=tuple([m[0].lower() for m in matches]),
+            starts=tuple([m.start() for m in matches]),
+            ends=tuple([m.end() for m in matches]),
         ))
     return sentences
 
@@ -361,8 +374,19 @@ def _longest_match(lowered: tuple[str, ...], i: int, index: _MatchIndex) -> Opti
     return None
 
 
-def _lowered(sentence: Sentence) -> tuple[str, ...]:
-    return tuple(t.surface.lower() for t in sentence.tokens)
+def _matches(lowered: tuple[str, ...], index: _MatchIndex) -> Iterator[tuple[int, int, object]]:
+    """(start, length, value) of each longest index match, left to right.
+
+    A match consumes its tokens. ``_longest_match`` is tried only at tokens
+    that start some entry; no other token can start a match.
+    """
+    end = 0  # tokens before end are inside an earlier match
+    for i in compress(range(len(lowered)), map(index.__contains__, lowered)):
+        if i >= end:
+            hit = _longest_match(lowered, i, index)
+            if hit is not None:
+                yield i, hit[0], hit[1]
+                end = i + hit[0]
 
 
 def classify_attributes(sentence: Sentence, lexicon: Lexicon) -> list[AttributeSpan]:
@@ -371,70 +395,54 @@ def classify_attributes(sentence: Sentence, lexicon: Lexicon) -> list[AttributeS
     Matching is left to right over lowercased tokens; a matched span
     consumes its tokens, so spans never overlap.
     """
-    lowered = _lowered(sentence)
-    spans = []
-    i = 0
-    n = len(lowered)
-    while i < n:
-        hit = _longest_match(lowered, i, lexicon._entries)
-        if hit is None:
-            i += 1
-            continue
-        L, category = hit
-        spans.append(AttributeSpan(
-            category=category,
-            token_range=(i, i + L),
-            surface=sentence.token_slice(i, i + L),
-        ))
-        i += L
-    return spans
+    return [
+        AttributeSpan(category=category, token_range=(i, i + length),
+                      surface=sentence.token_slice(i, i + length))
+        for i, length, category in _matches(sentence.lowered, lexicon._entries)
+    ]
 
 
 def _negation_scope(lowered: tuple[str, ...], lexicon: Lexicon) -> list[bool]:
-    """Per-token flag: is a negation cue in scope at this token?"""
+    """Per-token flag: is a negation cue in scope at this token?
+
+    Only the tokens that can move the scope are visited: scope ends, commas
+    and the first tokens of pseudo-negations and cues. Every other token
+    takes the flag in force before it.
+    """
+    cues = lexicon._cues
     n = len(lowered)
     scope = [False] * n
     active = False
-    i = 0
-    while i < n:
-        tok = lowered[i]
-        if tok in _HARD_BOUNDARIES:
+    i = 0  # every token before i has its flag
+    events = _SCOPE_EVENTS.union(cues)
+    for k in compress(range(n), map(events.__contains__, lowered)):
+        if k < i:
+            continue  # inside a pseudo-negation or cue matched before
+        if active:
+            scope[i:k] = [True] * (k - i)
+        tok = lowered[k]
+        length, opens = 1, False
+        if tok in _SCOPE_ENDS:
             active = False
-            scope[i] = active
-            i += 1
-            continue
-        if tok in {";", ":"}:
-            active = False
-            scope[i] = active
-            i += 1
-            continue
-        if tok == ",":
-            if _clause_has_verb(lowered, i + 1):
+        elif tok == ",":
+            if _clause_has_verb(lowered, k + 1):
                 active = False
-            scope[i] = active
-            i += 1
-            continue
-        pseudo = _longest_match(lowered, i, _PSEUDO_INDEX)
-        if pseudo:
-            for j in range(i, i + pseudo[0]):
-                scope[j] = active
-            i += pseudo[0]
-            continue
-        cue = _longest_match(lowered, i, lexicon._cues)
-        if cue:
-            for j in range(i, i + cue[0]):
-                scope[j] = active
-            active = True
-            i += cue[0]
-            continue
-        scope[i] = active
-        i += 1
+        elif (hit := _longest_match(lowered, k, _PSEUDO_INDEX)) is not None:
+            length = hit[0]
+        elif (hit := _longest_match(lowered, k, cues)) is not None:
+            length, opens = hit[0], True
+        if active:
+            scope[k:k + length] = [True] * length
+        active = active or opens
+        i = k + length
+    if active:
+        scope[i:] = [True] * (n - i)
     return scope
 
 
 def _clause_has_verb(lowered: tuple[str, ...], start: int) -> bool:
     for tok in lowered[start:]:
-        if tok in {",", ";", ":"} or tok in _HARD_BOUNDARIES:
+        if tok == "," or tok in _SCOPE_ENDS:
             return False
         if tok in _CLAUSE_VERBS:
             return True
@@ -444,31 +452,22 @@ def _clause_has_verb(lowered: tuple[str, ...], start: int) -> bool:
 def _disease_occurrences(sentence: Sentence, lexicon: Lexicon) -> list[tuple[str, int, bool]]:
     """(disease, token index, negated) per disease-term occurrence.
 
-    The negation scope is built at the first occurrence; most sentences
-    name no disease and never need it.
+    The negation scope is built only when a disease term occurs; most
+    sentences name no disease and never need it.
     """
-    lowered = _lowered(sentence)
-    scope = None
-    found = []
-    i = 0
-    while i < len(lowered):
-        hit = _longest_match(lowered, i, lexicon._diseases)
-        if hit is None:
-            i += 1
-            continue
-        L, disease = hit
-        if scope is None:
-            scope = _negation_scope(lowered, lexicon)
-        found.append((disease, i, scope[i]))
-        i += L
-    return found
+    lowered = sentence.lowered
+    if lexicon._diseases.keys().isdisjoint(lowered):
+        return []
+    found = list(_matches(lowered, lexicon._diseases))
+    if not found:
+        return []
+    scope = _negation_scope(lowered, lexicon)
+    return [(disease, i, scope[i]) for i, _, disease in found]
 
 
 def _canonical_order(spans: list[AttributeSpan]) -> tuple[AttributeSpan, ...]:
-    ordered = []
-    for cat in CATEGORY_ORDER:
-        ordered.extend(s for s in spans if s.category == cat)
-    return tuple(ordered)
+    """Spans in CATEGORY_ORDER, in token order within each category."""
+    return tuple(sorted(spans, key=lambda s: _CATEGORY_RANK[s.category]))
 
 
 def compose_referring_expression(
@@ -481,12 +480,11 @@ def compose_referring_expression(
     token order within each category; the phrase is their space-joined
     surface text.
     """
-    r1 = [s for s in spans if s.category == "R1"]
-    if not r1:
+    head = next((s for s in spans if s.category == "R1"), None)
+    if head is None:
         return None
-    lowered = _lowered(sentence)
+    lowered = sentence.lowered
     scope = _negation_scope(lowered, lexicon)
-    head = r1[0]
     polarity = "negative" if scope[head.token_range[0]] else "positive"
     components = _canonical_order(spans)
     # every disease with a synonym anywhere inside a span, overlapping or
@@ -572,8 +570,12 @@ def parse_report(report: Report, lexicon: Lexicon, level: str) -> list[Referring
     return out
 
 
-def read_reports_jsonl(path) -> list[Report]:
-    reports = []
+def iter_reports_jsonl(path) -> Iterator[Report]:
+    """Reports of a JSON Lines file, read one line at a time.
+
+    A malformed line raises a ValueError naming ``path:lineno`` when the
+    iteration reaches it.
+    """
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -595,20 +597,26 @@ def read_reports_jsonl(path) -> list[Report]:
                     kind = "a string" if types is str else "a string or an integer"
                     raise ValueError(f"{where}: {key!r} must be {kind}, not {value!r}")
             try:
-                reports.append(Report(doc["subject_id"], doc["study_id"], doc["text"]))
+                report = Report(doc["subject_id"], doc["study_id"], doc["text"])
             except ValueError as e:
                 raise ValueError(f"{where}: {e}") from e
-    return reports
+            yield report
+
+
+def read_reports_jsonl(path) -> list[Report]:
+    """Every report of a JSON Lines file (see iter_reports_jsonl)."""
+    return list(iter_reports_jsonl(path))
+
+
+# One encoder for every expression written; json.dumps would build one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def write_expressions_jsonl(path_or_fp, expressions: Iterable[ReferringExpression]) -> None:
-    def _dump(fp):
-        for expr in expressions:
-            fp.write(json.dumps(expr.to_dict(), ensure_ascii=False))
-            fp.write("\n")
-
+    """One JSON line per expression, to a path or an open text file."""
+    lines = (_ENCODER.encode(expr.to_dict()) + "\n" for expr in expressions)
     if isinstance(path_or_fp, (str, Path)):
         with open(path_or_fp, "w", encoding="utf-8") as f:
-            _dump(f)
+            f.writelines(lines)
     else:
-        _dump(path_or_fp)
+        path_or_fp.writelines(lines)

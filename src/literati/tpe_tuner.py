@@ -211,6 +211,8 @@ class _DiscreteParzen:
         index = {v: i for i, v in enumerate(self.universe)}
         counts = np.ones(len(self.universe), dtype=np.float64)
         for v in values:
+            if v not in index:
+                raise ValueError(f"value {v!r} is not among {self.universe}")
             counts[index[v]] += 1.0
         self.probs = counts / counts.sum()
         self._index = index
@@ -250,6 +252,15 @@ def _density_sample(spec: ParamSpec, density, rng, n: int) -> list:
     if spec.kind == "log_uniform":
         return [float(np.exp(v)) for v in density.sample(rng, n)]
     return density.sample(rng, n)
+
+
+def _holds(spec: ParamSpec, value) -> bool:
+    """Whether ``value`` lies in the dimension's domain."""
+    if spec.kind == "choice":
+        return value in spec.choices
+    if spec.kind == "integer_uniform" and int(value) != value:
+        return False
+    return spec.low <= value <= spec.high
 
 
 def _sample_uniform(spec: ParamSpec, rng: np.random.Generator):
@@ -384,8 +395,9 @@ def tune_decoder(
     """Tune decode parameters against detection accuracy on held-out maps.
 
     ``maps`` are LoadedMap records; ``gts_net416`` maps image ids to
-    ground-truth boxes in net416 space. The decoder defaults are evaluated
-    as trial 0 so the returned best can never be worse than the baseline.
+    ground-truth boxes in net416 space. When the space holds the decoder
+    defaults, they are evaluated as trial 0, so the returned best can never
+    be worse than the baseline.
     Returns (best DecodeParams, best Trial, history).
     """
     from .eval_harness import match_image
@@ -423,7 +435,11 @@ def tune_decoder(
         hits = sum(1 for r in included if r.outcomes[float(iou_threshold)].hit)
         return hits / len(included)
 
+    # the defaults go first only where the space can hold them: a value
+    # outside a dimension's domain would break that dimension's density fit
     names = {p.name for p in space.params}
     trial0 = {k: v for k, v in defaults.items() if k in names}
-    best, history = optimize(objective, space, budget, cfg, initial_params=[trial0])
+    held = all(_holds(spec, trial0[spec.name]) for spec in space.params)
+    best, history = optimize(objective, space, budget, cfg,
+                             initial_params=[trial0] if held else [])
     return to_params(best.params), best, history

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import stat
+import threading
 from importlib import resources
 
 import pytest
@@ -158,6 +162,25 @@ def test_coco_wrong_type_exits_1(tmp_path, caplog, mutate, message):
     _one_line_error(caplog, message)
 
 
+@pytest.mark.parametrize("bbox, shown", [
+    (5, "5"),
+    ([10, "x", 30, 40], "[10, 'x', 30, 40]"),
+    ([10, float("nan"), 30, 40], "[10, nan, 30, 40]"),
+    ([10, True, 30, 40], "[10, True, 30, 40]"),
+    ([10, 20, 30], "[10, 20, 30]"),
+], ids=["number", "string-value", "nan", "bool", "three-values"])
+def test_coco_bad_bbox_exits_1(tmp_path, caplog, bbox, shown):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    doc = json.loads(ann_path.read_text())
+    doc["annotations"][1]["bbox"] = bbox
+    ann_path.write_text(json.dumps(doc))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    _one_line_error(caplog, f"annotations[1] 'bbox' is not an array of 4 finite numbers: {shown}")
+
+
 def test_detections_not_an_array_exits_1(tmp_path, caplog):
     _, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"
@@ -214,6 +237,71 @@ def test_parse_idempotent_bytes(tmp_path):
                     "--level", "disease_emphasis", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# sha256 of `literati parse` on the bundled sample, recorded before the
+# segmenter and the scans were rebuilt; any change to the output bytes shows.
+PARSE_DIGESTS = {
+    "scene_label": "2cbe363ffb329f069d20b5aa10d9db88dc4b50a268313351d84b665f5fecf03a",
+    "referring": "3d499df2b0307e5ba6de06ace89a8837a35ff448fbb6ae9574c183888385218a",
+    "disease_emphasis": "4fe34911a64d2c73f54cb1ef219852f00282c2288b594b3f894a27fcacbf21c8",
+}
+
+
+@pytest.mark.parametrize("level", sorted(PARSE_DIGESTS))
+def test_parse_output_digest_is_pinned(tmp_path, level):
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                "--level", level, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PARSE_DIGESTS[level]
+
+
+@pytest.mark.parametrize("existing", [None, b"old output\n"], ids=["new-file", "existing-file"])
+def test_parse_bad_line_leaves_no_partial_output(tmp_path, caplog, existing):
+    good = '{"subject_id": "s%d", "study_id": "st", "text": "Large left pneumothorax."}\n'
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(good % 1 + good % 2 + '{"subject_id": "s3"\n' + good % 4,
+                       encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "expr.jsonl"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert run(["parse", "--reports", str(reports), "--level", "referring",
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{reports}:3: invalid JSON")
+    # neither the two expressions parsed before line 3 nor a temporary file
+    assert [p.name for p in out_dir.iterdir()] == ([] if existing is None else ["expr.jsonl"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_parse_out_through_a_symlink_replaces_its_target(tmp_path):
+    real = tmp_path / "real.jsonl"
+    real.write_text("old\n", encoding="utf-8")
+    real.chmod(0o600)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                "--level", "scene_label", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert hashlib.sha256(real.read_bytes()).hexdigest() == PARSE_DIGESTS["scene_label"]
+
+
+def test_parse_out_to_a_pipe_writes_into_it(tmp_path):
+    # a pipe cannot be replaced by a rename; parse writes straight into it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+                "--level", "scene_label", "--out", str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert hashlib.sha256(got[0]).hexdigest() == PARSE_DIGESTS["scene_label"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def _bundled_lexicon() -> dict:
@@ -352,6 +440,23 @@ def test_tune_writes_trials(tmp_path, capsys):
     assert log[0]["params"] == {"d": 3, "tau": 0.5, "alpha": 0.5}
     summary = json.loads(capsys.readouterr().out)
     assert summary["objective"] >= log[0]["objective"]
+
+
+def test_tune_space_without_the_defaults(tmp_path, caplog):
+    # d = 3 is the decoder default; a choice without it cannot hold trial 0
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4, seed=19)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps([
+        {"name": "d", "kind": "choice", "choices": [1, 4, 8]},
+        {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9},
+    ]), encoding="utf-8")
+    trials = tmp_path / "trials.json"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--space", str(space),
+                "--budget", "25", "--seed", "4", "--out", str(trials)]) == 0
+    log = json.loads(trials.read_text())
+    assert len(log) == 25
+    assert {t["params"]["d"] for t in log} <= {1, 4, 8}
+    assert "Traceback" not in caplog.text
 
 
 _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}

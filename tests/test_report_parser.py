@@ -74,6 +74,115 @@ def test_segment_spans_and_tokens_nest():
             assert text[ta:tb] == tok.surface
 
 
+# --- segmentation oracle -----------------------------------------------------
+# The character-walking segmenter and the tokenizer that segment_sentences
+# replaced, copied unchanged apart from the names of the records they build
+# (the old Sentence held a tuple of Token objects).
+
+@dataclasses.dataclass(frozen=True)
+class _OracleSentence:
+    report_id: str
+    index: int
+    char_span: tuple
+    tokens: tuple
+    text: str
+
+
+def _oracle_tokenize(text, offset):
+    return tuple(
+        report_parser.Token(m.group(0), (offset + m.start(), offset + m.end()))
+        for m in report_parser._TOKEN_RE.finditer(text)
+    )
+
+
+def _oracle_segment_sentences(text, report_id=""):
+    spans = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in ".!?":
+            if ch == ".":
+                # internal dot: "a.m.", "3.5" -- not followed by whitespace
+                if i < n - 1 and not text[i + 1].isspace():
+                    i += 1
+                    continue
+                w = i
+                while w > start and not text[w - 1].isspace():
+                    w -= 1
+                if text[w:i + 1].lower() in report_parser._ABBREVIATIONS:
+                    i += 1
+                    continue
+            spans.append((start, i + 1))
+            start = i + 1
+            i += 1
+            continue
+        if ch == "\n":
+            k = i + 1
+            while k < n and text[k] in " \t\r":
+                k += 1
+            if k < n and text[k] == "\n":
+                spans.append((start, i))
+                start = k + 1
+                i = k + 1
+                continue
+        i += 1
+    if start < n:
+        spans.append((start, n))
+
+    sentences = []
+    for a, b in spans:
+        # trim whitespace off both ends
+        while a < b and text[a].isspace():
+            a += 1
+        while b > a and text[b - 1].isspace():
+            b -= 1
+        if a == b:
+            continue
+        seg = text[a:b]
+        sentences.append(_OracleSentence(
+            report_id=report_id,
+            index=len(sentences),
+            char_span=(a, b),
+            tokens=_oracle_tokenize(seg, a),
+            text=seg,
+        ))
+    return sentences
+
+
+# Pieces the segmenter treats specially: abbreviations in any case, a word
+# longer than any abbreviation ending in one, decimals and internal dots,
+# '!' and '?', blank lines holding spaces, tabs or '\r', whitespace that
+# is not ASCII, 'İ' (whose lowercase has two characters) and apostrophes.
+_SEGMENT_PIECES = [
+    "Dr.", "dr.", "DR.", "e.g.", "E.G.", "a.m.", "p.m.", "approx.", "xapprox.", "etc.",
+    "fig.", "st.", "3.5", "1.", "x.y", ".", "..", "!", "?", "?!", ",", "-",
+    " ", "  ", "\t", "\n", "\r", "\n\n", "\n \n", "\n\t\r\n", "\r\n\r\n", "\n\x0b\n",
+    "\u00a0", "\u2003", "\u3000", "\u2028", "\x85",
+    "\u0130", "\u0130.", "don't", "'", "patient's", "no", "pneumonia", "Lungs", "clear",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SEGMENT_PIECES), st.text(max_size=3)),
+                max_size=30).map("".join))
+@example("Seen at 9 a.m. today. Stable.")
+@example("?Dr. Smith\n \t\r\n\u0130. don't  3.5 cm!")
+@example("x\n\n\n\nxapprox. e.g.\u00a0fig. y")
+def test_segmenter_equals_character_walking_oracle(text):
+    got = segment_sentences(text, "r/s")
+    want = _oracle_segment_sentences(text, "r/s")
+    assert [(s.index, s.char_span, s.text) for s in got] == [
+        (s.index, s.char_span, s.text) for s in want]
+    for g, w in zip(got, want):
+        assert g.tokens == w.tokens
+        assert [(t.surface, t.span) for t in g.tokens] == [(t.surface, t.span) for t in w.tokens]
+        assert g.lowered == tuple(t.surface.lower() for t in w.tokens)
+        assert (g.starts, g.ends) == (tuple(t.span[0] for t in w.tokens),
+                                      tuple(t.span[1] for t in w.tokens))
+
+
 # --- classify_attributes -----------------------------------------------------
 
 def _spans_of(text, lexicon):

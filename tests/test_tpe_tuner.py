@@ -309,3 +309,27 @@ def test_tune_decoder_rejects_unknown_param():
                          ParamSpec("gamma", "uniform", 0.1, 0.9)))
     with pytest.raises(ValueError, match="'gamma' is not a decoder parameter"):
         tune_decoder(maps, gts, space=space, budget=5)
+
+
+@pytest.mark.parametrize("space, holds", [
+    ((ParamSpec("d", "choice", choices=(1, 4, 8)),), False),
+    ((ParamSpec("d", "choice", choices=(1, 3, 8)),), True),
+    ((ParamSpec("tau", "uniform", 0.6, 0.9),), False),
+    ((ParamSpec("d", "integer_uniform", 4, 8),), False),
+    ((ParamSpec("alpha", "log_uniform", 0.1, 0.5),), True),  # the bound itself
+], ids=["choice-without", "choice-with", "uniform-above", "integer-above", "bound"])
+def test_tune_decoder_tries_defaults_only_inside_the_space(space, holds):
+    maps, gts, _ = _tune_fixture()
+    _, _, history = tune_decoder(maps, gts, space=SearchSpace(space), budget=14,
+                                 cfg=TpeConfig(seed=5))
+    name = space[0].name
+    default = getattr(DecodeParams(), name)
+    assert (history[0].params == {name: default}) == holds
+    assert all(t.status == "complete" for t in history)
+
+
+def test_discrete_parzen_rejects_value_outside_universe():
+    from literati.tpe_tuner import _DiscreteParzen
+
+    with pytest.raises(ValueError, match="value 3 is not among"):
+        _DiscreteParzen([1, 3], [1, 4, 8])

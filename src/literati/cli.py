@@ -2,8 +2,11 @@
 
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error. Logs go to
-standard error; every subcommand is deterministic given its seed, and the
-LITERATI_THREADS environment variable caps per-image worker counts.
+standard error; every subcommand is deterministic given its seed.
+``decode``, ``demo`` and the ``tune`` objective spread their maps over
+forked worker processes (literati.shards), each holding its shard of the
+prepared maps; the LITERATI_THREADS environment variable caps how many,
+and outputs do not depend on it. ``parse`` and ``eval`` run serially.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import logging
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from . import numeric_heads as heads
 from . import report_parser as parser_mod
 from . import synthetic
 from . import tpe_tuner as tpe
+from .shards import ShardPool, worker_count
 
 logger = logging.getLogger("literati")
 
@@ -42,24 +45,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _version_string() -> str:
     formats = " ".join(f"{k}={v}" for k, v in sorted(FORMAT_VERSIONS.items()))
     return f"literati {__version__} (formats: {formats})"
-
-
-def _worker_count() -> int:
-    env = os.environ.get("LITERATI_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("LITERATI_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _map_over(items, fn):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,13 +189,14 @@ def cmd_decode(args) -> int:
     maps = decoder.load_maps_dir(args.maps)
     params = decoder.DecodeParams(d=args.d, tau=args.tau, alpha=args.alpha)
 
-    def run_one(m):
+    def decode_one(m, params):
         dets = decoder.decode(m.logits, params)
         if args.space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
-        return m.meta.image_id, dets
+        return dets
 
-    results = dict(_map_over(maps, run_one))
+    with ShardPool(maps, decode_one) as pool:
+        results = dict(zip((m.meta.image_id for m in maps), pool.map(params)))
     classes = {m.meta.image_id: m.meta.classes for m in maps}
     Path(args.out).write_text(decoder.detections_to_json(results, classes) + "\n",
                               encoding="utf-8")
@@ -321,14 +307,13 @@ def cmd_demo(args) -> int:
     ann_path.write_text(json.dumps(synthetic.planted_coco(planted), indent=2) + "\n",
                         encoding="utf-8")
 
-    params = decoder.DecodeParams()
-
-    def run_one(p):
-        dets = [decoder.detection_to_net416(det, p.meta)
+    def decode_one(p, params):
+        return [decoder.detection_to_net416(det, p.meta)
                 for det in decoder.decode(p.logits, params)]
-        return p.meta.image_id, dets
 
-    results = dict(_map_over(planted, run_one))
+    with ShardPool(planted, decode_one) as pool:
+        results = dict(zip((p.meta.image_id for p in planted),
+                           pool.map(decoder.DecodeParams())))
     classes = {p.meta.image_id: p.meta.classes for p in planted}
     (out_dir / "detections.json").write_text(
         decoder.detections_to_json(results, classes) + "\n", encoding="utf-8")
@@ -364,6 +349,7 @@ def run(argv=None) -> int:
     except SystemExit as e:  # --help / --version
         return int(e.code or 0)
     try:
+        worker_count()  # a bad LITERATI_THREADS fails here, before any work
         return args.func(args)
     except OSError as e:
         logger.error("I/O error: %s", e)

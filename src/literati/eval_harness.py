@@ -72,6 +72,12 @@ class MatchResult:
         }
 
 
+def check_iou_threshold(threshold: float) -> None:
+    """Refuse an IOU threshold outside (0, 1], NaN included."""
+    if not 0 < threshold <= 1:
+        raise ValueError(f"IOU threshold must be in (0, 1], got {threshold!r}")
+
+
 def match_image(dets, gts, threshold, mode: str = "top1", image_id: str = "") -> MatchResult:
     """Match detections against ground-truth boxes at one or more thresholds.
 
@@ -81,6 +87,8 @@ def match_image(dets, gts, threshold, mode: str = "top1", image_id: str = "") ->
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
     thresholds = (threshold,) if isinstance(threshold, (int, float)) else tuple(threshold)
+    for t in thresholds:
+        check_iou_threshold(t)
     if not gts:
         return MatchResult(image_id=image_id, n_gts=0, excluded=True)
 

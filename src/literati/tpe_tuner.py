@@ -21,6 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
+from .shards import ShardPool, WorkerLostError
+
 logger = logging.getLogger(__name__)
 
 PARAM_KINDS = ("uniform", "log_uniform", "integer_uniform", "choice")
@@ -335,7 +337,8 @@ def optimize(
     """Sequential suggest/evaluate loop; returns (best trial, history).
 
     Evaluations that raise or return a non-finite value are recorded as
-    failed and excluded from the density fits. ``initial_params`` are
+    failed and excluded from the density fits; a lost worker process is no
+    property of the parameters and ends the search. ``initial_params`` are
     evaluated first and count against the budget.
     """
     if budget < 1:
@@ -346,6 +349,8 @@ def optimize(
     def evaluate(params: dict) -> Trial:
         try:
             value = float(objective(params))
+        except WorkerLostError:
+            raise
         except Exception as e:  # objective failures are data, not crashes
             logger.warning("trial %d failed: %s", len(history), e)
             return Trial(params=params, objective=float("nan"), status="failed")
@@ -397,16 +402,18 @@ def tune_decoder(
     ``maps`` are LoadedMap records; ``gts_net416`` maps image ids to
     ground-truth boxes in net416 space. When the space holds the decoder
     defaults, they are evaluated as trial 0, so the returned best can never
-    be worse than the baseline.
+    be worse than the baseline. The maps of each trial are scored on a
+    ShardPool, so each worker keeps its maps' window winners across trials.
     Returns (best DecodeParams, best Trial, history).
     """
-    from .eval_harness import match_image
+    from .eval_harness import check_iou_threshold, match_image
     from .map_decoder import DecodeParams, PreparedMap, decode, detection_to_net416
 
     if not maps:
         raise ValueError("no maps to tune on")
     if not any(gts_net416.get(m.meta.image_id) for m in maps):
         raise ValueError("no ground-truth boxes for the provided maps")
+    check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
     for spec in space.params:
         if spec.name not in DECODER_PARAMS:
@@ -422,24 +429,24 @@ def tune_decoder(
     # softmax and window winners are shared by every trial
     prepared = [PreparedMap(m.logits) for m in maps]
 
+    def score(item, params: DecodeParams) -> tuple[bool, bool]:
+        m, prepared_map = item
+        dets = [detection_to_net416(det, m.meta) for det in decode(prepared_map, params)]
+        result = match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
+                             mode=mode, image_id=m.meta.image_id)
+        return result.excluded, not result.excluded and result.outcomes[float(iou_threshold)].hit
+
     def objective(raw: dict) -> float:
-        params = to_params(raw)
-        results = []
-        for m, prepared_map in zip(maps, prepared):
-            dets = [detection_to_net416(det, m.meta)
-                    for det in decode(prepared_map, params)]
-            gts = gts_net416.get(m.meta.image_id, [])
-            results.append(match_image(dets, gts, iou_threshold, mode=mode,
-                                       image_id=m.meta.image_id))
-        included = [r for r in results if not r.excluded]
-        hits = sum(1 for r in included if r.outcomes[float(iou_threshold)].hit)
-        return hits / len(included)
+        scores = pool.map(to_params(raw))
+        included = [hit for excluded, hit in scores if not excluded]
+        return sum(included) / len(included)
 
     # the defaults go first only where the space can hold them: a value
     # outside a dimension's domain would break that dimension's density fit
     names = {p.name for p in space.params}
     trial0 = {k: v for k, v in defaults.items() if k in names}
     held = all(_holds(spec, trial0[spec.name]) for spec in space.params)
-    best, history = optimize(objective, space, budget, cfg,
-                             initial_params=[trial0] if held else [])
+    with ShardPool(zip(maps, prepared), score) as pool:
+        best, history = optimize(objective, space, budget, cfg,
+                                 initial_params=[trial0] if held else [])
     return to_params(best.params), best, history

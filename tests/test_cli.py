@@ -1,23 +1,30 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import stat
 import threading
+import time
 from importlib import resources
 
+import numpy as np
 import pytest
+from scipy import ndimage
 
+from literati import map_decoder
 from literati.cli import run
+from literati.shards import ShardPool, WorkerLostError, worker_count
 from literati.synthetic import make_planted_maps, planted_coco
-from literati.map_decoder import save_map
+from literati.map_decoder import MapMeta, save_map
 
 
 FIXTURES = resources.files("literati").joinpath("data/fixtures")
 
 
-def _write_maps(tmp_path, n=6, seed=11, peaks=1):
+def _write_maps(tmp_path, n=6, seed=11, peaks=1, **planting):
     maps_dir = tmp_path / "maps"
-    planted = make_planted_maps(n, seed=seed, peaks_per_image=peaks)
+    planted = make_planted_maps(n, seed=seed, peaks_per_image=peaks, **planting)
     for p in planted:
         save_map(maps_dir, p.meta, p.logits)
     ann_path = tmp_path / "ann.json"
@@ -507,3 +514,259 @@ def test_demo_prints_perfect_table(tmp_path, capsys):
     assert lines[1].split(",")[3] == "1.000"
     assert (tmp_path / "demo" / "table.csv").exists()
     assert (tmp_path / "demo" / "detections.json").exists()
+
+
+# --- worker processes -------------------------------------------------------------------
+
+WORKER_COUNTS = (1, 2, 3)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def _finishes(fn, seconds=60):
+    """fn(), run in a thread that must end within ``seconds``, so a hang fails
+    this test instead of stalling the test run."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return result[0]
+
+
+def _write_noise_maps(tmp_path, n=5, seed=2):
+    # smoothed noise: many peaks and regions per map, on two map sizes
+    rng = np.random.default_rng(seed)
+    maps_dir = tmp_path / "noise"
+    for i in range(n):
+        side = (40, 56)[i % 2]
+        smooth = ndimage.gaussian_filter(rng.normal(size=(3, side, side)), sigma=(0, 2, 2))
+        meta = MapMeta(f"noise{i}", ("background", "pneumonia", "pneumothorax"),
+                       map_to_net_scale=416 / side)
+        save_map(maps_dir, meta, 3 * smooth / smooth.std())
+    return maps_dir
+
+
+@pytest.mark.parametrize("command", ["decode", "tune"])
+@pytest.mark.parametrize("value", ["x", "0", "-2"])
+def test_bad_worker_count_exits_1(tmp_path, monkeypatch, caplog, command, value):
+    # checked before any input is read: the missing inputs go unreported
+    maps_dir, ann_path = tmp_path / "no-maps", tmp_path / "no-ann.json"
+    out = tmp_path / "out.json"
+    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
+            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                     "--budget", "3", "--out", str(out)]}[command]
+    monkeypatch.setenv("LITERATI_THREADS", value)
+    assert run(argv) == 1
+    _one_line_error(caplog, f"LITERATI_THREADS must be an integer >= 1, got '{value}'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_default_worker_count_is_the_cpu_affinity(monkeypatch, cpus):
+    monkeypatch.delenv("LITERATI_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert worker_count() == len(cpus)
+
+
+@pytest.mark.parametrize("iou, shown", [("1.5", "1.5"), ("nan", "nan"), ("0", "0.0")])
+def test_tune_iou_outside_unit_interval_exits_1(tmp_path, caplog, iou, shown):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    trials = tmp_path / "trials.json"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--iou", iou,
+                "--budget", "3", "--out", str(trials)]) == 1
+    _one_line_error(caplog, f"IOU threshold must be in (0, 1], got {shown}")
+    assert not trials.exists()
+
+
+@pytest.mark.parametrize("maps", ["noise", "planted"])
+def test_decode_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, maps):
+    maps_dir = (_write_noise_maps(tmp_path) if maps == "noise"
+                else _write_maps(tmp_path, n=7, peaks=2)[0])
+    outs = set()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        out = tmp_path / f"det{workers}.json"
+        assert run(["decode", "--maps", str(maps_dir), "--space", "net416",
+                    "--out", str(out)]) == 0
+        outs.add(out.read_bytes())
+        _no_child_left()
+    assert len(outs) == 1
+    assert len({e["image_id"] for e in json.loads(outs.pop())}) >= 5
+
+
+def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
+    outputs = set()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        out = tmp_path / str(workers)
+        assert run(["demo", "--seed", "3", "--out", str(out)]) == 0
+        outputs.add((capsys.readouterr().out,
+                     *((out / name).read_bytes()
+                       for name in ("annotations.json", "detections.json", "table.csv"))))
+        _no_child_left()
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("space", [None, [{"name": "d", "kind": "choice", "choices": [1, 4, 8]},
+                                          _TAU]], ids=["default", "d-choice"])
+def test_tune_log_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, space):
+    # weak bumps, so that the trials score differently
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=7, seed=40, amplitude_range=(2.35, 2.45),
+                                        baseline=2.5, sigma_range=(2.8, 3.2))
+    extra = []
+    if space:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space), encoding="utf-8")
+        extra = ["--space", str(path)]
+    outputs = set()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        trials = tmp_path / f"trials{workers}.json"
+        assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), *extra,
+                    "--budget", "14", "--seed", "4", "--out", str(trials)]) == 0
+        outputs.add((trials.read_bytes(), capsys.readouterr().out))
+        _no_child_left()
+    assert len(outputs) == 1
+    log = json.loads(outputs.pop()[0])
+    assert len({t["objective"] for t in log}) > 1
+
+
+def test_decode_error_in_a_worker_is_the_inline_error(tmp_path, monkeypatch, caplog):
+    maps_dir, _, planted = _write_maps(tmp_path, n=7)
+    ids = sorted(p.meta.image_id for p in planted)  # the order decode loads them in
+    real = map_decoder.detection_to_net416
+
+    def failing(det, meta):
+        if meta.image_id in (ids[2], ids[4]):
+            raise ValueError(f"cannot place {meta.image_id}")
+        return real(det, meta)
+
+    monkeypatch.setattr(map_decoder, "detection_to_net416", failing)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        caplog.clear()
+        assert run(["decode", "--maps", str(maps_dir), "--space", "net416",
+                    "--out", str(tmp_path / "det.json")]) == 1
+        _one_line_error(caplog, f"cannot place {ids[2]}")
+        _no_child_left()
+
+
+@pytest.mark.parametrize("command", ["decode", "tune"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    parent = os.getpid()
+    real = map_decoder.decode
+
+    def dying(logits, params):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(logits, params)
+
+    monkeypatch.setattr(map_decoder, "decode", dying)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    out = tmp_path / "out.json"
+    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
+            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                     "--budget", "3", "--out", str(out)]}[command]
+    assert _finishes(lambda: run(argv)) == 1
+    _one_line_error(caplog, "ended unexpectedly (exit code -9)")
+    assert not out.exists()
+    _no_child_left()
+
+
+# ShardPool itself, at each worker count
+
+@pytest.mark.parametrize("n_items", [2, 7])
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_pool_keeps_item_order_and_each_item_in_one_worker(monkeypatch, workers, n_items):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    items = [{"i": i, "calls": 0} for i in range(n_items)]
+
+    def fn(item, arg):
+        item["calls"] += 1  # lives in the worker that owns the item
+        return item["i"] * arg, item["calls"], os.getpid()
+
+    with ShardPool(items, fn) as pool:
+        first, second = pool.map(2), pool.map(3)
+    assert [r[0] for r in second] == [3 * i for i in range(n_items)]
+    assert [r[1] for r in second] == [2] * n_items
+    assert [r[2] for r in first] == [r[2] for r in second]
+    pids = {r[2] for r in first}
+    assert len(pids) == min(workers, n_items)
+    assert (pids == {os.getpid()}) == (len(pids) == 1)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_pool_raises_the_first_error_in_item_order(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(item, arg):
+        if arg == "fail" and item == 4:
+            raise KeyError(f"item {item}")
+        if arg == "fail" and item == 2:
+            raise ValueError(f"item {item}")
+        return item
+
+    with ShardPool(range(7), fn) as pool:
+        with pytest.raises(ValueError, match="^item 2$"):
+            pool.map("fail")
+        assert pool.map("pass") == list(range(7))  # the pool still serves
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_reports_a_lost_worker(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(item, arg):
+        if item == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    def use_pool():
+        with ShardPool(range(7), fn) as pool:
+            with pytest.raises(WorkerLostError, match=r"ended unexpectedly \(exit code -9\)"):
+                pool.map(None)
+        return True
+
+    assert _finishes(use_pool)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_pool_leaves_no_child_after_an_interrupt(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    parent = os.getpid()
+
+    def fn(item, arg):
+        if item == 0:
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)  # ends when the pool kills the worker
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        with ShardPool(range(4), fn) as pool:
+            pool.map(None)
+    assert time.monotonic() - start < 10  # the busy workers were killed, not awaited
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_workers_leave_an_interrupt_to_the_parent(monkeypatch, workers):
+    # Ctrl-C reaches every process of the group; the workers carry on
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(item, arg):
+        os.kill(os.getpid(), signal.SIGINT)
+        return item
+
+    with ShardPool(range(5), fn) as pool:
+        assert pool.map(None) == list(range(5))
+    _no_child_left()

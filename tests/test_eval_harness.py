@@ -100,6 +100,17 @@ def test_empty_gts_excluded():
     assert result.excluded
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, float("nan"), (0.1, 1.01)],
+                         ids=["zero", "negative", "above-one", "nan", "one-of-several"])
+@pytest.mark.parametrize("mode", ["top1", "greedy_multi"])
+def test_match_image_refuses_threshold_outside_unit_interval(threshold, mode):
+    gt = Box(0, 0, 4, 4, "map")
+    for gts in ([gt], []):  # also where the image would be excluded
+        with pytest.raises(ValueError, match=r"IOU threshold must be in \(0, 1\], got "):
+            match_image([_det(0, 0, 4, 4)], gts, threshold, mode=mode)
+    assert match_image([_det(0, 0, 4, 4)], [gt], 1.0, mode=mode).outcomes[1.0].hit
+
+
 def test_greedy_claims_each_gt_once():
     gt = Box(0, 0, 4, 4, "map")
     dets = [_det(0, 0, 4, 4, conf=0.9), _det(0, 0, 4, 4, conf=0.8)]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -333,3 +334,34 @@ def test_discrete_parzen_rejects_value_outside_universe():
 
     with pytest.raises(ValueError, match="value 3 is not among"):
         _DiscreteParzen([1, 3], [1, 4, 8])
+
+
+@pytest.mark.parametrize("space", [None, SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
+                                                      ParamSpec("tau", "uniform", 0.1, 0.9)))],
+                         ids=["default", "d-choice"])
+def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, space):
+    # some maps fail at low tau, each with its own message: a failed trial's
+    # warning must name the first failing map in map order
+    import literati.map_decoder as map_decoder
+
+    real = map_decoder.decode
+
+    def failing(prepared, params):
+        peak = int(prepared.channel(1).argmax())
+        if params.tau < 0.3 and peak % 3:
+            raise ValueError(f"no decode below tau 0.3 at cell {peak}")
+        return real(prepared, params)
+
+    monkeypatch.setattr(map_decoder, "decode", failing)
+    maps, gts, _ = _tune_fixture()
+    runs = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        caplog.clear()
+        _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=TpeConfig(seed=3))
+        warnings = tuple(r.getMessage() for r in caplog.records if r.levelname == "WARNING")
+        runs.add((json.dumps([t.to_dict() for t in history]), warnings))
+    assert len(runs) == 1
+    log, warnings = runs.pop()
+    statuses = {t["status"] for t in json.loads(log)}
+    assert statuses == {"complete", "failed"} and warnings

@@ -1,8 +1,8 @@
 """Command-line entry point exposing the pipeline.
 
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
-Exit codes: 0 success, 1 validation error, 2 I/O error. Logs go to
-standard error; every subcommand is deterministic given its seed.
+Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
+Logs go to standard error; every subcommand is deterministic given its seed.
 ``decode``, ``demo`` and the ``tune`` objective spread their maps over
 forked worker processes (literati.shards), each holding its shard of the
 prepared maps; the LITERATI_THREADS environment variable caps how many,
@@ -185,41 +185,35 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def cmd_decode(args) -> int:
-    maps = decoder.load_maps_dir(args.maps)
-    params = decoder.DecodeParams(d=args.d, tau=args.tau, alpha=args.alpha)
-
+def _decode_to(path, maps, params, space) -> dict[str, list]:
+    """Decode ``maps`` into ``space`` boxes on a ShardPool, write them to ``path``
+    and return them by image id."""
     def decode_one(m, params):
         dets = decoder.decode(m.logits, params)
-        if args.space == "net416":
+        if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
         return dets
 
     with ShardPool(maps, decode_one) as pool:
         results = dict(zip((m.meta.image_id for m in maps), pool.map(params)))
     classes = {m.meta.image_id: m.meta.classes for m in maps}
-    Path(args.out).write_text(decoder.detections_to_json(results, classes) + "\n",
-                              encoding="utf-8")
+    Path(path).write_text(decoder.detections_to_json(results, classes) + "\n",
+                          encoding="utf-8")
+    return results
+
+
+def cmd_decode(args) -> int:
+    maps = decoder.load_maps_dir(args.maps)
+    params = decoder.DecodeParams(d=args.d, tau=args.tau, alpha=args.alpha)
+    results = _decode_to(args.out, maps, params, args.space)
     n = sum(len(v) for v in results.values())
     logger.info("decoded %d maps -> %d detections", len(maps), n)
     return 0
 
 
-def _gts_net416(ann_path) -> dict[str, list[store.Box]]:
-    images, annotations = store.load_coco(ann_path)
-    dims = {im.image_id: (im.width, im.height) for im in images}
-    gts: dict[str, list[store.Box]] = {}
-    for ann in annotations:
-        for box in ann.boxes:
-            scaled = store.rescale_box(box, dims[ann.image_id],
-                                       (store.NET_SIZE, store.NET_SIZE), to_space="net416")
-            gts.setdefault(ann.image_id, []).append(scaled)
-    return gts
-
-
 def cmd_tune(args) -> int:
     maps = decoder.load_maps_dir(args.maps)
-    gts = _gts_net416(args.ann)
+    gts = harness.ground_truth(args.ann, "net416")
     space = tpe.SearchSpace.from_file(args.space) if args.space else None
     cfg = tpe.TpeConfig(seed=args.seed)
     best_params, best, history = tpe.tune_decoder(
@@ -242,28 +236,12 @@ def cmd_tune(args) -> int:
 
 def cmd_eval(args) -> int:
     per_image = decoder.detections_from_json(args.detections)
-    images, annotations = store.load_coco(args.ann)
-    dims = {im.image_id: (im.width, im.height) for im in images}
-
     det_spaces = {d.box.space for dets in per_image.values() for d in dets}
     if len(det_spaces) > 1:
         raise ValueError(f"detections mix coordinate spaces: {sorted(det_spaces)}")
     det_space = det_spaces.pop() if det_spaces else "native"
-
-    gts: dict[str, list[store.Box]] = {im.image_id: [] for im in images}
-    for ann in annotations:
-        for box in ann.boxes:
-            if det_space == "net416":
-                box = store.rescale_box(box, dims[ann.image_id],
-                                        (store.NET_SIZE, store.NET_SIZE),
-                                        to_space="net416")
-            gts[ann.image_id].append(box)
-
-    results = [
-        harness.match_image(per_image.get(image_id, []), gt_boxes,
-                            harness.IOU_THRESHOLDS, mode=args.mode, image_id=image_id)
-        for image_id, gt_boxes in sorted(gts.items())
-    ]
+    gts = harness.ground_truth(args.ann, det_space)
+    results = harness.match_images(per_image, gts, harness.IOU_THRESHOLDS, args.mode)
     table = harness.accuracy_table(results, method=args.method)
     rendered = harness.render_table(table, format=args.format)
     Path(args.out).write_text(rendered, encoding="utf-8")
@@ -307,24 +285,10 @@ def cmd_demo(args) -> int:
     ann_path.write_text(json.dumps(synthetic.planted_coco(planted), indent=2) + "\n",
                         encoding="utf-8")
 
-    def decode_one(p, params):
-        return [decoder.detection_to_net416(det, p.meta)
-                for det in decoder.decode(p.logits, params)]
-
-    with ShardPool(planted, decode_one) as pool:
-        results = dict(zip((p.meta.image_id for p in planted),
-                           pool.map(decoder.DecodeParams())))
-    classes = {p.meta.image_id: p.meta.classes for p in planted}
-    (out_dir / "detections.json").write_text(
-        decoder.detections_to_json(results, classes) + "\n", encoding="utf-8")
-
-    gts = _gts_net416(ann_path)
-    matches = [
-        harness.match_image(results[p.meta.image_id], gts[p.meta.image_id],
-                            harness.IOU_THRESHOLDS, mode="top1",
-                            image_id=p.meta.image_id)
-        for p in planted
-    ]
+    results = _decode_to(out_dir / "detections.json", planted, decoder.DecodeParams(),
+                         "net416")
+    gts = harness.ground_truth(ann_path, "net416")
+    matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
     table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
     rendered = harness.render_table(table, format="csv")
     (out_dir / "table.csv").write_text(rendered, encoding="utf-8")
@@ -357,6 +321,9 @@ def run(argv=None) -> int:
     except (ValueError, RuntimeError) as e:
         logger.error("%s", e)
         return 1
+    except KeyboardInterrupt:  # any worker pool was stopped on the way out
+        logger.error("interrupted")
+        return 130
 
 
 def main() -> None:

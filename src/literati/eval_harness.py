@@ -5,7 +5,8 @@ when the single highest-confidence detection overlaps any ground-truth box
 at the threshold; ``greedy_multi`` lets detections claim unmatched boxes
 in confidence order and additionally records per-box recall for
 multi-instance annotations. Tables report accuracy at the five fixed IOU
-thresholds.
+thresholds. ``eval``, the ``tune`` objective and ``demo`` all score through
+``ground_truth`` -> ``match_image`` -> ``accuracy``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import annotation_store as store
 from .annotation_store import Box
 
 IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -72,6 +74,25 @@ class MatchResult:
         }
 
 
+def ground_truth(source, space: str) -> dict[str, list[Box]]:
+    """Boxes of every image of a COCO export, by image id, in ``native`` or
+    ``net416`` space (each axis rescaled on its own); unannotated images get []."""
+    if space not in ("native", "net416"):
+        raise SpaceMismatchError(f"cannot score boxes in {space!r} space against "
+                                 f"ground truth, which is native or net416")
+    # through the module, so that wrappers set on it see every call
+    images, annotations = store.load_coco(source)
+    dims = {im.image_id: (im.width, im.height) for im in images}
+    gts: dict[str, list[Box]] = {im.image_id: [] for im in images}
+    for ann in annotations:
+        for box in ann.boxes:
+            if space == "net416":
+                box = store.rescale_box(box, dims[ann.image_id],
+                                        (store.NET_SIZE, store.NET_SIZE), to_space="net416")
+            gts[ann.image_id].append(box)
+    return gts
+
+
 def check_iou_threshold(threshold: float) -> None:
     """Refuse an IOU threshold outside (0, 1], NaN included."""
     if not 0 < threshold <= 1:
@@ -126,6 +147,14 @@ def match_image(dets, gts, threshold, mode: str = "top1", image_id: str = "") ->
     return MatchResult(image_id=image_id, n_gts=len(gts), excluded=False, outcomes=outcomes)
 
 
+def match_images(per_image, gts, threshold, mode: str = "top1") -> list[MatchResult]:
+    """``match_image`` for every image of ``gts``, in image-id order; an
+    image missing from ``per_image`` has no detections."""
+    return [match_image(per_image.get(image_id, []), boxes, threshold, mode=mode,
+                        image_id=image_id)
+            for image_id, boxes in sorted(gts.items())]
+
+
 @dataclass
 class EvalTable:
     rows: dict[str, tuple[float, ...]]
@@ -142,20 +171,21 @@ class EvalTable:
                 raise ValueError(f"row {method!r} has accuracy outside [0, 1]")
 
 
-def accuracy_table(results, thresholds=IOU_THRESHOLDS, method: str = "detections") -> EvalTable:
-    """Aggregate per-image match results into one table row.
-
-    accuracy(T) = images hit at T / images evaluated; excluded images do
-    not enter the denominator.
-    """
+def accuracy(results, threshold) -> float:
+    """Images hit at ``threshold`` over images evaluated; excluded images
+    do not enter the denominator."""
     included = [r for r in results if not r.excluded]
     if not included:
         raise ValueError("no images with ground truth to evaluate")
-    accs = []
-    for t in thresholds:
-        hits = sum(1 for r in included if r.outcomes[float(t)].hit)
-        accs.append(hits / len(included))
-    return EvalTable(rows={method: tuple(accs)}, n_images=len(included), thresholds=tuple(thresholds))
+    return sum(1 for r in included if r.outcomes[float(threshold)].hit) / len(included)
+
+
+def accuracy_table(results, thresholds=IOU_THRESHOLDS, method: str = "detections") -> EvalTable:
+    """Aggregate per-image match results into one table row of ``accuracy``
+    at each threshold."""
+    accs = tuple(accuracy(results, t) for t in thresholds)
+    n_images = sum(1 for r in results if not r.excluded)
+    return EvalTable(rows={method: accs}, n_images=n_images, thresholds=tuple(thresholds))
 
 
 def micro_recall(results, threshold) -> float:

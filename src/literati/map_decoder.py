@@ -26,6 +26,7 @@ varies from trial to trial.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -337,16 +338,28 @@ def load_map(npy_path) -> LoadedMap:
     sidecar = npy_path.with_suffix(".json")
     if not sidecar.exists():
         raise ValueError(f"map {npy_path.name} has no JSON sidecar")
-    meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
     try:
-        meta = MapMeta(
-            image_id=meta_doc["image_id"],
-            classes=tuple(meta_doc["classes"]),
-            space=meta_doc.get("space", MAP_SPACE),
-            map_to_net_scale=float(meta_doc.get("map_to_net_scale", 1.0)),
-        )
+        meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{sidecar}: invalid JSON ({e})") from e
+    if not isinstance(meta_doc, dict):
+        raise ValueError(f"{sidecar}: top level must be a JSON object, "
+                         f"not {type(meta_doc).__name__}")
+    try:
+        image_id, classes = meta_doc["image_id"], meta_doc["classes"]
     except KeyError as e:
         raise ValueError(f"{sidecar}: missing field {e}") from e
+    scale = meta_doc.get("map_to_net_scale", 1.0)
+    if not isinstance(image_id, str) or not image_id:
+        raise ValueError(f"{sidecar}: 'image_id' must be a non-empty string, not {image_id!r}")
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise ValueError(f"{sidecar}: 'classes' must be a list of strings, not {classes!r}")
+    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+            or not (math.isfinite(scale) and scale > 0)):
+        raise ValueError(f"{sidecar}: 'map_to_net_scale' must be a finite number > 0, "
+                         f"not {scale!r}")
+    meta = MapMeta(image_id=image_id, classes=tuple(classes),
+                   space=meta_doc.get("space", MAP_SPACE), map_to_net_scale=float(scale))
     arr = np.load(npy_path, allow_pickle=False)
     if arr.dtype != np.float32:
         raise ValueError(f"map {npy_path.name}: expected float32, got {arr.dtype}")
@@ -364,7 +377,15 @@ def load_maps_dir(directory) -> list[LoadedMap]:
     paths = sorted(directory.glob("*.npy"))
     if not paths:
         raise ValueError(f"no .npy maps found in {directory}")
-    return [load_map(p) for p in paths]
+    maps, seen = [], {}
+    for path in paths:
+        m = load_map(path)
+        if m.meta.image_id in seen:  # detections and scores are keyed by image id
+            raise ValueError(f"{seen[m.meta.image_id]} and {path} both hold "
+                             f"image_id {m.meta.image_id!r}")
+        seen[m.meta.image_id] = path
+        maps.append(m)
+    return maps
 
 
 def detection_to_net416(det: Detection, meta: MapMeta) -> Detection:

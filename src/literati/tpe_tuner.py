@@ -284,15 +284,13 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
     rng = np.random.default_rng([cfg.seed, len(history)])
     complete = [t for t in history if t.status == "complete"]
 
-    if len(complete) < cfg.n_startup:
+    n_good = math.ceil(cfg.gamma * len(complete))
+    # a degenerate split leaves too few trials to model "bad"
+    if len(complete) < cfg.n_startup or n_good >= len(complete):
         params = {p.name: _sample_uniform(p, rng) for p in space.params}
         return params, SuggestTrace(mode="startup")
 
     ranked = sorted(range(len(complete)), key=lambda i: -complete[i].objective)
-    n_good = math.ceil(cfg.gamma * len(complete))
-    if n_good >= len(complete):  # degenerate split: too few trials to model "bad"
-        params = {p.name: _sample_uniform(p, rng) for p in space.params}
-        return params, SuggestTrace(mode="startup")
     good = [complete[i] for i in ranked[:n_good]]
     bad = [complete[i] for i in ranked[n_good:]]
 
@@ -406,14 +404,14 @@ def tune_decoder(
     ShardPool, so each worker keeps its maps' window winners across trials.
     Returns (best DecodeParams, best Trial, history).
     """
-    from .eval_harness import check_iou_threshold, match_image
+    from . import eval_harness as harness
     from .map_decoder import DecodeParams, PreparedMap, decode, detection_to_net416
 
     if not maps:
         raise ValueError("no maps to tune on")
     if not any(gts_net416.get(m.meta.image_id) for m in maps):
         raise ValueError("no ground-truth boxes for the provided maps")
-    check_iou_threshold(iou_threshold)
+    harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
     for spec in space.params:
         if spec.name not in DECODER_PARAMS:
@@ -429,17 +427,14 @@ def tune_decoder(
     # softmax and window winners are shared by every trial
     prepared = [PreparedMap(m.logits) for m in maps]
 
-    def score(item, params: DecodeParams) -> tuple[bool, bool]:
+    def score(item, params: DecodeParams):
         m, prepared_map = item
         dets = [detection_to_net416(det, m.meta) for det in decode(prepared_map, params)]
-        result = match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
-                             mode=mode, image_id=m.meta.image_id)
-        return result.excluded, not result.excluded and result.outcomes[float(iou_threshold)].hit
+        return harness.match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
+                                   mode=mode, image_id=m.meta.image_id)
 
     def objective(raw: dict) -> float:
-        scores = pool.map(to_params(raw))
-        included = [hit for excluded, hit in scores if not excluded]
-        return sum(included) / len(included)
+        return harness.accuracy(pool.map(to_params(raw)), iou_threshold)
 
     # the defaults go first only where the space can hold them: a value
     # outside a dimension's domain would break that dimension's density fit

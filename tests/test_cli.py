@@ -6,6 +6,7 @@ import signal
 import stat
 import threading
 import time
+from contextlib import suppress
 from importlib import resources
 
 import numpy as np
@@ -81,6 +82,49 @@ def test_sidecar_missing_field_exits_1(tmp_path, caplog, missing):
                 "--out", str(tmp_path / "det.json")]) == 1
     assert f"{sidecar}: missing field '{missing}'" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("[]", "{sidecar}: top level must be a JSON object, not list"),
+    ('{"image_id": ', "{sidecar}: invalid JSON"),
+    ({"image_id": 5}, "{sidecar}: 'image_id' must be a non-empty string, not 5"),
+    ({"image_id": ""}, "{sidecar}: 'image_id' must be a non-empty string, not ''"),
+    ({"classes": "ab"}, "{sidecar}: 'classes' must be a list of strings, not 'ab'"),
+    ({"classes": ["background", 1]}, "{sidecar}: 'classes' must be a list of strings"),
+    ({"map_to_net_scale": "x"}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
+    ({"map_to_net_scale": -1}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
+    ({"map_to_net_scale": 0}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
+    ({"map_to_net_scale": float("nan")}, "'map_to_net_scale' must be a finite number > 0"),
+    ({"map_to_net_scale": True}, "'map_to_net_scale' must be a finite number > 0, not True"),
+], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
+        "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale"])
+def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
+    maps_dir, _, planted = _write_maps(tmp_path, n=1)
+    sidecar = maps_dir / f"{planted[0].meta.image_id}.json"
+    if isinstance(edit, dict):
+        edit = json.dumps({**json.loads(sidecar.read_text()), **edit})
+    sidecar.write_text(edit)
+    out = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(out)]) == 1
+    _one_line_error(caplog, message.format(sidecar=sidecar))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "tune"])
+def test_two_maps_with_one_image_id_exit_1(tmp_path, caplog, command):
+    maps_dir, ann_path, planted = _write_maps(tmp_path, n=3)
+    first, second = (maps_dir / p.meta.image_id for p in planted[:2])
+    doc = json.loads(second.with_suffix(".json").read_text())
+    doc["image_id"] = planted[0].meta.image_id
+    second.with_suffix(".json").write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
+            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                     "--budget", "2", "--out", str(out)]}[command]
+    assert run(argv) == 1
+    _one_line_error(caplog, f"{first}.npy and {second}.npy both hold "
+                            f"image_id {planted[0].meta.image_id!r}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["confidence", "box", "space", "centroid", "image_id"])
@@ -466,6 +510,33 @@ def test_tune_space_without_the_defaults(tmp_path, caplog):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("seed", [11, 23, 40])
+def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed):
+    # one box moved off its peak and one image left unannotated, so that
+    # the accuracy is neither 0 nor 1 and the excluded image matters
+    maps_dir, ann_path, planted = _write_maps(tmp_path, n=6, seed=seed)
+    doc = json.loads(ann_path.read_text())
+    missed, unannotated = planted[seed % 3].meta.image_id, planted[3 + seed % 3].meta.image_id
+    for a in doc["annotations"]:
+        if a["image_id"] == missed:
+            a["bbox"][0] += a["bbox"][2] + 5
+    doc["annotations"] = [a for a in doc["annotations"] if a["image_id"] != unannotated]
+    ann_path.write_text(json.dumps(doc))
+
+    dets, table, diag = (tmp_path / name for name in ("dets.json", "t.csv", "diag.json"))
+    trials = tmp_path / "trials.json"
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(dets)]) == 0
+    assert run(["eval", "--detections", str(dets), "--ann", str(ann_path), "--mode", "top1",
+                "--out", str(table), "--diagnostics", str(diag)]) == 0
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "1",
+                "--out", str(trials)]) == 0
+    objective = json.loads(trials.read_text())[0]["objective"]
+    images = json.loads(diag.read_text())["images"]
+    assert 0 < objective < 1
+    assert objective == sum(im["outcomes"]["0.1"]["hit"] for im in images) / len(images)
+    assert table.read_text().splitlines()[1].split(",")[1] == f"{objective:.3f}"
+
+
 _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
 
 
@@ -677,6 +748,40 @@ def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
     assert _finishes(lambda: run(argv)) == 1
     _one_line_error(caplog, "ended unexpectedly (exit code -9)")
     assert not out.exists()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("command", ["decode", "tune", "demo"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    parent = os.getpid()
+    first = tmp_path / "interrupted"
+
+    def interrupted(logits, params):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        with suppress(FileExistsError):  # one Ctrl-C, from the first worker to get here
+            os.close(os.open(first, os.O_CREAT | os.O_EXCL))
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)  # ends when the pool kills the worker
+
+    monkeypatch.setattr(map_decoder, "decode", interrupted)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    out = tmp_path / "out"
+    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
+            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                     "--budget", "3", "--out", str(out)],
+            "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
+    start = time.monotonic()
+    try:
+        code = run(argv)
+    except KeyboardInterrupt:  # fail this test, not the whole session
+        pytest.fail("the interrupt escaped run()")
+    assert code == 130
+    assert time.monotonic() - start < 10  # the busy workers were killed, not awaited
+    assert [r.getMessage() for r in caplog.records] == ["interrupted"]
+    assert not (out / "detections.json" if command == "demo" else out).exists()
     _no_child_left()
 
 

@@ -8,11 +8,14 @@ from literati.eval_harness import (
     EvalTable,
     IOU_THRESHOLDS,
     SpaceMismatchError,
+    accuracy,
     accuracy_table,
     diagnostics_json,
+    ground_truth,
     iou,
     load_table_fixture,
     match_image,
+    match_images,
     micro_recall,
     render_table,
 )
@@ -144,12 +147,67 @@ def test_match_unknown_mode():
         match_image([], [Box(0, 0, 1, 1, "map")], 0.5, mode="hungarian")
 
 
-# --- accuracy_table -------------------------------------------------------------------
+# --- ground_truth / match_images ---------------------------------------------------------
+
+def _coco(images, annotations):
+    return {
+        "images": [{"id": i, "width": w, "height": h} for i, w, h in images],
+        "annotations": [{"id": n, "image_id": i, "bbox": list(bbox), "category_id": 1}
+                        for n, (i, bbox) in enumerate(annotations)],
+        "categories": [{"id": 1, "name": "pneumonia"}],
+    }
+
+
+def test_ground_truth_lists_unannotated_images():
+    doc = _coco([("b", 100, 100), ("a", 100, 100)], [("b", (1, 2, 3, 4))])
+    for space in ("native", "net416"):
+        gts = ground_truth(doc, space)
+        assert set(gts) == {"a", "b"}
+        assert gts["a"] == [] and len(gts["b"]) == 1
+
+
+def test_ground_truth_rescales_each_axis_on_its_own():
+    doc = _coco([("wide", 832, 208)], [("wide", (8, 4, 16, 20)), ("wide", (0, 0, 832, 208))])
+    assert ground_truth(doc, "net416") == {"wide": [Box(4, 8, 8, 40, "net416"),
+                                                    Box(0, 0, 416, 416, "net416")]}
+
+
+def test_ground_truth_passes_native_boxes_through():
+    doc = _coco([("im", 832, 208)], [("im", (8.5, 4, 16, 20.25)), ("im", (1, 1, 2, 2))])
+    assert ground_truth(doc, "native") == {"im": [Box(8.5, 4, 16, 20.25, "native"),
+                                                  Box(1, 1, 2, 2, "native")]}
+
+
+def test_ground_truth_refuses_map_space():
+    with pytest.raises(SpaceMismatchError):
+        ground_truth(_coco([("im", 64, 64)], []), "map")
+
+
+def test_match_images_covers_every_ground_truth_image_in_id_order():
+    gt = Box(0, 0, 4, 4, "map")
+    per_image = {"b": [_det(0, 0, 4, 4)], "stray": [_det(0, 0, 4, 4)]}
+    results = match_images(per_image, {"c": [gt], "b": [gt], "a": []}, 0.5)
+    assert [r.image_id for r in results] == ["a", "b", "c"]
+    assert [r.excluded for r in results] == [True, False, False]
+    assert [r.outcomes[0.5].hit for r in results[1:]] == [True, False]
+
+
+# --- accuracy / accuracy_table ----------------------------------------------------------
 
 def _perfect_results(n):
     gt = Box(0, 0, 4, 4, "map")
     return [match_image([_det(0, 0, 4, 4)], [gt], IOU_THRESHOLDS, image_id=f"im{i}")
             for i in range(n)]
+
+
+def test_accuracy_leaves_excluded_images_out_of_the_denominator():
+    gt = Box(0, 0, 4, 4, "map")
+    results = [match_image([_det(0, 0, 4, 4)], [gt], 0.5, image_id="hit"),
+               match_image([], [gt], 0.5, image_id="miss"),
+               match_image([_det(0, 0, 4, 4)], [], 0.5, image_id="excluded")]
+    assert accuracy(results, 0.5) == 0.5
+    with pytest.raises(ValueError, match="no images with ground truth"):
+        accuracy(results[2:], 0.5)
 
 
 def test_accuracy_table_all_hits():

@@ -279,14 +279,13 @@ def cmd_demo(args) -> int:
     out_dir = Path(args.out)
     maps_dir = out_dir / "maps"
     planted = synthetic.make_planted_maps(args.n_images, args.seed)
-    for p in planted:
-        decoder.save_map(maps_dir, p.meta, p.logits)
+    # decode the float32 maps as written, so that `decode` on them agrees
+    maps = [decoder.load_map(decoder.save_map(maps_dir, p.meta, p.logits)) for p in planted]
     ann_path = out_dir / "annotations.json"
     ann_path.write_text(json.dumps(synthetic.planted_coco(planted), indent=2) + "\n",
                         encoding="utf-8")
 
-    results = _decode_to(out_dir / "detections.json", planted, decoder.DecodeParams(),
-                         "net416")
+    results = _decode_to(out_dir / "detections.json", maps, decoder.DecodeParams(), "net416")
     gts = harness.ground_truth(ann_path, "net416")
     matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
     table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")

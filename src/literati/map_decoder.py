@@ -350,6 +350,7 @@ def load_map(npy_path) -> LoadedMap:
     except KeyError as e:
         raise ValueError(f"{sidecar}: missing field {e}") from e
     scale = meta_doc.get("map_to_net_scale", 1.0)
+    space = meta_doc.get("space", MAP_SPACE)
     if not isinstance(image_id, str) or not image_id:
         raise ValueError(f"{sidecar}: 'image_id' must be a non-empty string, not {image_id!r}")
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
@@ -358,8 +359,9 @@ def load_map(npy_path) -> LoadedMap:
             or not (math.isfinite(scale) and scale > 0)):
         raise ValueError(f"{sidecar}: 'map_to_net_scale' must be a finite number > 0, "
                          f"not {scale!r}")
-    meta = MapMeta(image_id=image_id, classes=tuple(classes),
-                   space=meta_doc.get("space", MAP_SPACE), map_to_net_scale=float(scale))
+    if space != MAP_SPACE:
+        raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
+    meta = MapMeta(image_id=image_id, classes=tuple(classes), map_to_net_scale=float(scale))
     arr = np.load(npy_path, allow_pickle=False)
     if arr.dtype != np.float32:
         raise ValueError(f"map {npy_path.name}: expected float32, got {arr.dtype}")

@@ -138,7 +138,7 @@ def global_average_pool_vjp(x, grad_out):
     x = _as64(x)
     grad_out = _as64(grad_out)
     _, H, W = x.shape
-    return np.broadcast_to(grad_out[:, None, None] / (H * W), x.shape).copy()
+    return (np.broadcast_to(grad_out[:, None, None] / (H * W), x.shape).copy(),)
 
 
 def cross_entropy(logits, label: int):
@@ -218,6 +218,17 @@ def fuse_language_spatial(spatial, lang) -> np.ndarray:
 # gradient checking
 
 
+# array-valued op -> (forward, VJP, differentiated inputs); both functions
+# take the op's inputs by the names make_grad_check_inputs gives them, and
+# the VJP returns one gradient per differentiated input, in that order
+_ARRAY_OPS = {
+    "deconv2d": (deconv2d, deconv2d_vjp, ("x", "kernel")),
+    "layer_norm": (layer_norm, layer_norm_vjp, ("x", "gamma", "beta")),
+    "global_average_pool": (global_average_pool, global_average_pool_vjp, ("x",)),
+    "conv1d_layer_select": (conv1d_layer_select, conv1d_layer_select_vjp, ("stack", "kernel")),
+}
+
+
 def make_grad_check_inputs(op_tag: str, rng: np.random.Generator) -> dict:
     """Random, well-conditioned inputs for one op's gradient check."""
     if op_tag == "deconv2d":
@@ -272,35 +283,14 @@ def grad_check(op_tag: str, inputs: dict, h: float = 1e-6, projection_seed: int 
         analytic = {"logits": cross_entropy(work["logits"], work["label"])[1]}
         diff_names = ("logits",)
     else:
-        if op_tag == "deconv2d":
-            forward = lambda: deconv2d(work["x"], work["kernel"], work["stride"])
-            vjp = lambda g: dict(zip(("x", "kernel"),
-                                     deconv2d_vjp(work["x"], work["kernel"], work["stride"], g)))
-            diff_names = ("x", "kernel")
-        elif op_tag == "layer_norm":
-            forward = lambda: layer_norm(work["x"], work["gamma"], work["beta"], work["eps"])
-            vjp = lambda g: dict(zip(("x", "gamma", "beta"),
-                                     layer_norm_vjp(work["x"], work["gamma"], work["beta"],
-                                                    work["eps"], g)))
-            diff_names = ("x", "gamma", "beta")
-        elif op_tag == "global_average_pool":
-            forward = lambda: global_average_pool(work["x"])
-            vjp = lambda g: {"x": global_average_pool_vjp(work["x"], g)}
-            diff_names = ("x",)
-        else:
-            forward = lambda: conv1d_layer_select(work["stack"], work["kernel"], work["stride"])
-            vjp = lambda g: dict(zip(("stack", "kernel"),
-                                     conv1d_layer_select_vjp(work["stack"], work["kernel"],
-                                                             work["stride"], g)))
-            diff_names = ("stack", "kernel")
-
-        out = forward()
+        forward, vjp, diff_names = _ARRAY_OPS[op_tag]
+        out = forward(**work)
         proj_rng = np.random.default_rng(projection_seed)
         projection = proj_rng.standard_normal(out.shape) / np.sqrt(out.size)
 
         def loss():
-            return float((forward() * projection).sum())
-        analytic = vjp(projection)
+            return float((forward(**work) * projection).sum())
+        analytic = dict(zip(diff_names, vjp(**work, grad_out=projection)))
 
     max_err = 0.0
     for name in diff_names:

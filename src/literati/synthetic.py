@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotation_store import Box
+from .annotation_store import NET_SIZE, Box
 from .map_decoder import MapMeta
-
-NET_SIZE = 416
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,12 @@ def boxes_to_net416(planted: PlantedMap) -> list[Box]:
     return [Box(b.x * s, b.y * s, b.w * s, b.h * s, "net416") for b in planted.boxes]
 
 
-def planted_coco(planted_maps: list[PlantedMap], shape: tuple[int, int] = (64, 64)) -> dict:
-    """COCO-style document for the planted boxes, in map-resolution pixels."""
-    H, W = shape
+def planted_coco(planted_maps: list[PlantedMap]) -> dict:
+    """COCO-style document for the planted boxes, in map-resolution pixels;
+    each image is as large as its map."""
     doc = {
         "images": [
-            {"id": p.meta.image_id, "width": W, "height": H}
+            {"id": p.meta.image_id, "width": p.logits.shape[2], "height": p.logits.shape[1]}
             for p in planted_maps
         ],
         "annotations": [],

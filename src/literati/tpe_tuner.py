@@ -168,11 +168,15 @@ class _ContinuousParzen:
     """Mixture of truncated normal kernels at the observed points.
 
     Per-point bandwidth is the larger of the gaps to the sorted neighbors,
-    floored at range / min(100, n).
+    floored at range / min(100, n). With ``log`` the kernels live on the
+    log axis, while ``pdf`` and ``sample`` take and return plain values.
     """
 
-    def __init__(self, values: Sequence[float], low: float, high: float):
-        obs = np.sort(np.clip(np.asarray(values, dtype=np.float64), low, high))
+    def __init__(self, values: Sequence[float], low: float, high: float, log: bool = False):
+        values = np.asarray(values, dtype=np.float64)
+        if log:
+            values, low, high = np.log(values), math.log(low), math.log(high)
+        obs = np.sort(np.clip(values, low, high))
         n = obs.size
         span = high - low
         floor = span / min(100, n)
@@ -181,6 +185,7 @@ class _ContinuousParzen:
             left = np.diff(obs, prepend=obs[0])   # first left gap is 0
             right = np.diff(obs, append=obs[-1])  # last right gap is 0
             bw = np.maximum(np.maximum(left, right), floor)
+        self.log = log
         self.low = low
         self.high = high
         self.mu = obs
@@ -190,19 +195,22 @@ class _ContinuousParzen:
 
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if self.log:
+            x = np.log(x)
         z = (x[:, None] - self.mu[None, :]) / self.sigma[None, :]
         dens = _norm_pdf(z) / self.sigma[None, :] / self.mass[None, :]
         inside = (x >= self.low) & (x <= self.high)
         return np.where(inside, dens.mean(axis=1), 0.0)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int) -> list[float]:
         comp = rng.integers(0, self.mu.size, size=n)
         mu = self.mu[comp]
         sigma = self.sigma[comp]
         lo_u = _norm_cdf((self.low - mu) / sigma)
         hi_u = _norm_cdf((self.high - mu) / sigma)
         u = rng.uniform(lo_u, hi_u)
-        return np.clip(mu + sigma * _norm_ppf(u), self.low, self.high)
+        x = np.clip(mu + sigma * _norm_ppf(u), self.low, self.high)
+        return [float(np.exp(v)) for v in x] if self.log else [float(v) for v in x]
 
 
 class _DiscreteParzen:
@@ -227,52 +235,36 @@ class _DiscreteParzen:
         return [self.universe[i] for i in idx]
 
 
-def _make_density(spec: ParamSpec, values: list):
-    if spec.kind == "uniform":
-        return _ContinuousParzen(values, spec.low, spec.high)
-    if spec.kind == "log_uniform":
-        return _ContinuousParzen(np.log(values), math.log(spec.low), math.log(spec.high))
+def _universe(spec: ParamSpec) -> Sequence | None:
+    """The values of a discrete dimension; None for a continuous one."""
     if spec.kind == "integer_uniform":
-        universe = list(range(int(spec.low), int(spec.high) + 1))
-        return _DiscreteParzen([int(v) for v in values], universe)
-    return _DiscreteParzen(values, spec.choices)
+        return range(int(spec.low), int(spec.high) + 1)
+    return spec.choices if spec.kind == "choice" else None
 
 
-def _density_pdf(spec: ParamSpec, density, values: list) -> np.ndarray:
-    if spec.kind == "uniform":
-        return density.pdf(values)
-    if spec.kind == "log_uniform":
-        return density.pdf(np.log(values))
-    if spec.kind == "integer_uniform":
-        return density.pdf([int(v) for v in values])
-    return density.pdf(values)
-
-
-def _density_sample(spec: ParamSpec, density, rng, n: int) -> list:
-    if spec.kind == "uniform":
-        return [float(v) for v in density.sample(rng, n)]
-    if spec.kind == "log_uniform":
-        return [float(np.exp(v)) for v in density.sample(rng, n)]
-    return density.sample(rng, n)
+def _fit(spec: ParamSpec, values: list):
+    """The dimension's Parzen density over the observed ``values``."""
+    universe = _universe(spec)
+    if universe is not None:
+        return _DiscreteParzen(values, universe)
+    return _ContinuousParzen(values, spec.low, spec.high, log=spec.kind == "log_uniform")
 
 
 def _holds(spec: ParamSpec, value) -> bool:
     """Whether ``value`` lies in the dimension's domain."""
-    if spec.kind == "choice":
-        return value in spec.choices
-    if spec.kind == "integer_uniform" and int(value) != value:
-        return False
+    universe = _universe(spec)
+    if universe is not None:
+        return value in universe
     return spec.low <= value <= spec.high
 
 
 def _sample_uniform(spec: ParamSpec, rng: np.random.Generator):
-    if spec.kind == "uniform":
-        return float(rng.uniform(spec.low, spec.high))
+    universe = _universe(spec)
+    if universe is not None:
+        return universe[int(rng.integers(0, len(universe)))]
     if spec.kind == "log_uniform":
         return float(np.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
-    if spec.kind == "integer_uniform":
-        return int(rng.integers(int(spec.low), int(spec.high) + 1))
-    return spec.choices[int(rng.integers(0, len(spec.choices)))]
+    return float(rng.uniform(spec.low, spec.high))
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +289,11 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
     candidate_values: dict[str, list] = {}
     log_ratios = np.zeros(cfg.n_candidates)
     for spec in space.params:
-        good_vals = [t.params[spec.name] for t in good]
-        bad_vals = [t.params[spec.name] for t in bad]
-        l_density = _make_density(spec, good_vals)
-        g_density = _make_density(spec, bad_vals)
-        cands = _density_sample(spec, l_density, rng, cfg.n_candidates)
+        l_density = _fit(spec, [t.params[spec.name] for t in good])
+        g_density = _fit(spec, [t.params[spec.name] for t in bad])
+        cands = l_density.sample(rng, cfg.n_candidates)
         candidate_values[spec.name] = cands
-        l_pdf = _density_pdf(spec, l_density, cands)
-        g_pdf = _density_pdf(spec, g_density, cands)
-        log_ratios += np.log(l_pdf) - np.log(g_pdf)
+        log_ratios += np.log(l_density.pdf(cands)) - np.log(g_density.pdf(cands))
 
     chosen = int(np.argmax(log_ratios))
     candidates = tuple(
@@ -398,7 +386,8 @@ def tune_decoder(
     """Tune decode parameters against detection accuracy on held-out maps.
 
     ``maps`` are LoadedMap records; ``gts_net416`` maps image ids to
-    ground-truth boxes in net416 space. When the space holds the decoder
+    ground-truth boxes in net416 space, and the objective scores every one
+    of its images as ``eval`` does. When the space holds the decoder
     defaults, they are evaluated as trial 0, so the returned best can never
     be worse than the baseline. The maps of each trial are scored on a
     ShardPool, so each worker keeps its maps' window winners across trials.
@@ -433,8 +422,13 @@ def tune_decoder(
         return harness.match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
                                    mode=mode, image_id=m.meta.image_id)
 
+    # as in eval, an annotated image without a map is a miss in every trial
+    mapped = {m.meta.image_id for m in maps}
+    unmapped = harness.match_images(
+        {}, {i: boxes for i, boxes in gts_net416.items() if i not in mapped}, iou_threshold, mode)
+
     def objective(raw: dict) -> float:
-        return harness.accuracy(pool.map(to_params(raw)), iou_threshold)
+        return harness.accuracy(pool.map(to_params(raw)) + unmapped, iou_threshold)
 
     # the defaults go first only where the space can hold them: a value
     # outside a dimension's domain would break that dimension's density fit

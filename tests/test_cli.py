@@ -96,8 +96,11 @@ def test_sidecar_missing_field_exits_1(tmp_path, caplog, missing):
     ({"map_to_net_scale": 0}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
     ({"map_to_net_scale": float("nan")}, "'map_to_net_scale' must be a finite number > 0"),
     ({"map_to_net_scale": True}, "'map_to_net_scale' must be a finite number > 0, not True"),
+    ({"space": 5}, "{sidecar}: 'space' must be 'map', not 5"),
+    ({"space": "net416"}, "{sidecar}: 'space' must be 'map', not 'net416'"),
 ], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
-        "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale"])
+        "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
+        "number-space", "net416-space"])
 def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     maps_dir, _, planted = _write_maps(tmp_path, n=1)
     sidecar = maps_dir / f"{planted[0].meta.image_id}.json"
@@ -459,6 +462,17 @@ def test_decode_eval_round_trip(tmp_path, capsys):
     assert (tmp_path / "diag.json").exists()
 
 
+def test_decode_eval_on_48_cell_maps(tmp_path, capsys):
+    # the planted COCO images are as large as their maps, so that the
+    # net416 rescaling of ground truth and detections agrees
+    maps_dir, ann_path, _ = _write_maps(tmp_path, shape=(48, 48))
+    dets, table = tmp_path / "detections.json", tmp_path / "table.csv"
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(dets)]) == 0
+    assert run(["eval", "--detections", str(dets), "--ann", str(ann_path),
+                "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[1] == "detections,1.000,1.000,1.000,1.000,1.000"
+
+
 def test_eval_space_mismatch_exits_1(tmp_path, capsys):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     dets = tmp_path / "detections.json"
@@ -510,10 +524,12 @@ def test_tune_space_without_the_defaults(tmp_path, caplog):
     assert "Traceback" not in caplog.text
 
 
-@pytest.mark.parametrize("seed", [11, 23, 40])
-def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed):
+@pytest.mark.parametrize("seed, unmapped", [(11, False), (23, False), (40, False), (11, True)],
+                         ids=["11", "23", "40", "11-unmapped"])
+def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed, unmapped):
     # one box moved off its peak and one image left unannotated, so that
-    # the accuracy is neither 0 nor 1 and the excluded image matters
+    # the accuracy is neither 0 nor 1 and the excluded image matters;
+    # an annotated image whose map is removed is a miss for both
     maps_dir, ann_path, planted = _write_maps(tmp_path, n=6, seed=seed)
     doc = json.loads(ann_path.read_text())
     missed, unannotated = planted[seed % 3].meta.image_id, planted[3 + seed % 3].meta.image_id
@@ -522,6 +538,10 @@ def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed):
             a["bbox"][0] += a["bbox"][2] + 5
     doc["annotations"] = [a for a in doc["annotations"] if a["image_id"] != unannotated]
     ann_path.write_text(json.dumps(doc))
+    if unmapped:
+        mapless = planted[(seed + 1) % 3].meta.image_id
+        for suffix in (".npy", ".json"):
+            (maps_dir / f"{mapless}{suffix}").unlink()
 
     dets, table, diag = (tmp_path / name for name in ("dets.json", "t.csv", "diag.json"))
     trials = tmp_path / "trials.json"
@@ -535,6 +555,7 @@ def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed):
     assert 0 < objective < 1
     assert objective == sum(im["outcomes"]["0.1"]["hit"] for im in images) / len(images)
     assert table.read_text().splitlines()[1].split(",")[1] == f"{objective:.3f}"
+    assert len(images) == 5
 
 
 _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
@@ -575,6 +596,23 @@ def test_gradcheck_passes(capsys):
     assert "deconv2d" in out and "FAIL" not in out
 
 
+# sha256 of `literati gradcheck --seed N` stdout, recorded before grad_check
+# took each op's forward pass and VJP from one table
+GRADCHECK_DIGESTS = {
+    0: "398ddedf50ad4ff14733f95e113b783d164c0866af8397184c8cf076de588425",
+    1: "41d9083212dd94db1e83cd550855d2c9708d86a4a901ba20c8ed0330872242af",
+    2: "d2ca3e959f18d85bf8e1e410dfc1af8c98ae07b01ed89467f032697b104417f9",
+    3: "44c5ea00ddef797808ce786c10dbcf60b1785ea0829256c1abe484ae0d48fe47",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GRADCHECK_DIGESTS))
+def test_gradcheck_output_digest_is_pinned(capsys, seed):
+    assert run(["gradcheck", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_DIGESTS[seed]
+
+
 def test_demo_prints_perfect_table(tmp_path, capsys):
     assert run(["demo", "--seed", "3", "--n-images", "12",
                 "--out", str(tmp_path / "demo")]) == 0
@@ -584,7 +622,11 @@ def test_demo_prints_perfect_table(tmp_path, capsys):
     # accuracy 1.000 at IOU 0.3 (third numeric column)
     assert lines[1].split(",")[3] == "1.000"
     assert (tmp_path / "demo" / "table.csv").exists()
-    assert (tmp_path / "demo" / "detections.json").exists()
+    # demo's detections are those of `decode` on the maps it wrote
+    redecoded = tmp_path / "redecoded.json"
+    assert run(["decode", "--maps", str(tmp_path / "demo" / "maps"), "--space", "net416",
+                "--out", str(redecoded)]) == 0
+    assert (tmp_path / "demo" / "detections.json").read_bytes() == redecoded.read_bytes()
 
 
 # --- worker processes -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from literati.tpe_tuner import (
     suggest,
     suggest_with_trace,
     tune_decoder,
+    write_trials,
 )
 
 
@@ -115,6 +117,15 @@ def test_suggest_bound_respect_1000():
         assert params["mode"] in ("a", "b", "c")
         if len(history) < 40:  # keep density fits over a realistic history
             history.append(_trial(params, float(rng.normal())))
+
+
+def test_uniform_spec_with_choices_stays_continuous():
+    # the kind alone decides the domain: choices on a uniform spec are ignored
+    space = SearchSpace((ParamSpec("x", "uniform", 0.0, 1.0, choices=(1, 2)),))
+    _, history = optimize(lambda p: -(p["x"] - 0.3) ** 2, space, 30, TpeConfig(seed=0))
+    xs = [t.params["x"] for t in history]
+    assert all(isinstance(x, float) and 0.0 <= x <= 1.0 for x in xs)
+    assert len(set(xs)) == len(xs)
 
 
 def test_failed_trials_excluded_from_fit():
@@ -233,6 +244,31 @@ def test_optimize_deterministic():
                               TpeConfig(seed=3))
         runs.append([(t.params["x"], t.objective) for t in history])
     assert runs[0] == runs[1]
+
+
+# sha256 of the trial log of `optimize` over all four kinds, 40 trials per
+# seed, recorded before each kind's density and domain were resolved in one place
+OPTIMIZE_DIGESTS = {
+    0: "7db2f6d5efa8d3c0903c2699adc94cc16ea43502c66de5c83e4b42645ff6ab0e",
+    1: "464f11f7d29f2061373475162696b9a34d7bd66086df812b748ae140cce2ec23",
+    2: "eccea9bc9782b3a1ed28274cd3704ec55dbfeb48ffbc3033f1c7c73a9db9b424",
+    3: "824ba1e07fd3dfa2b240bf69ea4f8c8f8b71999d39fa54cb643ab32844ef2154",
+    4: "39b3e8a420067953d7847ea3804b5e3bef73de68fa1e51f94c9343d017888705",
+    5: "2cc94e429e60042f0c4b1f831a60326df5283b3104b831cdc7c585aee5a99c35",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(OPTIMIZE_DIGESTS))
+def test_optimize_log_digest_is_pinned(tmp_path, seed):
+    def objective(p):
+        return (-(p["x"] - 1.5) ** 2 - (math.log10(p["lr"]) + 2.0) ** 2
+                - 0.3 * abs(p["d"] - 5) + {"a": 0.0, "b": 0.7, "c": 0.2}[p["mode"]])
+
+    _, history = optimize(objective, _mixed_space(), 40, TpeConfig(seed=seed))
+    assert len({t.objective for t in history}) == 40
+    path = tmp_path / "trials.json"
+    write_trials(path, history)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMIZE_DIGESTS[seed]
 
 
 # --- tune_decoder -----------------------------------------------------------------

@@ -22,6 +22,6 @@ __version__ = "0.1.0"
 FORMAT_VERSIONS = {
     "detections": 1,
     "trials": 1,
-    "map-sidecar": 1,
+    "map-sidecar": 2,
     "lexicon": 1,
 }

@@ -25,7 +25,8 @@ NET_SIZE = 416
 class CocoParseError(ValueError):
     """The document is not valid JSON or not an object, lacks a required
     array or holds a non-array there, or an entry of one is not an object,
-    lacks its id or holds a bbox that is not 4 finite numbers."""
+    lacks its id, holds a category id that is an array or an object, or
+    holds a bbox that is not 4 finite numbers."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -91,6 +92,17 @@ class DatasetSplit:
 _DISEASE_CATEGORIES = {"pneumonia", "pneumothorax"}
 
 
+def is_finite_number(value) -> bool:
+    """A JSON number that a float holds: not a bool, NaN, an infinity or an
+    integer beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def _required(record, array: str, i: int, key: str):
     """``record[key]`` for entry ``i`` of a COCO array, or a CocoParseError."""
     if not isinstance(record, dict):
@@ -98,6 +110,13 @@ def _required(record, array: str, i: int, key: str):
     if key not in record:
         raise CocoParseError(f"{array}[{i}] is missing {key!r}")
     return record[key]
+
+
+def _category_id(value, where: str):
+    """``value`` as a category key; an array or an object cannot be one."""
+    if isinstance(value, (list, dict)):
+        raise CocoParseError(f"{where} must be a string or a number, not {value!r}")
+    return value
 
 
 def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
@@ -127,7 +146,8 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
 
     categories = {}
     for i, cat in enumerate(doc["categories"]):
-        categories[_required(cat, "categories", i, "id")] = str(cat.get("name", ""))
+        cat_id = _category_id(_required(cat, "categories", i, "id"), f"categories[{i}] 'id'")
+        categories[cat_id] = str(cat.get("name", ""))
 
     images: dict[str, ImageRecord] = {}
     for i, im in enumerate(doc["images"]):
@@ -135,8 +155,7 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
         width = im.get("width", 0)
         height = im.get("height", 0)
         for key, value in (("width", width), ("height", height)):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not is_finite_number(value):
                 raise CocoParseError(f"images[{i}] {key!r} is not a finite number: {value!r}")
         if width <= 0 or height <= 0:
             raise CocoValidationError(
@@ -152,9 +171,8 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
                 f"annotation references unknown image id {image_id!r}"
             )
         bbox = _required(ann, "annotations", i, "bbox")
-        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4 and all(
-                not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-                for v in bbox)):
+        if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4
+                and all(is_finite_number(v) for v in bbox)):
             raise CocoParseError(
                 f"annotations[{i}] 'bbox' is not an array of 4 finite numbers: {bbox!r}")
         x, y, w, h = (float(v) for v in bbox)
@@ -162,7 +180,8 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
             raise CocoValidationError(
                 f"annotation on image {image_id}: non-positive bbox dims {w}x{h}"
             )
-        cat_name = categories.get(ann.get("category_id"), "")
+        cat_id = _category_id(ann.get("category_id"), f"annotations[{i}] 'category_id'")
+        cat_name = categories.get(cat_id, "")
         phrase = ann.get("caption") or ann.get("phrase") or cat_name
         if not phrase:
             raise CocoValidationError(f"annotation on image {image_id}: empty phrase")

@@ -279,6 +279,12 @@ def cmd_demo(args) -> int:
     out_dir = Path(args.out)
     maps_dir = out_dir / "maps"
     planted = synthetic.make_planted_maps(args.n_images, args.seed)
+    # a map left by another run would be decoded by `decode` but not by this demo
+    ours = {f"{p.meta.image_id}.npy" for p in planted}
+    stale = sorted(path.name for path in maps_dir.glob("*.npy") if path.name not in ours)
+    if stale:
+        raise ValueError(f"{maps_dir} holds {len(stale)} map(s) that this run would not "
+                         f"write, such as {stale[0]}; use another --out")
     # decode the float32 maps as written, so that `decode` on them agrees
     maps = [decoder.load_map(decoder.save_map(maps_dir, p.meta, p.logits)) for p in planted]
     ann_path = out_dir / "annotations.json"

@@ -26,14 +26,13 @@ varies from trial to trial.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from .annotation_store import Box
+from .annotation_store import NET_SIZE, Box, is_finite_number, rescale_box
 
 MAP_SPACE = "map"
 
@@ -304,16 +303,11 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
 class MapMeta:
     image_id: str
     classes: tuple[str, ...]
-    space: str = MAP_SPACE
-    map_to_net_scale: float = 1.0
+    size: tuple[int, int]  # (width, height) in cells, taken from the .npy
 
     def to_dict(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "classes": list(self.classes),
-            "space": self.space,
-            "map_to_net_scale": self.map_to_net_scale,
-        }
+        """The sidecar, format 2: the size is the .npy's, so it is not written."""
+        return {"image_id": self.image_id, "classes": list(self.classes)}
 
 
 @dataclass(frozen=True)
@@ -349,28 +343,30 @@ def load_map(npy_path) -> LoadedMap:
         image_id, classes = meta_doc["image_id"], meta_doc["classes"]
     except KeyError as e:
         raise ValueError(f"{sidecar}: missing field {e}") from e
-    scale = meta_doc.get("map_to_net_scale", 1.0)
     space = meta_doc.get("space", MAP_SPACE)
     if not isinstance(image_id, str) or not image_id:
         raise ValueError(f"{sidecar}: 'image_id' must be a non-empty string, not {image_id!r}")
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise ValueError(f"{sidecar}: 'classes' must be a list of strings, not {classes!r}")
-    if (isinstance(scale, bool) or not isinstance(scale, (int, float))
-            or not (math.isfinite(scale) and scale > 0)):
-        raise ValueError(f"{sidecar}: 'map_to_net_scale' must be a finite number > 0, "
-                         f"not {scale!r}")
     if space != MAP_SPACE:
         raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
-    meta = MapMeta(image_id=image_id, classes=tuple(classes), map_to_net_scale=float(scale))
     arr = np.load(npy_path, allow_pickle=False)
     if arr.dtype != np.float32:
         raise ValueError(f"map {npy_path.name}: expected float32, got {arr.dtype}")
     arr = validate_logit_map(arr)
-    if arr.shape[0] != len(meta.classes):
+    if arr.shape[0] != len(classes):
         raise ValueError(
             f"map {npy_path.name}: {arr.shape[0]} channels but "
-            f"{len(meta.classes)} class names in sidecar"
+            f"{len(classes)} class names in sidecar"
         )
+    _, height, width = arr.shape
+    # format 1 held the width's scale; any other would now decode to other boxes
+    if "map_to_net_scale" in meta_doc:
+        scale = meta_doc["map_to_net_scale"]
+        if not (width and is_finite_number(scale) and scale == NET_SIZE / width):
+            raise ValueError(f"{sidecar}: 'map_to_net_scale' must be {NET_SIZE} / {width} "
+                             f"({NET_SIZE} over the map's width in cells), not {scale!r}")
+    meta = MapMeta(image_id=image_id, classes=tuple(classes), size=(width, height))
     return LoadedMap(meta=meta, logits=arr)
 
 
@@ -391,8 +387,8 @@ def load_maps_dir(directory) -> list[LoadedMap]:
 
 
 def detection_to_net416(det: Detection, meta: MapMeta) -> Detection:
-    s = meta.map_to_net_scale
-    box = Box(det.box.x * s, det.box.y * s, det.box.w * s, det.box.h * s, "net416")
+    """``det`` with its box stretched to net416 on each axis, as ground truth is."""
+    box = rescale_box(det.box, meta.size, (NET_SIZE, NET_SIZE), to_space="net416")
     return Detection(det.class_index, box, det.confidence, det.centroid)
 
 
@@ -412,31 +408,47 @@ def detections_to_json(per_image: dict[str, list[Detection]], classes_by_image: 
     return json.dumps(entries, indent=2)
 
 
+def _finite_numbers(value, n: int, what: str, where: str) -> list[float]:
+    if not (isinstance(value, list) and len(value) == n and all(map(is_finite_number, value))):
+        raise ValueError(f"{where}: {what} must be a list of {n} numbers, each finite, "
+                         f"not {value!r}")
+    return [float(v) for v in value]
+
+
 def detections_from_json(path) -> dict[str, list[Detection]]:
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
+    """Detections by image id, by descending confidence; ties keep the
+    file's order, which is the order ``decode`` gave them."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            entries = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a JSON array of detections")
     per_image: dict[str, list[Detection]] = {}
     for i, e in enumerate(entries):
+        where = f"{path}: entry {i}"
         if not isinstance(e, dict):
-            raise ValueError(f"{path}: entry {i}: not an object")
+            raise ValueError(f"{where}: not an object")
         try:
-            box_values, centroid = e["box"], e["centroid"]
-            if not isinstance(box_values, list) or len(box_values) != 4:
-                raise ValueError(f"{path}: entry {i}: box must be a list of 4 numbers")
-            if not isinstance(centroid, list) or len(centroid) != 2:
-                raise ValueError(f"{path}: entry {i}: centroid must be a list of 2 numbers")
-            det = Detection(
-                class_index=0,  # class carried by name in the file
-                box=Box(*(float(v) for v in box_values), space=e["space"]),
-                confidence=float(e["confidence"]),
-                centroid=(float(centroid[0]), float(centroid[1])),
-            )
-            image_id = e["image_id"]
+            image_id, confidence = e["image_id"], e["confidence"]
+            box_values = _finite_numbers(e["box"], 4, "box", where)
+            centroid = _finite_numbers(e["centroid"], 2, "centroid", where)
+            space = e["space"]
         except KeyError as err:
-            raise ValueError(f"{path}: entry {i}: missing field {err}") from err
+            raise ValueError(f"{where}: missing field {err}") from err
+        if not isinstance(image_id, str) or not image_id:
+            raise ValueError(f"{where}: 'image_id' must be a non-empty string, not {image_id!r}")
+        if not is_finite_number(confidence):
+            raise ValueError(f"{where}: 'confidence' must be a finite number, "
+                             f"not {confidence!r}")
+        try:
+            box = Box(*box_values, space=space)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from err
+        det = Detection(class_index=0,  # class carried by name in the file
+                        box=box, confidence=float(confidence), centroid=tuple(centroid))
         per_image.setdefault(image_id, []).append(det)
     for dets in per_image.values():
-        dets.sort(key=lambda det: (-det.confidence, det.centroid))
+        dets.sort(key=lambda det: -det.confidence)  # stable
     return per_image

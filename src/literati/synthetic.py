@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotation_store import NET_SIZE, Box
+from .annotation_store import Box
 from .map_decoder import MapMeta
 
 
@@ -107,17 +107,11 @@ def make_planted_maps(
         meta = MapMeta(
             image_id=f"{id_prefix}-{seed}-{i:03d}",
             classes=("background", "pneumonia"),
-            space="map",
-            map_to_net_scale=NET_SIZE / W,
+            size=(W, H),
         )
         out.append(PlantedMap(meta=meta, logits=logits, boxes=tuple(boxes),
                               centers=tuple(centers)))
     return out
-
-
-def boxes_to_net416(planted: PlantedMap) -> list[Box]:
-    s = planted.meta.map_to_net_scale
-    return [Box(b.x * s, b.y * s, b.w * s, b.h * s, "net416") for b in planted.boxes]
 
 
 def planted_coco(planted_maps: list[PlantedMap]) -> dict:

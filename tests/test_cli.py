@@ -84,6 +84,10 @@ def test_sidecar_missing_field_exits_1(tmp_path, caplog, missing):
     assert "Traceback" not in caplog.text
 
 
+# a format-1 sidecar's scale must be the one its 64-cell-wide map implies
+_SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's width in cells), "
+
+
 @pytest.mark.parametrize("edit, message", [
     ("[]", "{sidecar}: top level must be a JSON object, not list"),
     ('{"image_id": ', "{sidecar}: invalid JSON"),
@@ -91,16 +95,17 @@ def test_sidecar_missing_field_exits_1(tmp_path, caplog, missing):
     ({"image_id": ""}, "{sidecar}: 'image_id' must be a non-empty string, not ''"),
     ({"classes": "ab"}, "{sidecar}: 'classes' must be a list of strings, not 'ab'"),
     ({"classes": ["background", 1]}, "{sidecar}: 'classes' must be a list of strings"),
-    ({"map_to_net_scale": "x"}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
-    ({"map_to_net_scale": -1}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
-    ({"map_to_net_scale": 0}, "{sidecar}: 'map_to_net_scale' must be a finite number > 0"),
-    ({"map_to_net_scale": float("nan")}, "'map_to_net_scale' must be a finite number > 0"),
-    ({"map_to_net_scale": True}, "'map_to_net_scale' must be a finite number > 0, not True"),
+    ({"map_to_net_scale": "x"}, _SCALE + "not 'x'"),
+    ({"map_to_net_scale": -1}, _SCALE + "not -1"),
+    ({"map_to_net_scale": 0}, _SCALE + "not 0"),
+    ({"map_to_net_scale": float("nan")}, _SCALE + "not nan"),
+    ({"map_to_net_scale": True}, _SCALE + "not True"),
+    ({"map_to_net_scale": 1.0}, _SCALE + "not 1.0"),
     ({"space": 5}, "{sidecar}: 'space' must be 'map', not 5"),
     ({"space": "net416"}, "{sidecar}: 'space' must be 'map', not 'net416'"),
 ], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
         "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
-        "number-space", "net416-space"])
+        "unit-scale", "number-space", "net416-space"])
 def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     maps_dir, _, planted = _write_maps(tmp_path, n=1)
     sidecar = maps_dir / f"{planted[0].meta.image_id}.json"
@@ -165,6 +170,33 @@ def test_detections_malformed_entry_exits_1(tmp_path, caplog, fault, message):
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("edit, message", [
+    ("[{", "{det}: invalid JSON"),
+    ({"confidence": None}, "{det}: entry 1: 'confidence' must be a finite number, not None"),
+    ({"confidence": True}, "{det}: entry 1: 'confidence' must be a finite number, not True"),
+    ({"centroid": [None, 2]},
+     "{det}: entry 1: centroid must be a list of 2 numbers, each finite, not [None, 2]"),
+    ({"box": [1, float("nan"), 2, 3]},
+     "{det}: entry 1: box must be a list of 4 numbers, each finite, not [1, nan, 2, 3]"),
+    ({"box": [1, 2, 0, 3]}, "{det}: entry 1: box dims must be positive"),
+    ({"image_id": ["a"]}, "{det}: entry 1: 'image_id' must be a non-empty string, not ['a']"),
+    ({"space": "nowhere"}, "{det}: entry 1: unknown coordinate space 'nowhere'"),
+], ids=["invalid-json", "null-confidence", "bool-confidence", "null-centroid", "nan-box",
+        "zero-width", "array-id", "unknown-space"])
+def test_detections_bad_value_exits_1(tmp_path, caplog, edit, message):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(det)]) == 0
+    if isinstance(edit, dict):
+        entries = json.loads(det.read_text())
+        entries[1].update(edit)
+        edit = json.dumps(entries)
+    det.write_text(edit)
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    _one_line_error(caplog, message.format(det=det))
+
+
 @pytest.mark.parametrize("array, key", [
     ("images", "id"), ("categories", "id"), ("annotations", "image_id"),
 ])
@@ -186,7 +218,8 @@ def test_coco_missing_id_exits_1(tmp_path, caplog, array, key):
     ("height", True, "images[0] 'height' is not a finite number: True"),
     ("width", None, "images[0] 'width' is not a finite number: None"),
     ("height", 0, "non-positive dimensions"),
-], ids=["str-width", "bool-height", "null-width", "zero-height"])
+    ("width", 10 ** 400, f"images[0] 'width' is not a finite number: {10 ** 400}"),
+], ids=["str-width", "bool-height", "null-width", "zero-height", "huge-width"])
 def test_coco_bad_dimension_exits_1(tmp_path, caplog, key, value, message):
     _, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"
@@ -233,6 +266,21 @@ def test_coco_bad_bbox_exits_1(tmp_path, caplog, bbox, shown):
     assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
                 "--out", str(tmp_path / "t.csv")]) == 1
     _one_line_error(caplog, f"annotations[1] 'bbox' is not an array of 4 finite numbers: {shown}")
+
+
+@pytest.mark.parametrize("array, key, value", [
+    ("categories", "id", [1]), ("annotations", "category_id", {"id": 1}),
+], ids=["array-category", "object-category-id"])
+def test_coco_unhashable_category_id_exits_1(tmp_path, caplog, array, key, value):
+    _, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    doc = json.loads(ann_path.read_text())
+    doc[array][0][key] = value
+    ann_path.write_text(json.dumps(doc))
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(tmp_path / "t.csv")]) == 1
+    _one_line_error(caplog, f"{array}[0] {key!r} must be a string or a number, not {value!r}")
 
 
 def test_detections_not_an_array_exits_1(tmp_path, caplog):
@@ -473,6 +521,61 @@ def test_decode_eval_on_48_cell_maps(tmp_path, capsys):
     assert table.read_text().splitlines()[1] == "detections,1.000,1.000,1.000,1.000,1.000"
 
 
+@pytest.mark.parametrize("shape", [(32, 64), (64, 32)], ids=["wide", "tall"])
+def test_decode_eval_and_tune_on_non_square_maps(tmp_path, capsys, shape):
+    # net416 stretches each axis of a map on its own, as it does ground truth
+    maps_dir, ann_path, _ = _write_maps(tmp_path, shape=shape)
+    dets, table, trials = (tmp_path / name for name in ("dets.json", "t.csv", "trials.json"))
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(dets)]) == 0
+    assert run(["eval", "--detections", str(dets), "--ann", str(ann_path),
+                "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[1] == "detections,1.000,1.000,1.000,1.000,1.000"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "1",
+                "--out", str(trials)]) == 0
+    assert json.loads(trials.read_text())[0]["objective"] == 1.0
+
+
+def test_format_1_sidecar_decodes_as_format_2(tmp_path):
+    maps_dir, _, planted = _write_maps(tmp_path, shape=(32, 64))
+    argv = ["decode", "--maps", str(maps_dir), "--space", "net416", "--out"]
+    assert run(argv + [str(tmp_path / "det2.json")]) == 0
+    for p in planted:  # format 1 also held the space and the width's scale
+        sidecar = maps_dir / f"{p.meta.image_id}.json"
+        doc = json.loads(sidecar.read_text())
+        assert sorted(doc) == ["classes", "image_id"]
+        sidecar.write_text(json.dumps({**doc, "space": "map", "map_to_net_scale": 416 / 64}))
+    assert run(argv + [str(tmp_path / "det1.json")]) == 0
+    assert (tmp_path / "det1.json").read_bytes() == (tmp_path / "det2.json").read_bytes()
+
+
+def test_tied_peaks_keep_decode_order_in_eval(tmp_path, capsys):
+    # a class-1 and a class-2 plateau, both of probability 1.0: decode puts
+    # class 1 first, and the ground truth is on it
+    logits = np.zeros((3, 32, 32))
+    logits[1, 18:23, 18:23] = 40.0
+    logits[2, 3:8, 3:8] = 40.0
+    maps_dir = tmp_path / "maps"
+    save_map(maps_dir, MapMeta("tie", ("background", "pneumonia", "pneumothorax"), (32, 32)),
+             logits)
+    ann_path = tmp_path / "ann.json"
+    ann_path.write_text(json.dumps({
+        "images": [{"id": "tie", "width": 32, "height": 32}],
+        "annotations": [{"id": 1, "image_id": "tie", "bbox": [18, 18, 5, 5],
+                         "category_id": 1}],
+        "categories": [{"id": 1, "name": "pneumonia"}]}))
+    dets, table, trials = (tmp_path / name for name in ("dets.json", "t.csv", "trials.json"))
+    assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(dets)]) == 0
+    entries = json.loads(dets.read_text())
+    assert [e["class"] for e in entries] == ["pneumonia", "pneumothorax"]
+    assert entries[0]["confidence"] == entries[1]["confidence"]
+    assert run(["eval", "--detections", str(dets), "--ann", str(ann_path),
+                "--out", str(table)]) == 0
+    assert table.read_text().splitlines()[1] == "detections,1.000,1.000,1.000,1.000,1.000"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "1",
+                "--out", str(trials)]) == 0
+    assert json.loads(trials.read_text())[0]["objective"] == 1.0
+
+
 def test_eval_space_mismatch_exits_1(tmp_path, capsys):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     dets = tmp_path / "detections.json"
@@ -629,6 +732,20 @@ def test_demo_prints_perfect_table(tmp_path, capsys):
     assert (tmp_path / "demo" / "detections.json").read_bytes() == redecoded.read_bytes()
 
 
+def test_demo_refuses_maps_of_another_run(tmp_path, capsys, caplog):
+    out = tmp_path / "demo"
+    argv = ["demo", "--seed", "3", "--n-images", "5", "--out", str(out)]
+    assert run(argv) == 0
+    assert run(argv) == 0  # the same run again writes the same maps
+    detections = (out / "detections.json").read_bytes()
+    for seed, n in (("4", "5"), ("3", "4")):
+        caplog.clear()
+        assert run(["demo", "--seed", seed, "--n-images", n, "--out", str(out)]) == 1
+        _one_line_error(caplog, f"{out / 'maps'} holds")
+        assert (out / "detections.json").read_bytes() == detections
+    assert len(list((out / "maps").glob("*.npy"))) == 5
+
+
 # --- worker processes -------------------------------------------------------------------
 
 WORKER_COUNTS = (1, 2, 3)
@@ -659,7 +776,7 @@ def _write_noise_maps(tmp_path, n=5, seed=2):
         side = (40, 56)[i % 2]
         smooth = ndimage.gaussian_filter(rng.normal(size=(3, side, side)), sigma=(0, 2, 2))
         meta = MapMeta(f"noise{i}", ("background", "pneumonia", "pneumothorax"),
-                       map_to_net_scale=416 / side)
+                       size=(side, side))
         save_map(maps_dir, meta, 3 * smooth / smooth.std())
     return maps_dir
 

@@ -10,7 +10,6 @@ from literati.map_decoder import (
     _GROW_RADIUS,
     DecodeParams,
     Detection,
-    MapMeta,
     PeakRegion,
     PreparedMap,
     decode,
@@ -352,12 +351,18 @@ def test_load_map_requires_sidecar(tmp_path):
 
 
 def test_load_map_rejects_wrong_dtype(tmp_path):
-    meta = MapMeta(image_id="x", classes=("background", "pneumonia"))
     np.save(tmp_path / "x.npy", np.zeros((2, 4, 4), dtype=np.float64))
     (tmp_path / "x.json").write_text(
-        '{"image_id": "x", "classes": ["background", "pneumonia"], '
-        '"space": "map", "map_to_net_scale": 1.0}')
+        '{"image_id": "x", "classes": ["background", "pneumonia"]}')
     with pytest.raises(ValueError, match="float32"):
+        load_map(tmp_path / "x.npy")
+
+
+def test_load_map_refuses_a_format_1_scale_on_a_map_without_width(tmp_path):
+    np.save(tmp_path / "x.npy", np.zeros((2, 4, 0), dtype=np.float32))
+    (tmp_path / "x.json").write_text(
+        '{"image_id": "x", "classes": ["background", "pneumonia"], "map_to_net_scale": 6.5}')
+    with pytest.raises(ValueError, match=r"'map_to_net_scale' must be 416 / 0 "):
         load_map(tmp_path / "x.npy")
 
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from literati.annotation_store import NET_SIZE, rescale_box
 from literati.eval_harness import match_image
 from literati.map_decoder import DecodeParams, decode, detection_to_net416
-from literati.synthetic import boxes_to_net416, make_planted_maps
+from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
     ParamSpec,
     SearchSpace,
@@ -280,7 +281,9 @@ def _tune_fixture():
                              baseline=2.5, sigma_range=(2.8, 3.2))
     planted_maps = [type("M", (), {"meta": p.meta, "logits": p.logits})()
                     for p in maps]
-    gts = {p.meta.image_id: boxes_to_net416(p) for p in maps}
+    gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
+                             for b in p.boxes]
+           for p in maps}
     return planted_maps, gts, maps
 
 

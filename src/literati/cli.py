@@ -5,19 +5,23 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
 ``decode``, ``demo`` and the ``tune`` objective spread their maps over
 forked worker processes (literati.shards), each holding its shard of the
-prepared maps; the LITERATI_THREADS environment variable caps how many,
-and outputs do not depend on it. ``parse`` and ``eval`` run serially.
+prepared maps. ``parse`` streams chunks of report lines through forked
+workers and writes each chunk's expressions as it comes back, in input
+order. The LITERATI_THREADS environment variable caps how many workers,
+and outputs do not depend on it. ``eval`` runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
 import shutil
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
+from itertools import islice
 from pathlib import Path
 
 from . import FORMAT_VERSIONS, __version__
@@ -28,9 +32,14 @@ from . import numeric_heads as heads
 from . import report_parser as parser_mod
 from . import synthetic
 from . import tpe_tuner as tpe
-from .shards import ShardPool, worker_count
+from .shards import ShardPool, ordered_map, worker_count
 
 logger = logging.getLogger("literati")
+
+# Reports per chunk that `parse` sends to a worker: large enough that the
+# pipe round trip is small beside parsing, small enough that the chunks in
+# flight hold little memory.
+PARSE_CHUNK = 256
 
 
 class UsageError(Exception):
@@ -149,14 +158,26 @@ def _replaced_on_success(path):
 def cmd_parse(args) -> int:
     lexicon = (parser_mod.Lexicon.from_file(args.lexicon)
                if args.lexicon else parser_mod.default_lexicon())
-    # one report at a time, so memory does not grow with the corpus
-    n_reports = n_expressions = 0
-    with _replaced_on_success(args.out) as out:
-        for report in parser_mod.iter_reports_jsonl(args.reports):
+
+    def parse_chunk(lines):
+        text = io.StringIO()
+        n_expressions = 0
+        for line, where in lines:
+            report = parser_mod.report_from_line(line, where)
             expressions = parser_mod.parse_report(report, lexicon, args.level)
-            parser_mod.write_expressions_jsonl(out, expressions)
-            n_reports += 1
+            parser_mod.write_expressions_jsonl(text, expressions)
             n_expressions += len(expressions)
+        return len(lines), n_expressions, text.getvalue()
+
+    lines = parser_mod.report_lines(args.reports)
+    chunks = iter(lambda: list(islice(lines, PARSE_CHUNK)), [])  # until the file ends
+    n_reports = n_expressions = 0
+    with _replaced_on_success(args.out) as out, \
+            closing(ordered_map(parse_chunk, chunks)) as results:
+        for chunk_reports, chunk_expressions, text in results:
+            out.write(text)
+            n_reports += chunk_reports
+            n_expressions += chunk_expressions
     logger.info("parsed %d reports into %d expressions", n_reports, n_expressions)
     return 0
 

@@ -366,6 +366,8 @@ def load_map(npy_path) -> LoadedMap:
         if not (width and is_finite_number(scale) and scale == NET_SIZE / width):
             raise ValueError(f"{sidecar}: 'map_to_net_scale' must be {NET_SIZE} / {width} "
                              f"({NET_SIZE} over the map's width in cells), not {scale!r}")
+    if height == 0 or width == 0:
+        raise ValueError(f"map {npy_path.name}: no cells (shape {arr.shape})")
     meta = MapMeta(image_id=image_id, classes=tuple(classes), size=(width, height))
     return LoadedMap(meta=meta, logits=arr)
 

@@ -19,9 +19,12 @@ index: a dict from a lowercased token to the entries that start with it,
 longest first. The helper is tried only at tokens that start some entry,
 so a token costs one membership test, whatever the size of the lexicon.
 
-Reports are read one line at a time (``iter_reports_jsonl``), so a caller
-that writes each report's expressions before reading the next, as
-``literati parse`` does, keeps its memory flat as the corpus grows.
+Reports are read one line at a time: ``report_lines`` yields each
+non-blank line with its ``path:lineno``, and ``report_from_line``, the one
+place a line is checked, builds its report. ``literati parse`` holds only a
+bounded run of lines at a time, so its memory stays flat as the corpus
+grows: forked workers build and parse the reports of each chunk of lines
+and return the chunk's JSON lines, which the parent writes in input order.
 
 All operations are pure functions of their inputs and safe to call
 concurrently.
@@ -570,37 +573,46 @@ def parse_report(report: Report, lexicon: Lexicon, level: str) -> list[Referring
     return out
 
 
+def report_lines(path) -> Iterator[tuple[str, str]]:
+    """``(line, "path:lineno")`` for each non-blank line of a JSON Lines file,
+    read one line at a time."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if line:
+                yield line, f"{path}:{lineno}"
+
+
+def report_from_line(line: str, where: str) -> Report:
+    """The report one JSON line holds; a malformed line raises a ValueError
+    that starts with ``where``."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, not {type(doc).__name__}")
+    for key, types in (("subject_id", (str, int)), ("study_id", (str, int)), ("text", str)):
+        if key not in doc:
+            raise ValueError(f"{where}: missing field {key!r}")
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            kind = "a string" if types is str else "a string or an integer"
+            raise ValueError(f"{where}: {key!r} must be {kind}, not {value!r}")
+    try:
+        return Report(doc["subject_id"], doc["study_id"], doc["text"])
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from e
+
+
 def iter_reports_jsonl(path) -> Iterator[Report]:
     """Reports of a JSON Lines file, read one line at a time.
 
     A malformed line raises a ValueError naming ``path:lineno`` when the
     iteration reaches it.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: invalid JSON ({e.msg})") from e
-            if not isinstance(doc, dict):
-                raise ValueError(f"{where}: expected a JSON object, not {type(doc).__name__}")
-            for key, types in (("subject_id", (str, int)), ("study_id", (str, int)),
-                               ("text", str)):
-                if key not in doc:
-                    raise ValueError(f"{where}: missing field {key!r}")
-                value = doc[key]
-                if isinstance(value, bool) or not isinstance(value, types):
-                    kind = "a string" if types is str else "a string or an integer"
-                    raise ValueError(f"{where}: {key!r} must be {kind}, not {value!r}")
-            try:
-                report = Report(doc["subject_id"], doc["study_id"], doc["text"])
-            except ValueError as e:
-                raise ValueError(f"{where}: {e}") from e
-            yield report
+    for line, where in report_lines(path):
+        yield report_from_line(line, where)
 
 
 def read_reports_jsonl(path) -> list[Report]:

@@ -6,16 +6,16 @@ import signal
 import stat
 import threading
 import time
-from contextlib import suppress
+from contextlib import closing, suppress
 from importlib import resources
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from literati import map_decoder
-from literati.cli import run
-from literati.shards import ShardPool, WorkerLostError, worker_count
+from literati import map_decoder, report_parser
+from literati.cli import PARSE_CHUNK, run
+from literati.shards import ShardPool, WorkerLostError, ordered_map, worker_count
 from literati.synthetic import make_planted_maps, planted_coco
 from literati.map_decoder import MapMeta, save_map
 
@@ -115,6 +115,18 @@ def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     out = tmp_path / "det.json"
     assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(out)]) == 1
     _one_line_error(caplog, message.format(sidecar=sidecar))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 0), (2, 0, 4)])
+def test_map_without_cells_exits_1(tmp_path, caplog, shape):
+    maps_dir = tmp_path / "maps"
+    maps_dir.mkdir()
+    np.save(maps_dir / "x.npy", np.zeros(shape, dtype=np.float32))
+    (maps_dir / "x.json").write_text('{"image_id": "x", "classes": ["background", "pneumonia"]}')
+    out = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(out)]) == 1
+    _one_line_error(caplog, f"map x.npy: no cells (shape {shape})")
     assert not out.exists()
 
 
@@ -768,6 +780,22 @@ def _finishes(fn, seconds=60):
     return result[0]
 
 
+def _write_corpus(tmp_path, n=3 * PARSE_CHUNK + 17, bad_line=None):
+    """``n`` reports cycling through the bundled sample, over several parse chunks;
+    line ``bad_line`` (1-based) is not JSON."""
+    sample = (FIXTURES / "reports_sample.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = []
+    for i in range(n):
+        doc = json.loads(sample[i % len(sample)])
+        doc["subject_id"] = f"s{i}"
+        lines.append(json.dumps(doc))
+    if bad_line is not None:
+        lines[bad_line - 1] = '{"subject_id": "s%d"' % bad_line
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _write_noise_maps(tmp_path, n=5, seed=2):
     # smoothed noise: many peaks and regions per map, on two map sizes
     rng = np.random.default_rng(seed)
@@ -866,6 +894,44 @@ def test_tune_log_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys,
     assert len({t["objective"] for t in log}) > 1
 
 
+@pytest.mark.parametrize("level", report_parser.LEVELS)
+def test_parse_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, level):
+    reports = _write_corpus(tmp_path)
+    outs = set()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        out = tmp_path / f"expr{workers}.jsonl"
+        assert run(["parse", "--reports", str(reports), "--level", level,
+                    "--out", str(out)]) == 0
+        outs.add(out.read_bytes())
+        _no_child_left()
+    assert len(outs) == 1
+    serial = tmp_path / "serial.jsonl"
+    report_parser.write_expressions_jsonl(serial, [
+        e for r in report_parser.iter_reports_jsonl(reports)
+        for e in report_parser.parse_report(r, report_parser.default_lexicon(), level)])
+    assert outs.pop() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("existing", [None, b"old output\n"], ids=["new-file", "existing-file"])
+def test_parse_bad_line_in_a_late_chunk_at_2_workers(tmp_path, monkeypatch, caplog, existing):
+    bad_line = 3 * PARSE_CHUNK + 5
+    reports = _write_corpus(tmp_path, n=4 * PARSE_CHUNK, bad_line=bad_line)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "expr.jsonl"
+    if existing is not None:
+        out.write_bytes(existing)
+    monkeypatch.setenv("LITERATI_THREADS", "2")
+    assert run(["parse", "--reports", str(reports), "--level", "referring",
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{reports}:{bad_line}: invalid JSON")
+    assert [p.name for p in out_dir.iterdir()] == ([] if existing is None else ["expr.jsonl"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+    _no_child_left()
+
+
 def test_decode_error_in_a_worker_is_the_inline_error(tmp_path, monkeypatch, caplog):
     maps_dir, _, planted = _write_maps(tmp_path, n=7)
     ids = sorted(p.meta.image_id for p in planted)  # the order decode loads them in
@@ -886,38 +952,50 @@ def test_decode_error_in_a_worker_is_the_inline_error(tmp_path, monkeypatch, cap
         _no_child_left()
 
 
-@pytest.mark.parametrize("command", ["decode", "tune"])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
+def _job(tmp_path, command, out):
+    """(argv, (module, name) of the per-item function that runs in the workers)."""
+    if command == "parse":
+        argv = ["parse", "--reports", str(_write_corpus(tmp_path)), "--level", "referring",
+                "--out", str(out)]
+        return argv, (report_parser, "parse_report")
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
-    parent = os.getpid()
-    real = map_decoder.decode
-
-    def dying(logits, params):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(logits, params)
-
-    monkeypatch.setattr(map_decoder, "decode", dying)
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-    out = tmp_path / "out.json"
     argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
             "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
-                     "--budget", "3", "--out", str(out)]}[command]
+                     "--budget", "3", "--out", str(out)],
+            "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
+    return argv, (map_decoder, "decode")
+
+
+@pytest.mark.parametrize("command", ["decode", "tune", "parse"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
+    out = tmp_path / "out.json"
+    argv, (module, name) = _job(tmp_path, command, out)
+    parent = os.getpid()
+    real = getattr(module, name)
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, dying)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
     assert _finishes(lambda: run(argv)) == 1
     _one_line_error(caplog, "ended unexpectedly (exit code -9)")
     assert not out.exists()
     _no_child_left()
 
 
-@pytest.mark.parametrize("command", ["decode", "tune", "demo"])
+@pytest.mark.parametrize("command", ["decode", "tune", "demo", "parse"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
-    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    out = tmp_path / "out"
+    argv, (module, name) = _job(tmp_path, command, out)
     parent = os.getpid()
     first = tmp_path / "interrupted"
 
-    def interrupted(logits, params):
+    def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         with suppress(FileExistsError):  # one Ctrl-C, from the first worker to get here
@@ -925,13 +1003,8 @@ def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
             os.kill(parent, signal.SIGINT)
         time.sleep(30)  # ends when the pool kills the worker
 
-    monkeypatch.setattr(map_decoder, "decode", interrupted)
+    monkeypatch.setattr(module, name, interrupted)
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
-    out = tmp_path / "out"
-    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
-            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
-                     "--budget", "3", "--out", str(out)],
-            "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
     start = time.monotonic()
     try:
         code = run(argv)
@@ -1033,4 +1106,98 @@ def test_pool_workers_leave_an_interrupt_to_the_parent(monkeypatch, workers):
 
     with ShardPool(range(5), fn) as pool:
         assert pool.map(None) == list(range(5))
+    _no_child_left()
+
+
+# ordered_map, the stream that `parse` runs on
+
+@pytest.mark.parametrize("n_chunks", [2, 9])
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_stream_keeps_chunk_order(monkeypatch, workers, n_chunks):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(chunk):
+        time.sleep(0.01 * (chunk % 3))  # later chunks can finish first
+        return chunk * chunk, os.getpid()
+
+    results = list(ordered_map(fn, range(n_chunks)))
+    assert [r[0] for r in results] == [c * c for c in range(n_chunks)]
+    pids = {r[1] for r in results}
+    assert len(pids) == min(workers, n_chunks)
+    assert (pids == {os.getpid()}) == (workers == 1)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_stream_raises_the_first_error_in_chunk_order(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(chunk):
+        if chunk == 5:
+            raise KeyError(f"chunk {chunk}")
+        if chunk == 3:
+            time.sleep(0.2)  # chunk 5 fails first in time
+            raise ValueError(f"chunk {chunk}")
+        return chunk
+
+    got = []
+    with pytest.raises(ValueError, match="^chunk 3$"):
+        for result in ordered_map(fn, range(9)):
+            got.append(result)
+    assert got == [0, 1, 2]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_stream_reads_its_input_lazily_and_boundedly(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    pulled = 0
+
+    def chunks():
+        nonlocal pulled
+        for chunk in range(40):
+            pulled += 1
+            yield chunk
+
+    got = []
+    for result in ordered_map(lambda chunk: chunk, chunks()):
+        assert pulled - len(got) <= 2 * workers + 1
+        got.append(result)
+    assert got == list(range(40))
+    _no_child_left()
+
+
+def test_stream_passes_large_chunks_and_results(monkeypatch):
+    # both directions at once over one pipe, each message far beyond its buffer
+    monkeypatch.setenv("LITERATI_THREADS", "2")
+    chunks = [bytes([i]) * 1_500_000 for i in range(6)]
+    results = _finishes(lambda: list(ordered_map(lambda chunk: chunk + chunk, chunks)))
+    assert results == [chunk + chunk for chunk in chunks]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("chunks", [[], [7]], ids=["no-chunk", "one-chunk"])
+def test_stream_of_at_most_one_chunk_forks_nothing(monkeypatch, chunks):
+    monkeypatch.setenv("LITERATI_THREADS", "3")
+    forked = []
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        lambda self: forked.append(self))
+    assert list(ordered_map(lambda chunk: (chunk, os.getpid()), chunks)) == [
+        (chunk, os.getpid()) for chunk in chunks]
+    assert forked == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_stream_closed_early_kills_its_busy_workers(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(chunk):
+        if chunk > 0:
+            time.sleep(30)  # ends when the stream kills the worker
+        return chunk
+
+    start = time.monotonic()
+    with closing(ordered_map(fn, range(8))) as results:
+        assert next(results) == 0
+    assert time.monotonic() - start < 10
     _no_child_left()

@@ -206,33 +206,6 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
     return records, annotations
 
 
-def to_coco(images: list[ImageRecord], annotations: list[Annotation]) -> dict:
-    """Serialize records back into the ingested COCO layout."""
-    cat_names = sorted({t for a in annotations for t in a.disease_tags})
-    cat_ids = {name: i + 1 for i, name in enumerate(cat_names)}
-    doc = {
-        "images": [
-            {"id": im.image_id, "width": im.width, "height": im.height}
-            for im in images
-        ],
-        "annotations": [],
-        "categories": [{"id": i, "name": n} for n, i in cat_ids.items()],
-    }
-    next_id = 1
-    for ann in annotations:
-        tag = min(ann.disease_tags) if ann.disease_tags else None
-        for box in ann.boxes:
-            doc["annotations"].append({
-                "id": next_id,
-                "image_id": ann.image_id,
-                "bbox": box.as_list(),
-                "caption": ann.phrase,
-                "category_id": cat_ids.get(tag, 0),
-            })
-            next_id += 1
-    return doc
-
-
 def make_split(ids, ratios, seed: int) -> DatasetSplit:
     """Deterministically split ids into train/val/test buckets.
 

@@ -51,6 +51,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: the seeded generators take integers >= 0 only."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def _version_string() -> str:
     formats = " ".join(f"{k}={v}" for k, v in sorted(FORMAT_VERSIONS.items()))
     return f"literati {__version__} (formats: {formats})"
@@ -71,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("split", help="deterministic train/val/test split")
     sp.add_argument("--ids", required=True, help="text file, one id per line")
     sp.add_argument("--ratios", default="0.8,0.1,0.1")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_split)
 
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pos", required=True)
     sp.add_argument("--neg", required=True)
     sp.add_argument("--ratio", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", default=None, help="default: stdout")
     sp.set_defaults(func=cmd_mix)
 
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ann", required=True, help="COCO JSON with ground truth")
     sp.add_argument("--space", default=None, help="space JSON (default: built-in d/tau/alpha)")
     sp.add_argument("--budget", type=int, default=40)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--iou", type=float, default=0.1)
     sp.add_argument("--mode", choices=harness.MATCH_MODES, default="top1")
     sp.add_argument("--out", required=True, help="trial log JSON")
@@ -115,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="verify analytic gradients")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--h", type=float, default=1e-6)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("demo", help="synthetic end-to-end run")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--n-images", type=int, default=50)
     sp.add_argument("--out", default="literati_demo")
     sp.set_defaults(func=cmd_demo)

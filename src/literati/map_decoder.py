@@ -16,17 +16,24 @@ that box, never as per-cell Python objects.
 
 Work that no parameter touches is done once per map: a PreparedMap
 validates and softmaxes the logits once and keeps the class channels.
-Window winners depend on d alone, so it memoises them per (class, d),
-sorted by descending probability with no tau cut; the peaks for a tau are
-a prefix of that order, found by one binary search. Only region growth
-and boxes are redone for each (d, tau, alpha), which is what the tuner
-varies from trial to trial.
+Each class yields its regions lazily, in decode's order. Its first peak
+is its first row-major maximum at every d, grown with nothing claimed, so
+the first region needs only the channel's memoised maximum. The window
+winners of a d are memoised per class, sorted by descending probability
+with no tau cut, and computed only when a caller reads past the first
+region; the peaks for a tau are a prefix of that order, found by one
+binary search. ``top_detections`` reads only decode's first tie group:
+unless a maximum ties, that is one region growth per class holding the
+highest maximum, and no window winners.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -128,42 +135,62 @@ def _window_winners(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     return rs[order], cs[order], neg[order]
 
 
-def _peaks(winners, tau: float) -> list[tuple[int, int]]:
-    """The winners with p >= tau, in the winners' order."""
-    rs, cs, neg = winners
-    n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
-    return list(zip(rs[:n].tolist(), cs[:n].tolist()))
+class _Channel:
+    """One class channel's probabilities, with what decoding reads of it
+    memoised: its maximum, and its window winners per d."""
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self._top: tuple[float, tuple[int, int], bool] | None = None
+        self._winners: dict[int, tuple] = {}
+
+    def top(self) -> tuple[float, tuple[int, int], bool]:
+        """(maximum, its first cell in row-major order, whether no other cell
+        holds it). That cell wins its window at every d, so it is the first
+        peak whenever the maximum is >= tau. An empty channel's maximum is -inf."""
+        if self._top is None:
+            if not self.p.size:
+                self._top = (-math.inf, (0, 0), True)
+            else:
+                r, c = divmod(int(np.argmax(self.p)), self.p.shape[1])
+                peak = self.p[r, c]
+                self._top = (float(peak), (r, c), int(np.count_nonzero(self.p == peak)) == 1)
+        return self._top
+
+    def peaks(self, d: int, tau: float) -> list[tuple[int, int]]:
+        """Peak cells by descending probability, row-major on ties."""
+        if d not in self._winners:
+            self._winners[d] = _window_winners(self.p, d)
+        rs, cs, neg = self._winners[d]
+        n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
+        return list(zip(rs[:n].tolist(), cs[:n].tolist()))
 
 
 class PreparedMap:
     """A logit map validated and softmaxed once, to decode under many params.
 
     Keeps the class channels 1..K-1 of the softmax (channel 0, the
-    background, is never decoded) and memoises each channel's window
-    winners per d. ``shape`` is the (K, H, W) of the logit map.
+    background, is never decoded), each with its memoised maximum and
+    window winners. ``shape`` is the (K, H, W) of the logit map.
     """
 
     def __init__(self, logits: np.ndarray):
         probs = softmax_map(logits)
         self.shape = probs.shape
-        self._probs = probs[1:].copy()
-        self._probs.flags.writeable = False  # the memoised winners depend on it
-        self._winners: dict[tuple[int, int], tuple] = {}
+        class_probs = probs[1:].copy()
+        class_probs.flags.writeable = False  # the memos depend on it
+        self._channels = [_Channel(p) for p in class_probs]
 
-    def channel(self, class_index: int) -> np.ndarray:
-        """Read-only probabilities of class channel ``class_index`` (1..K-1)."""
+    def _class(self, class_index: int) -> _Channel:
         if not 1 <= class_index < self.shape[0]:
             raise ValueError(
                 f"class index {class_index} out of range for classes 1..{self.shape[0] - 1}"
             )
-        return self._probs[class_index - 1]
+        return self._channels[class_index - 1]
 
-    def peaks(self, class_index: int, d: int, tau: float) -> list[tuple[int, int]]:
-        """Peak cells of a class channel by descending probability, row-major on ties."""
-        key = (class_index, d)
-        if key not in self._winners:
-            self._winners[key] = _window_winners(self.channel(class_index), d)
-        return _peaks(self._winners[key], tau)
+    def channel(self, class_index: int) -> np.ndarray:
+        """Read-only probabilities of class channel ``class_index`` (1..K-1)."""
+        return self._class(class_index).p
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +234,43 @@ def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
             return r0, c0, region
 
 
+def _region(p: np.ndarray, claimed: np.ndarray, class_index: int, r: int, c: int,
+            alpha: float) -> PeakRegion:
+    """Grow the peak at (r, c) over the unclaimed cells, and claim its region."""
+    r0, c0, region = _grow(p, claimed, r, c, alpha)
+    claimed[r0:r0 + region.shape[0], c0:c0 + region.shape[1]] |= region
+    rr, cc = np.nonzero(region)
+    n = rr.size
+    top, left = int(rr.min()), int(cc.min())
+    bottom, right = int(rr.max()) + 1, int(cc.max()) + 1
+    return PeakRegion(
+        class_index=class_index,
+        bbox=(r0 + top, c0 + left, r0 + bottom, c0 + right),
+        mask=region[top:bottom, left:right].copy(),
+        centroid=((int(rr.sum()) + r0 * n) / n, (int(cc.sum()) + c0 * n) / n),
+        peak_prob=float(p[r, c]),
+        member_count=n,
+        peak=(r, c),
+    )
+
+
+def _iter_regions(channel: _Channel, class_index: int, d: int, tau: float,
+                  alpha: float) -> Iterator[PeakRegion]:
+    """The channel's regions in decode's order, each grown as it is read.
+
+    The first grows from the memoised maximum, with nothing claimed; the
+    window winners of d are computed only when a caller reads past it.
+    """
+    peak, first, _ = channel.top()
+    if peak < tau:
+        return
+    claimed = np.zeros(channel.p.shape, dtype=bool)
+    yield _region(channel.p, claimed, class_index, *first, alpha)
+    for r, c in channel.peaks(d, tau)[1:]:  # the first peak is `first`
+        if not claimed[r, c]:  # else merged into an earlier region
+            yield _region(channel.p, claimed, class_index, r, c, alpha)
+
+
 def maximal_filter_regions(
     prob_map: np.ndarray | PreparedMap,
     class_index: int,
@@ -214,8 +278,8 @@ def maximal_filter_regions(
 ) -> list[PeakRegion]:
     """Peak regions of one class channel.
 
-    ``prob_map`` is a PreparedMap, whose memoised peaks are read, or a
-    [K, H, W] array of probabilities.
+    ``prob_map`` is a PreparedMap, whose memoised maximum and peaks are
+    read, or a [K, H, W] array of probabilities.
 
     A cell is a peak when its probability is >= tau and no cell in its
     (2d+1) x (2d+1) window beats it (higher value, or equal value at a
@@ -224,38 +288,16 @@ def maximal_filter_regions(
     cells within [alpha * peak, peak] around it, and peaks landing inside
     an existing region merge into it.
     """
-    d = int(params.d)
     if isinstance(prob_map, PreparedMap):
-        p = prob_map.channel(class_index)
-        peaks = prob_map.peaks(class_index, d, params.tau)
+        channel = prob_map._class(class_index)
     else:
         if not 0 <= class_index < prob_map.shape[0]:
             raise ValueError(
                 f"class index {class_index} out of range for {prob_map.shape[0]} channels"
             )
-        p = np.ascontiguousarray(prob_map[class_index], dtype=np.float64)
-        peaks = _peaks(_window_winners(p, d), params.tau)
-    claimed = np.zeros(p.shape, dtype=bool)
-    regions: list[PeakRegion] = []
-    for r, c in peaks:
-        if claimed[r, c]:
-            continue  # merged into an earlier region
-        r0, c0, region = _grow(p, claimed, r, c, float(params.alpha))
-        claimed[r0:r0 + region.shape[0], c0:c0 + region.shape[1]] |= region
-        rr, cc = np.nonzero(region)
-        n = rr.size
-        top, left = int(rr.min()), int(cc.min())
-        bottom, right = int(rr.max()) + 1, int(cc.max()) + 1
-        regions.append(PeakRegion(
-            class_index=class_index,
-            bbox=(r0 + top, c0 + left, r0 + bottom, c0 + right),
-            mask=region[top:bottom, left:right].copy(),
-            centroid=((int(rr.sum()) + r0 * n) / n, (int(cc.sum()) + c0 * n) / n),
-            peak_prob=float(p[r, c]),
-            member_count=n,
-            peak=(r, c),
-        ))
-    return regions
+        channel = _Channel(np.ascontiguousarray(prob_map[class_index], dtype=np.float64))
+    return list(_iter_regions(channel, class_index, int(params.d), params.tau,
+                              float(params.alpha)))
 
 
 def region_to_detection(region: PeakRegion) -> Detection:
@@ -276,6 +318,10 @@ def region_to_detection(region: PeakRegion) -> Detection:
     )
 
 
+def _decode_order(det: Detection):
+    return -det.confidence, det.class_index, det.centroid
+
+
 def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detection]:
     """Full decode of a logit map: softmax, per-class regions, boxes.
 
@@ -291,7 +337,29 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
     for k in range(1, prepared.shape[0]):
         for region in maximal_filter_regions(prepared, k, params):
             detections.append(region_to_detection(region))
-    detections.sort(key=lambda det: (-det.confidence, det.class_index, det.centroid))
+    detections.sort(key=_decode_order)
+    return detections
+
+
+def top_detections(prepared: PreparedMap, params: DecodeParams) -> list[Detection]:
+    """The first tie group of ``decode(prepared, params)``: the detections of
+    the highest confidence, in decode's order.
+
+    Only classes whose maximum is the highest take part, each with the
+    regions of its peaks at that maximum. A class whose maximum no other
+    cell holds has one such region, grown without its window winners.
+    """
+    channels = [prepared._class(k) for k in range(1, prepared.shape[0])]
+    best = max(channel.top()[0] for channel in channels)
+    if best < params.tau:
+        return []
+    detections = []
+    for k, channel in enumerate(channels, 1):
+        peak, _, unique = channel.top()
+        if peak == best:
+            regions = _iter_regions(channel, k, int(params.d), best, float(params.alpha))
+            detections += map(region_to_detection, islice(regions, 1) if unique else regions)
+    detections.sort(key=_decode_order)
     return detections
 
 

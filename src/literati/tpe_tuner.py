@@ -390,11 +390,17 @@ def tune_decoder(
     of its images as ``eval`` does. When the space holds the decoder
     defaults, they are evaluated as trial 0, so the returned best can never
     be worse than the baseline. The maps of each trial are scored on a
-    ShardPool, so each worker keeps its maps' window winners across trials.
+    ShardPool, so each worker keeps its prepared maps across trials. In
+    ``top1`` mode a trial reads only the first tie group of each map's
+    detections (``top_detections``): one region growth per class whose
+    maximum is the map's highest, with window winners only where that
+    maximum ties. ``greedy_multi`` decodes every map in full, with each
+    channel's window winners memoised per d.
     Returns (best DecodeParams, best Trial, history).
     """
     from . import eval_harness as harness
-    from .map_decoder import DecodeParams, PreparedMap, decode, detection_to_net416
+    from .map_decoder import (DecodeParams, PreparedMap, decode, detection_to_net416,
+                              top_detections)
 
     if not maps:
         raise ValueError("no maps to tune on")
@@ -413,12 +419,13 @@ def tune_decoder(
         return DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                             alpha=float(merged["alpha"]))
 
-    # softmax and window winners are shared by every trial
+    # softmax, channel maxima and window winners are shared by every trial
     prepared = [PreparedMap(m.logits) for m in maps]
+    detect = top_detections if mode == "top1" else decode  # top1 reads dets[0] only
 
     def score(item, params: DecodeParams):
         m, prepared_map = item
-        dets = [detection_to_net416(det, m.meta) for det in decode(prepared_map, params)]
+        dets = [detection_to_net416(det, m.meta) for det in detect(prepared_map, params)]
         return harness.match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
                                    mode=mode, image_id=m.meta.image_id)
 

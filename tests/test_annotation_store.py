@@ -6,15 +6,16 @@ import numpy.testing as npt
 import pytest
 
 from literati.annotation_store import (
+    Annotation,
     Box,
     CocoParseError,
     CocoValidationError,
+    ImageRecord,
     ReferentialIntegrityError,
     load_coco,
     make_split,
     mix_negatives,
     rescale_box,
-    to_coco,
 )
 
 
@@ -101,15 +102,22 @@ def test_phrase_count_matches_annotation_count():
 
 def test_ingestion_round_trip():
     doc = _minimal_doc()
+    doc["images"].append({"id": "im2", "width": 64, "height": 48})
     doc["annotations"].append({
         "id": 2, "image_id": "im1", "bbox": [50.5, 60.25, 10, 10],
         "caption": "bibasilar consolidations", "category_id": 1,
     })
     images, annotations = load_coco(doc)
-    images2, annotations2 = load_coco(to_coco(images, annotations))
-    assert images == images2
-    assert sorted(annotations, key=lambda a: a.phrase) == \
-        sorted(annotations2, key=lambda a: a.phrase)
+    assert images == [
+        ImageRecord("im1", 100, 200, frozenset({"pneumonia"})),
+        ImageRecord("im2", 64, 48, frozenset()),
+    ]
+    assert annotations == [
+        Annotation("im1", "left opacity", (Box(10.0, 20.0, 30.0, 40.0, "native"),),
+                   frozenset({"pneumonia"})),
+        Annotation("im1", "bibasilar consolidations",
+                   (Box(50.5, 60.25, 10.0, 10.0, "native"),), frozenset({"pneumonia"})),
+    ]
 
 
 # --- make_split ----------------------------------------------------------------

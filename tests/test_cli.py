@@ -52,6 +52,26 @@ def test_unknown_command_exits_1():
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command", ["tune", "demo", "split", "mix", "gradcheck"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_exits_1_naming_the_flag(tmp_path, capsys, command, seed):
+    # refused while parsing the flags, before any input is read
+    out = tmp_path / "out"
+    argv = {"tune": ["tune", "--maps", str(tmp_path), "--ann", str(tmp_path / "ann.json"),
+                     "--out", str(out)],
+            "demo": ["demo", "--out", str(out)],
+            "split": ["split", "--ids", str(tmp_path / "ids.txt"), "--out", str(out)],
+            "mix": ["mix", "--pos", str(tmp_path / "p.txt"), "--neg", str(tmp_path / "n.txt"),
+                    "--out", str(out)],
+            "gradcheck": ["gradcheck"]}[command]
+    assert run([*argv, "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"literati: error: argument --seed: must be an integer >= 0, not '{seed}'"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_version(capsys):
     assert run(["--version"]) == 0
     out = capsys.readouterr().out
@@ -963,7 +983,8 @@ def _job(tmp_path, command, out):
             "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
                      "--budget", "3", "--out", str(out)],
             "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
-    return argv, (map_decoder, "decode")
+    # the top-1 objective reads only each map's first tie group
+    return argv, (map_decoder, "top_detections" if command == "tune" else "decode")
 
 
 @pytest.mark.parametrize("command", ["decode", "tune", "parse"])

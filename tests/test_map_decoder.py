@@ -3,9 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from literati.eval_harness import iou
+from literati.annotation_store import Box
+from literati.eval_harness import IOU_THRESHOLDS, iou, match_image
 from literati.map_decoder import (
     _GROW_RADIUS,
     DecodeParams,
@@ -19,6 +22,7 @@ from literati.map_decoder import (
     region_to_detection,
     save_map,
     softmax_map,
+    top_detections,
 )
 from literati.synthetic import make_planted_maps
 
@@ -329,6 +333,84 @@ def test_prepared_map_has_no_background_channel():
         maximal_filter_regions(prepared, 0, DecodeParams())
     with pytest.raises(ValueError, match="class index 3"):
         maximal_filter_regions(prepared, 3, DecodeParams())
+
+
+# --- top_detections ---------------------------------------------------------------
+
+def _first_tie_group(dets):
+    return [det for det in dets if det.confidence == dets[0].confidence]
+
+
+def _check_top_detections(prepared, logits, params):
+    """top_detections is decode's first tie group, and scores as decode does."""
+    full = decode(logits, params)
+    top = top_detections(prepared, params)
+    assert top == _first_tie_group(full), params
+    _, H, W = logits.shape
+    gts = [Box(0.0, 0.0, W / 2, H / 2, space="map"), Box(W / 3, H / 3, W / 2, H / 2, space="map")]
+    assert (match_image(top, gts, IOU_THRESHOLDS, mode="top1")
+            == match_image(full, gts, IOU_THRESHOLDS, mode="top1"))
+    return top
+
+
+def _plateaus(H, W, cells, level=2.0, floor=-2.0):
+    disease = np.full((H, W), floor)
+    for r, c in cells:
+        disease[r, c] = level
+    return disease
+
+
+def _ridge():
+    # equal maxima at (2, 2) and (2, 6), 4 apart, joined by cells at a
+    # slightly lower level: each wins a d=1 window, and the first region
+    # swallows the second at alpha 0.5
+    disease = _plateaus(5, 9, [(2, 2), (2, 6)])
+    disease[2, 3:6] = 1.8
+    return np.stack([np.zeros_like(disease), disease])
+
+
+_TIE_CASES = {
+    # maxima 2 apart across a low valley: one peak at d=3, two at d=1
+    "tie-inside-window": (np.stack([np.zeros((6, 8)), _plateaus(6, 8, [(2, 2), (2, 4)])]),
+                          [(DecodeParams(d=3, tau=0.3), 1), (DecodeParams(d=1, tau=0.3), 2)]),
+    "tie-outside-window": (np.stack([np.zeros((9, 12)), _plateaus(9, 12, [(1, 1), (7, 10)])]),
+                           [(DecodeParams(d=2, tau=0.3), 2)]),
+    "tie-inside-first-region": (_ridge(), [(DecodeParams(d=1, tau=0.3, alpha=0.5), 1),
+                                           (DecodeParams(d=1, tau=0.3, alpha=0.99), 2)]),
+    "identical-channels": (np.stack([np.zeros((7, 7)), *[_plateaus(7, 7, [(3, 3)])] * 2]),
+                           [(DecodeParams(d=2, tau=0.3), 2)]),
+    # a uniform 0.25: tau just above it, then at it
+    "tau-above-maximum": (np.zeros((4, 6, 6)), [(DecodeParams(tau=0.3), 0),
+                                                (DecodeParams(tau=0.25), 3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_top_detections_on_tied_maxima(case):
+    logits, runs = _TIE_CASES[case]
+    prepared = PreparedMap(logits)
+    for params, n_top in runs:
+        assert len(_check_top_detections(prepared, logits, params)) == n_top, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_top_detections_is_the_first_tie_group_of_decode(data):
+    # few logit levels, so maxima tie within and across classes; one
+    # prepared map answers a run of params, so its memos are reused
+    K = data.draw(st.integers(2, 4), label="K")
+    H = data.draw(st.integers(1, 12), label="H")
+    W = data.draw(st.integers(1, 12), label="W")
+    levels = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+                       label="levels")
+    cells = data.draw(st.lists(st.sampled_from(levels), min_size=K * H * W,
+                               max_size=K * H * W), label="cells")
+    logits = np.asarray(cells, dtype=np.float64).reshape(K, H, W)
+    prepared = PreparedMap(logits)
+    params = st.builds(DecodeParams, d=st.integers(1, 5),
+                       tau=st.floats(0, 0.99), alpha=st.floats(0.05, 1))
+    for p in data.draw(st.lists(params, min_size=1, max_size=4), label="params"):
+        _check_top_detections(prepared, logits, p)
 
 
 # --- map files ---------------------------------------------------------------------

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from literati.annotation_store import NET_SIZE, rescale_box
 from literati.eval_harness import match_image
-from literati.map_decoder import DecodeParams, decode, detection_to_net416
+from literati.map_decoder import DecodeParams, LoadedMap, MapMeta, decode, detection_to_net416
 from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
     ParamSpec,
@@ -320,25 +321,62 @@ def test_tune_decoder_deterministic_log():
     assert logs[0] == logs[1]
 
 
-def test_tune_decoder_log_equals_fresh_decode_loop():
-    # the tuner prepares each map once; a loop that decodes the raw logits
-    # afresh in every trial must log the same trials
-    maps, gts, _ = _tune_fixture()
+def _noise_fixture():
+    # smoothed noise, many regions per map, and one quantized map whose
+    # maxima tie; each ground-truth box is the top region at a random alpha,
+    # so the trials score differently
+    rng = np.random.default_rng(61)
+    maps, gts = [], {}
+    for i in range(6):
+        h, w = (24, 30) if i % 2 else (32, 20)
+        if i == 5:
+            logits = rng.choice([-1.0, 0.0, 0.5, 1.5], size=(3, h, w))
+        else:
+            smooth = ndimage.gaussian_filter(rng.normal(size=(3, h, w)), sigma=(0, 1.5, 1.5))
+            logits = 3 * smooth / smooth.std()
+        meta = MapMeta(f"noise{i}", ("background", "pneumonia", "pneumothorax"), size=(w, h))
+        params = DecodeParams(d=2, tau=0.05, alpha=float(rng.uniform(0.2, 0.95)))
+        top = decode(logits, params)[0]
+        maps.append(LoadedMap(meta, logits))
+        gts[meta.image_id] = [detection_to_net416(top, meta).box]
+    return maps, gts
+
+
+_D_CHOICE = SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
+                         ParamSpec("tau", "uniform", 0.05, 0.9),
+                         ParamSpec("alpha", "uniform", 0.2, 0.95)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("space", [None, _D_CHOICE], ids=["default", "d-choice"])
+@pytest.mark.parametrize("fixture", ["planted", "noise"])
+def test_tune_decoder_log_equals_fresh_decode_loop(monkeypatch, fixture, space, workers):
+    # the tuner prepares each map once and reads only the top detections; a
+    # loop that decodes the raw logits in full in every trial must log the
+    # same trials
+    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
+    iou_threshold = 0.5 if fixture == "noise" else 0.1
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
     cfg = TpeConfig(seed=3)
-    _, _, history = tune_decoder(maps, gts, budget=16, cfg=cfg)
+    _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=cfg,
+                                 iou_threshold=iou_threshold)
 
     def objective(raw):
-        params = DecodeParams(d=int(raw["d"]), tau=float(raw["tau"]), alpha=float(raw["alpha"]))
+        merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **raw}
+        params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
+                              alpha=float(merged["alpha"]))
         results = [match_image([detection_to_net416(det, m.meta)
                                 for det in decode(m.logits, params)],
-                               gts[m.meta.image_id], 0.1, mode="top1",
+                               gts[m.meta.image_id], iou_threshold, mode="top1",
                                image_id=m.meta.image_id)
                    for m in maps]
         included = [r for r in results if not r.excluded]
-        return sum(r.outcomes[0.1].hit for r in included) / len(included)
+        return sum(r.outcomes[iou_threshold].hit for r in included) / len(included)
 
-    _, want = optimize(objective, default_decoder_space(), 16, cfg,
-                       initial_params=[{"d": 3, "tau": 0.5, "alpha": 0.5}])
+    # the tuner tries the defaults first only where the space holds d=3
+    trial0 = [] if space else [{"d": 3, "tau": 0.5, "alpha": 0.5}]
+    _, want = optimize(objective, space or default_decoder_space(), 16, cfg,
+                       initial_params=trial0)
     assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
     assert len({t.objective for t in history}) > 1
 
@@ -375,15 +413,20 @@ def test_discrete_parzen_rejects_value_outside_universe():
         _DiscreteParzen([1, 3], [1, 4, 8])
 
 
-@pytest.mark.parametrize("space", [None, SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
-                                                      ParamSpec("tau", "uniform", 0.1, 0.9)))],
-                         ids=["default", "d-choice"])
-def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, space):
+@pytest.mark.parametrize("space, mode", [
+    (None, "top1"),
+    (SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
+                  ParamSpec("tau", "uniform", 0.1, 0.9))), "top1"),
+    (None, "greedy_multi"),
+], ids=["default", "d-choice", "greedy_multi"])
+def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, space, mode):
     # some maps fail at low tau, each with its own message: a failed trial's
-    # warning must name the first failing map in map order
+    # warning must name the first failing map in map order. The top-1
+    # objective reads only the top detections; greedy_multi decodes in full.
     import literati.map_decoder as map_decoder
 
-    real = map_decoder.decode
+    scorer = "top_detections" if mode == "top1" else "decode"
+    real = getattr(map_decoder, scorer)
 
     def failing(prepared, params):
         peak = int(prepared.channel(1).argmax())
@@ -391,13 +434,14 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
             raise ValueError(f"no decode below tau 0.3 at cell {peak}")
         return real(prepared, params)
 
-    monkeypatch.setattr(map_decoder, "decode", failing)
+    monkeypatch.setattr(map_decoder, scorer, failing)
     maps, gts, _ = _tune_fixture()
     runs = set()
     for workers in (1, 2, 3):
         monkeypatch.setenv("LITERATI_THREADS", str(workers))
         caplog.clear()
-        _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=TpeConfig(seed=3))
+        _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=TpeConfig(seed=3),
+                                     mode=mode)
         warnings = tuple(r.getMessage() for r in caplog.records if r.levelname == "WARNING")
         runs.add((json.dumps([t.to_dict() for t in history]), warnings))
     assert len(runs) == 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,10 @@ NET_SIZE = 416
 
 
 class CocoParseError(ValueError):
-    """The document is not valid JSON or not an object, lacks a required
-    array or holds a non-array there, or an entry of one is not an object,
-    lacks its id, holds a category id that is an array or an object, or
-    holds a bbox that is not 4 finite numbers."""
+    """The document is not UTF-8, not valid JSON or not an object, lacks a
+    required array or holds a non-array there, or an entry of one is not an
+    object, lacks its id, holds a category id that is an array or an object,
+    or holds a bbox that is not 4 finite numbers."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -60,7 +60,6 @@ class ImageRecord:
     image_id: str
     width: int
     height: int
-    disease_labels: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class Annotation:
     image_id: str
     phrase: str
     boxes: tuple[Box, ...]
-    disease_tags: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,6 @@ class DatasetSplit:
             "seed": self.seed,
             "ratios": list(self.ratios),
         }
-
-
-_DISEASE_CATEGORIES = {"pneumonia", "pneumothorax"}
 
 
 def is_finite_number(value) -> bool:
@@ -123,19 +118,25 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
     """Load images and annotations from a COCO-style export.
 
     ``source`` may be a path or an already-parsed dict. Annotation rows
-    sharing (image id, phrase) are merged into one multi-box Annotation.
+    sharing (image id, phrase) are merged into one multi-box Annotation,
+    boxes in file order. With a path, every refusal starts with that path.
     """
-    if isinstance(source, (str, Path)):
-        raw = Path(source).read_text(encoding="utf-8")
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CocoParseError(
-                f"malformed JSON at offset {e.pos} (line {e.lineno}): {e.msg}"
-            ) from e
-    else:
-        doc = source
+    if not isinstance(source, (str, Path)):
+        return _coco_records(source)
+    try:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        return _coco_records(doc)
+    except UnicodeDecodeError as e:
+        raise CocoParseError(f"{source}: not UTF-8 text at offset {e.start} ({e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise CocoParseError(
+            f"{source}: malformed JSON at offset {e.pos} (line {e.lineno}): {e.msg}"
+        ) from e
+    except (CocoParseError, ReferentialIntegrityError, CocoValidationError) as e:
+        raise type(e)(f"{source}: {e}") from e
 
+
+def _coco_records(doc) -> tuple[list[ImageRecord], list[Annotation]]:
     if not isinstance(doc, dict):
         raise CocoParseError(f"document must be a JSON object, not {type(doc).__name__}")
     for key in ("images", "annotations", "categories"):
@@ -163,7 +164,7 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
             )
         images[image_id] = ImageRecord(image_id, int(width), int(height))
 
-    grouped: dict[tuple[str, str], dict] = {}
+    grouped: dict[tuple[str, str], list[Box]] = {}
     for i, ann in enumerate(doc["annotations"]):
         image_id = str(_required(ann, "annotations", i, "image_id"))
         if image_id not in images:
@@ -181,29 +182,14 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
                 f"annotation on image {image_id}: non-positive bbox dims {w}x{h}"
             )
         cat_id = _category_id(ann.get("category_id"), f"annotations[{i}] 'category_id'")
-        cat_name = categories.get(cat_id, "")
-        phrase = ann.get("caption") or ann.get("phrase") or cat_name
+        phrase = ann.get("caption") or ann.get("phrase") or categories.get(cat_id, "")
         if not phrase:
             raise CocoValidationError(f"annotation on image {image_id}: empty phrase")
-        tag = cat_name.lower()
-        tags = frozenset({tag}) if tag in _DISEASE_CATEGORIES else frozenset()
-        key = (image_id, phrase)
-        entry = grouped.setdefault(key, {"boxes": [], "tags": set()})
-        entry["boxes"].append(Box(x, y, w, h, "native"))
-        entry["tags"].update(tags)
+        grouped.setdefault((image_id, phrase), []).append(Box(x, y, w, h, "native"))
 
-    annotations = [
-        Annotation(image_id, phrase, tuple(v["boxes"]), frozenset(v["tags"]))
-        for (image_id, phrase), v in grouped.items()
-    ]
-
-    labels: dict[str, set[str]] = {i: set() for i in images}
-    for ann in annotations:
-        labels[ann.image_id].update(ann.disease_tags)
-    records = [
-        replace(images[i], disease_labels=frozenset(labels[i])) for i in images
-    ]
-    return records, annotations
+    annotations = [Annotation(image_id, phrase, tuple(boxes))
+                   for (image_id, phrase), boxes in grouped.items()]
+    return list(images.values()), annotations
 
 
 def make_split(ids, ratios, seed: int) -> DatasetSplit:

@@ -1,12 +1,14 @@
 """IOU matching of detections against ground truth and accuracy tables.
 
-Two matching protocols are provided. ``top1`` scores an image as a hit
-when the single highest-confidence detection overlaps any ground-truth box
-at the threshold; ``greedy_multi`` lets detections claim unmatched boxes
-in confidence order and additionally records per-box recall for
-multi-instance annotations. Tables report accuracy at the five fixed IOU
-thresholds. ``eval``, the ``tune`` objective and ``demo`` all score through
-``ground_truth`` -> ``match_image`` -> ``accuracy``.
+One greedy matcher serves both protocols: detections, in confidence order,
+each claim the unclaimed ground-truth box of highest IOU at or above the
+threshold. ``greedy_multi`` runs it over every detection and records
+per-box recall for multi-instance annotations; ``top1`` runs it over the
+first detection alone, so an image is a hit when the highest-confidence
+detection overlaps any ground-truth box at the threshold. Tables report
+accuracy at the five fixed IOU thresholds. ``eval``, the ``tune``
+objective and ``demo`` all score through ``ground_truth`` ->
+``match_image`` -> ``accuracy``.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ class ThresholdOutcome:
 class MatchResult:
     image_id: str
     n_gts: int
-    excluded: bool
     outcomes: dict[float, ThresholdOutcome] = field(default_factory=dict)
+
+    @property
+    def excluded(self) -> bool:
+        """No ground truth: accuracy tables leave the image out."""
+        return self.n_gts == 0
 
     def to_dict(self) -> dict:
         return {
@@ -102,8 +108,12 @@ def check_iou_threshold(threshold: float) -> None:
 def match_image(dets, gts, threshold, mode: str = "top1", image_id: str = "") -> MatchResult:
     """Match detections against ground-truth boxes at one or more thresholds.
 
-    ``dets`` must be sorted by confidence descending. Images with no
-    ground truth are flagged excluded and skipped by accuracy tables.
+    ``dets`` must be sorted by confidence descending. Each detection in
+    turn claims the unclaimed box of highest IOU at or above the threshold,
+    the first such box on ties. ``greedy_multi`` matches every detection;
+    ``top1`` matches ``dets[0]`` alone, so it hits when the first detection's
+    best IOU reaches the threshold. Images with no ground truth are flagged
+    excluded and skipped by accuracy tables.
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
@@ -111,40 +121,26 @@ def match_image(dets, gts, threshold, mode: str = "top1", image_id: str = "") ->
     for t in thresholds:
         check_iou_threshold(t)
     if not gts:
-        return MatchResult(image_id=image_id, n_gts=0, excluded=True)
+        return MatchResult(image_id=image_id, n_gts=0)
 
-    boxes = [d.box for d in dets]
-    ious = [[iou(b, g) for g in gts] for b in boxes]
+    matched = dets[:1] if mode == "top1" else dets
+    ious = [[iou(d.box, g) for g in gts] for d in matched]
 
     outcomes = {}
     for t in thresholds:
-        if mode == "top1":
-            pairs = ()
-            hit = False
-            if boxes:
-                best_gt = max(range(len(gts)), key=lambda j: ious[0][j])
-                if ious[0][best_gt] >= t:
-                    hit = True
-                    pairs = ((0, best_gt, ious[0][best_gt]),)
-            recall = len({g for _, g, _ in pairs}) / len(gts)
-        else:
-            taken = set()
-            pair_list = []
-            for i in range(len(boxes)):
-                best_gt, best_iou = -1, 0.0
-                for j in range(len(gts)):
-                    if j in taken:
-                        continue
-                    if ious[i][j] >= t and ious[i][j] > best_iou:
-                        best_gt, best_iou = j, ious[i][j]
-                if best_gt >= 0:
-                    taken.add(best_gt)
-                    pair_list.append((i, best_gt, best_iou))
-            pairs = tuple(pair_list)
-            hit = bool(pairs)
-            recall = len(taken) / len(gts)
-        outcomes[float(t)] = ThresholdOutcome(hit=hit, recall=recall, pairs=pairs)
-    return MatchResult(image_id=image_id, n_gts=len(gts), excluded=False, outcomes=outcomes)
+        taken = set()
+        pairs = []
+        for i, row in enumerate(ious):
+            best_gt, best_iou = -1, 0.0
+            for j, v in enumerate(row):
+                if v >= t and v > best_iou and j not in taken:
+                    best_gt, best_iou = j, v
+            if best_gt >= 0:
+                taken.add(best_gt)
+                pairs.append((i, best_gt, best_iou))
+        outcomes[float(t)] = ThresholdOutcome(hit=bool(pairs), recall=len(pairs) / len(gts),
+                                              pairs=tuple(pairs))
+    return MatchResult(image_id=image_id, n_gts=len(gts), outcomes=outcomes)
 
 
 def match_images(per_image, gts, threshold, mode: str = "top1") -> list[MatchResult]:
@@ -157,15 +153,12 @@ def match_images(per_image, gts, threshold, mode: str = "top1") -> list[MatchRes
 
 @dataclass
 class EvalTable:
+    """Accuracy rows at ``IOU_THRESHOLDS``, by method."""
     rows: dict[str, tuple[float, ...]]
-    n_images: int | None = None
-    thresholds: tuple[float, ...] = IOU_THRESHOLDS
 
     def __post_init__(self):
-        if tuple(self.thresholds) != IOU_THRESHOLDS:
-            raise ValueError(f"thresholds must be {IOU_THRESHOLDS}")
         for method, accs in self.rows.items():
-            if len(accs) != len(self.thresholds):
+            if len(accs) != len(IOU_THRESHOLDS):
                 raise ValueError(f"row {method!r} has {len(accs)} values")
             if any(a < 0 or a > 1 for a in accs):
                 raise ValueError(f"row {method!r} has accuracy outside [0, 1]")
@@ -180,12 +173,10 @@ def accuracy(results, threshold) -> float:
     return sum(1 for r in included if r.outcomes[float(threshold)].hit) / len(included)
 
 
-def accuracy_table(results, thresholds=IOU_THRESHOLDS, method: str = "detections") -> EvalTable:
+def accuracy_table(results, method: str = "detections") -> EvalTable:
     """Aggregate per-image match results into one table row of ``accuracy``
-    at each threshold."""
-    accs = tuple(accuracy(results, t) for t in thresholds)
-    n_images = sum(1 for r in results if not r.excluded)
-    return EvalTable(rows={method: accs}, n_images=n_images, thresholds=tuple(thresholds))
+    at each of ``IOU_THRESHOLDS``."""
+    return EvalTable(rows={method: tuple(accuracy(results, t) for t in IOU_THRESHOLDS)})
 
 
 def micro_recall(results, threshold) -> float:
@@ -194,13 +185,14 @@ def micro_recall(results, threshold) -> float:
     total = sum(r.n_gts for r in included)
     if total == 0:
         raise ValueError("no ground-truth boxes")
-    matched = sum(len({g for _, g, _ in r.outcomes[float(threshold)].pairs}) for r in included)
+    # the matcher claims each box at most once
+    matched = sum(len(r.outcomes[float(threshold)].pairs) for r in included)
     return matched / total
 
 
 def render_table(table: EvalTable, format: str = "csv") -> str:
     """Render a table, 3-decimal fixed point, deterministic bytes."""
-    header = ["IOU"] + [f"{t:g}" for t in table.thresholds]
+    header = ["IOU"] + [f"{t:g}" for t in IOU_THRESHOLDS]
     body = [[method] + [f"{a:.3f}" for a in accs] for method, accs in table.rows.items()]
     if format == "csv":
         lines = [",".join(header)] + [",".join(row) for row in body]
@@ -214,14 +206,14 @@ def render_table(table: EvalTable, format: str = "csv") -> str:
 
 
 def load_table_fixture(path) -> EvalTable:
+    """A published accuracy table; it must be given at ``IOU_THRESHOLDS``."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    rows = {name: tuple(accs) for name, accs in doc["rows"]}
-    return EvalTable(
-        rows=rows,
-        n_images=doc.get("n_images"),
-        thresholds=tuple(doc.get("thresholds", IOU_THRESHOLDS)),
-    )
+    thresholds = tuple(doc.get("thresholds", IOU_THRESHOLDS))
+    if thresholds != IOU_THRESHOLDS:
+        raise ValueError(f"{path}: thresholds must be {list(IOU_THRESHOLDS)}, "
+                         f"not {list(thresholds)}")
+    return EvalTable(rows={name: tuple(accs) for name, accs in doc["rows"]})
 
 
 def diagnostics_json(results) -> str:

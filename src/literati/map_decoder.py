@@ -30,7 +30,6 @@ highest maximum, and no window winners.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -92,11 +91,14 @@ class Detection:
 
 
 def validate_logit_map(logits: np.ndarray) -> np.ndarray:
+    """``logits`` as float64 [K, H, W]: K >= 2, at least one cell, all finite."""
     arr = np.asarray(logits, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"logit map must be [K, H, W], got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError("logit map needs at least 2 channels (background + class)")
+    if arr.size == 0:
+        raise ValueError(f"no cells (shape {arr.shape})")
     if not np.all(np.isfinite(arr)):
         k, r, c = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"non-finite logit at channel {k}, cell ({r}, {c})")
@@ -147,14 +149,11 @@ class _Channel:
     def top(self) -> tuple[float, tuple[int, int], bool]:
         """(maximum, its first cell in row-major order, whether no other cell
         holds it). That cell wins its window at every d, so it is the first
-        peak whenever the maximum is >= tau. An empty channel's maximum is -inf."""
+        peak whenever the maximum is >= tau."""
         if self._top is None:
-            if not self.p.size:
-                self._top = (-math.inf, (0, 0), True)
-            else:
-                r, c = divmod(int(np.argmax(self.p)), self.p.shape[1])
-                peak = self.p[r, c]
-                self._top = (float(peak), (r, c), int(np.count_nonzero(self.p == peak)) == 1)
+            r, c = divmod(int(np.argmax(self.p)), self.p.shape[1])
+            peak = self.p[r, c]
+            self._top = (float(peak), (r, c), int(np.count_nonzero(self.p == peak)) == 1)
         return self._top
 
     def peaks(self, d: int, tau: float) -> list[tuple[int, int]]:
@@ -418,24 +417,22 @@ def load_map(npy_path) -> LoadedMap:
         raise ValueError(f"{sidecar}: 'classes' must be a list of strings, not {classes!r}")
     if space != MAP_SPACE:
         raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
-    arr = np.load(npy_path, allow_pickle=False)
-    if arr.dtype != np.float32:
-        raise ValueError(f"map {npy_path.name}: expected float32, got {arr.dtype}")
-    arr = validate_logit_map(arr)
-    if arr.shape[0] != len(classes):
-        raise ValueError(
-            f"map {npy_path.name}: {arr.shape[0]} channels but "
-            f"{len(classes)} class names in sidecar"
-        )
+    try:
+        arr = np.load(npy_path, allow_pickle=False)
+        if arr.dtype != np.float32:
+            raise ValueError(f"expected float32, got {arr.dtype}")
+        arr = validate_logit_map(arr)
+        if arr.shape[0] != len(classes):
+            raise ValueError(f"{arr.shape[0]} channels but {len(classes)} class names in sidecar")
+    except (ValueError, EOFError) as e:  # numpy raises EOFError for an empty file
+        raise ValueError(f"map {npy_path.name}: {e}") from e
     _, height, width = arr.shape
     # format 1 held the width's scale; any other would now decode to other boxes
     if "map_to_net_scale" in meta_doc:
         scale = meta_doc["map_to_net_scale"]
-        if not (width and is_finite_number(scale) and scale == NET_SIZE / width):
+        if not (is_finite_number(scale) and scale == NET_SIZE / width):
             raise ValueError(f"{sidecar}: 'map_to_net_scale' must be {NET_SIZE} / {width} "
                              f"({NET_SIZE} over the map's width in cells), not {scale!r}")
-    if height == 0 or width == 0:
-        raise ValueError(f"map {npy_path.name}: no cells (shape {arr.shape})")
     meta = MapMeta(image_id=image_id, classes=tuple(classes), size=(width, height))
     return LoadedMap(meta=meta, logits=arr)
 

@@ -605,19 +605,10 @@ def report_from_line(line: str, where: str) -> Report:
         raise ValueError(f"{where}: {e}") from e
 
 
-def iter_reports_jsonl(path) -> Iterator[Report]:
-    """Reports of a JSON Lines file, read one line at a time.
-
-    A malformed line raises a ValueError naming ``path:lineno`` when the
-    iteration reaches it.
-    """
-    for line, where in report_lines(path):
-        yield report_from_line(line, where)
-
-
 def read_reports_jsonl(path) -> list[Report]:
-    """Every report of a JSON Lines file (see iter_reports_jsonl)."""
-    return list(iter_reports_jsonl(path))
+    """Every report of a JSON Lines file; a malformed line raises a
+    ValueError naming ``path:lineno``."""
+    return [report_from_line(line, where) for line, where in report_lines(path)]
 
 
 # One encoder for every expression written; json.dumps would build one per call.

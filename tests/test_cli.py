@@ -150,6 +150,33 @@ def test_map_without_cells_exits_1(tmp_path, caplog, shape):
     assert not out.exists()
 
 
+def _nan_map():
+    logits = np.zeros((2, 4, 4), dtype=np.float32)
+    logits[1, 2, 1] = np.nan
+    return logits
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: np.save(path, _nan_map()), "non-finite logit at channel 1, cell (2, 1)"),
+    (lambda path: np.save(path, np.zeros((4, 4), dtype=np.float32)),
+     "logit map must be [K, H, W], got shape (4, 4)"),
+    (lambda path: np.save(path, np.zeros((1, 4, 4), dtype=np.float32)),
+     "logit map needs at least 2 channels (background + class)"),
+    (lambda path: np.save(path, np.zeros((3, 4, 4), dtype=np.float32)),
+     "3 channels but 2 class names in sidecar"),
+    (lambda path: np.save(path, np.zeros((2, 4, 4))), "expected float32, got float64"),
+    (lambda path: path.write_bytes(b""), "No data left in file"),
+], ids=["nan", "2-d", "one-channel", "channel-count", "float64", "empty-file"])
+def test_map_refusal_names_the_map(tmp_path, caplog, write, message):
+    maps_dir, _, _ = _write_maps(tmp_path, n=2)  # x.npy is refused among good maps
+    write(maps_dir / "x.npy")
+    (maps_dir / "x.json").write_text('{"image_id": "x", "classes": ["background", "pneumonia"]}')
+    out = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(out)]) == 1
+    _one_line_error(caplog, f"map x.npy: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["decode", "tune"])
 def test_two_maps_with_one_image_id_exit_1(tmp_path, caplog, command):
     maps_dir, ann_path, planted = _write_maps(tmp_path, n=3)
@@ -313,6 +340,31 @@ def test_coco_unhashable_category_id_exits_1(tmp_path, caplog, array, key, value
     assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
                 "--out", str(tmp_path / "t.csv")]) == 1
     _one_line_error(caplog, f"{array}[0] {key!r} must be a string or a number, not {value!r}")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"images": [\n', "malformed JSON at offset 13 (line 2): Expecting value"),
+    (b'{"images": 5}', "'images' must be an array, not int"),
+    (b'\xff{}', "not UTF-8 text at offset 0 (invalid start byte)"),
+    (b'{"images": [], "annotations": [{"image_id": "z"}], "categories": []}',
+     "annotation references unknown image id 'z'"),
+    (b'{"images": [{"id": "a", "width": 0, "height": 5}], "annotations": [], "categories": []}',
+     "image a: non-positive dimensions 0x5"),
+], ids=["truncated", "images-not-array", "not-utf-8", "dangling-image-id", "zero-width"])
+@pytest.mark.parametrize("command", ["eval", "tune"])
+def test_coco_refusal_starts_with_its_path(tmp_path, caplog, command, content, message):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    ann_path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = {"eval": ["eval", "--detections", str(det)],
+            "tune": ["tune", "--maps", str(maps_dir), "--budget", "1"]}[command]
+    assert run([*argv, "--ann", str(ann_path), "--out", str(out)]) == 1
+    _one_line_error(caplog, message)
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{ann_path}: {message}"]
+    assert not out.exists()
 
 
 def test_detections_not_an_array_exits_1(tmp_path, caplog):
@@ -606,6 +658,52 @@ def test_tied_peaks_keep_decode_order_in_eval(tmp_path, capsys):
     assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "1",
                 "--out", str(trials)]) == 0
     assert json.loads(trials.read_text())[0]["objective"] == 1.0
+
+
+def _multi_detection_input(tmp_path):
+    """Native-space detections and ground truth of 40 images on a coarse
+    grid, so that IOUs and confidences tie: 0-4 detections and 0-3 boxes
+    per image."""
+    rng = np.random.default_rng(7)
+
+    def box():
+        x, y = (8 * rng.integers(0, 6, size=2)).tolist()
+        w, h = (8 * rng.integers(1, 4, size=2)).tolist()
+        return [x, y, w, h]
+
+    images, annotations, entries = [], [], []
+    for i in range(40):
+        image_id = f"im{i:02d}"
+        images.append({"id": image_id, "width": 64, "height": 48})
+        for _ in range(int(rng.integers(0, 4))):
+            annotations.append({"id": len(annotations), "image_id": image_id, "bbox": box(),
+                                "category_id": 1})
+        for _ in range(int(rng.integers(0, 5))):
+            x, y, w, h = box()
+            entries.append({"image_id": image_id, "class": "pneumonia", "box": [x, y, w, h],
+                            "space": "native", "confidence": float(rng.choice([0.9, 0.6, 0.3])),
+                            "centroid": [y + h / 2, x + w / 2]})
+    ann_path, det_path = tmp_path / "ann.json", tmp_path / "det.json"
+    ann_path.write_text(json.dumps({"images": images, "annotations": annotations,
+                                    "categories": [{"id": 1, "name": "pneumonia"}]}))
+    det_path.write_text(json.dumps(entries))
+    return det_path, ann_path
+
+
+# sha256 of the `eval --diagnostics` file on _multi_detection_input, by mode
+EVAL_DIAGNOSTICS_DIGESTS = {
+    "top1": "8925ed2e8493b1fcd56612176aca1cf85af632d56ed2d242e1ea1530ac0b3425",
+    "greedy_multi": "779c0ef4496e35691bda0e7a90d68d1a538bf86b1c6910732bf7af321d390d95",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EVAL_DIAGNOSTICS_DIGESTS))
+def test_eval_diagnostics_digest_is_pinned(tmp_path, capsys, mode):
+    det_path, ann_path = _multi_detection_input(tmp_path)
+    diag = tmp_path / "diag.json"
+    assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path), "--mode", mode,
+                "--out", str(tmp_path / "t.csv"), "--diagnostics", str(diag)]) == 0
+    assert hashlib.sha256(diag.read_bytes()).hexdigest() == EVAL_DIAGNOSTICS_DIGESTS[mode]
 
 
 def test_eval_space_mismatch_exits_1(tmp_path, capsys):
@@ -928,7 +1026,7 @@ def test_parse_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, level)
     assert len(outs) == 1
     serial = tmp_path / "serial.jsonl"
     report_parser.write_expressions_jsonl(serial, [
-        e for r in report_parser.iter_reports_jsonl(reports)
+        e for r in report_parser.read_reports_jsonl(reports)
         for e in report_parser.parse_report(r, report_parser.default_lexicon(), level)])
     assert outs.pop() == serial.read_bytes()
 

@@ -1,7 +1,11 @@
+import json
+from importlib import resources
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from importlib import resources
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from literati.annotation_store import Box, rescale_box
 from literati.eval_harness import (
@@ -142,6 +146,39 @@ def test_greedy_recall_at_least_top1_hit():
             assert greedy.recall >= top1.hit
 
 
+def _top1_oracle(dets, gts, t):
+    """top1 as first written: the first argmax of ``dets[0]``'s IOUs, a hit
+    when that IOU is >= t; (hit, pairs)."""
+    if not dets:
+        return False, ()
+    ious = [iou(dets[0].box, g) for g in gts]
+    best = max(range(len(gts)), key=lambda j: ious[j])
+    return (True, ((0, best, ious[best]),)) if ious[best] >= t else (False, ())
+
+
+# boxes on a coarse grid, so that IOUs often tie
+_grid_box = st.builds(lambda x, y, w, h: Box(2 * x, 2 * y, 2 * w, 2 * h, "map"),
+                      st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dets=st.lists(_grid_box, max_size=4), gts=st.lists(_grid_box, min_size=1, max_size=4),
+       thresholds=st.lists(st.sampled_from(IOU_THRESHOLDS + (0.25, 1 / 3, 1.0)),
+                           min_size=1, max_size=3, unique=True))
+@example(dets=[Box(0, 0, 4, 4, "map")], gts=[Box(2, 0, 4, 4, "map"), Box(0, 2, 4, 4, "map")],
+         thresholds=[1 / 3, 0.1, 0.5])  # two boxes tie at IOU 1/3
+@example(dets=[], gts=[Box(0, 0, 2, 2, "map")], thresholds=[0.1, 0.5])
+def test_top1_is_the_first_argmax_of_the_first_detection(dets, gts, thresholds):
+    detections = [_det(b.x, b.y, b.w, b.h, conf=1.0 - 0.1 * i) for i, b in enumerate(dets)]
+    result = match_image(detections, gts, thresholds, mode="top1")
+    assert sorted(result.outcomes) == sorted(thresholds)
+    for t in thresholds:
+        hit, pairs = _top1_oracle(detections, gts, t)
+        outcome = result.outcomes[t]
+        assert (outcome.hit, outcome.pairs) == (hit, pairs)
+        assert outcome.recall == len(pairs) / len(gts)
+
+
 def test_match_unknown_mode():
     with pytest.raises(ValueError):
         match_image([], [Box(0, 0, 1, 1, "map")], 0.5, mode="hungarian")
@@ -212,8 +249,7 @@ def test_accuracy_leaves_excluded_images_out_of_the_denominator():
 
 def test_accuracy_table_all_hits():
     table = accuracy_table(_perfect_results(5), method="perfect")
-    assert table.rows["perfect"] == (1.0,) * 5
-    assert table.n_images == 5
+    assert table.rows == {"perfect": (1.0,) * 5}
 
 
 def test_accuracy_table_empty_error():
@@ -240,10 +276,19 @@ def test_accuracy_threshold_monotone_property():
 
 
 def test_eval_table_validation():
-    with pytest.raises(ValueError):
-        EvalTable(rows={"m": (0.5, 0.4)}, thresholds=(0.1, 0.2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 'm' has 2 values"):
+        EvalTable(rows={"m": (0.5, 0.4)})
+    with pytest.raises(ValueError, match="outside"):
         EvalTable(rows={"m": (1.5, 0.4, 0.3, 0.2, 0.1)})
+
+
+def test_load_table_fixture_refuses_other_thresholds(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"thresholds": [0.1, 0.2], "rows": [["m", [0.5, 0.4]]]}))
+    with pytest.raises(ValueError) as e:
+        load_table_fixture(path)
+    assert str(e.value) == (f"{path}: thresholds must be [0.1, 0.2, 0.3, 0.4, 0.5], "
+                            f"not [0.1, 0.2]")
 
 
 def test_micro_recall():

@@ -441,10 +441,11 @@ def test_load_map_rejects_wrong_dtype(tmp_path):
 
 
 def test_load_map_refuses_a_format_1_scale_on_a_map_without_width(tmp_path):
+    # the array is refused before the sidecar's scale is compared with its width
     np.save(tmp_path / "x.npy", np.zeros((2, 4, 0), dtype=np.float32))
     (tmp_path / "x.json").write_text(
         '{"image_id": "x", "classes": ["background", "pneumonia"], "map_to_net_scale": 6.5}')
-    with pytest.raises(ValueError, match=r"'map_to_net_scale' must be 416 / 0 "):
+    with pytest.raises(ValueError, match=r"^map x\.npy: no cells \(shape \(2, 4, 0\)\)$"):
         load_map(tmp_path / "x.npy")
 
 

@@ -222,11 +222,11 @@ def _decode_to(path, maps, params, space) -> dict[str, list]:
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
         return dets
 
-    with ShardPool(maps, decode_one) as pool:
-        results = dict(zip((m.meta.image_id for m in maps), pool.map(params)))
-    classes = {m.meta.image_id: m.meta.classes for m in maps}
-    Path(path).write_text(decoder.detections_to_json(results, classes) + "\n",
-                          encoding="utf-8")
+    with _replaced_on_success(path) as out:  # an unwritable path fails before any map
+        with ShardPool(maps, decode_one) as pool:
+            results = dict(zip((m.meta.image_id for m in maps), pool.map(params)))
+        classes = {m.meta.image_id: m.meta.classes for m in maps}
+        out.write(decoder.detections_to_json(results, classes) + "\n")
     return results
 
 
@@ -244,11 +244,12 @@ def cmd_tune(args) -> int:
     gts = harness.ground_truth(args.ann, "net416")
     space = tpe.SearchSpace.from_file(args.space) if args.space else None
     cfg = tpe.TpeConfig(seed=args.seed)
-    best_params, best, history = tpe.tune_decoder(
-        maps, gts, space=space, budget=args.budget, cfg=cfg,
-        iou_threshold=args.iou, mode=args.mode,
-    )
-    tpe.write_trials(args.out, history)
+    with _replaced_on_success(args.out) as out:  # an unwritable path fails before any trial
+        best_params, best, history = tpe.tune_decoder(
+            maps, gts, space=space, budget=args.budget, cfg=cfg,
+            iou_threshold=args.iou, mode=args.mode,
+        )
+        tpe.write_trials(out, history)
     summary = {
         "best_params": {"d": best_params.d, "tau": best_params.tau,
                         "alpha": best_params.alpha},

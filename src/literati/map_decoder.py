@@ -23,16 +23,30 @@ winners of a d are memoised per class, sorted by descending probability
 with no tau cut, and computed only when a caller reads past the first
 region; the peaks for a tau are a prefix of that order, found by one
 binary search. ``top_detections`` reads only decode's first tie group:
-unless a maximum ties, that is one region growth per class holding the
+unless a maximum ties, that is one region in each class holding the
 highest maximum, and no window winners.
+
+The first region itself is memoised by threshold. It is the component of
+the maximum's cell in {p >= alpha * max}, and as that threshold falls
+these components nest, so each one stays the same over an interval
+(below, least]: ``least`` is its least cell, and ``below`` the highest
+cell under the threshold in its bounding box widened by one cell, which
+holds every 8-neighbour of the region. A threshold in that interval keeps
+every cell of the region and still leaves out every neighbour, so it
+gives the same component. Each channel keeps one (least, below, region)
+entry per distinct first region asked for, and a threshold in an entry's
+interval grows nothing. Regions are shared between calls, so their masks
+are read-only.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +153,14 @@ def _window_winners(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 class _Channel:
     """One class channel's probabilities, with what decoding reads of it
-    memoised: its maximum, and its window winners per d."""
+    memoised: its maximum, its first region per threshold interval, and its
+    window winners per d."""
 
     def __init__(self, p: np.ndarray):
         self.p = p
         self._top: tuple[float, tuple[int, int], bool] | None = None
         self._winners: dict[int, tuple] = {}
+        self._first: list[tuple[float, float, PeakRegion]] = []  # (least, below, region)
 
     def top(self) -> tuple[float, tuple[int, int], bool]:
         """(maximum, its first cell in row-major order, whether no other cell
@@ -163,6 +179,34 @@ class _Channel:
         rs, cs, neg = self._winners[d]
         n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
         return list(zip(rs[:n].tolist(), cs[:n].tolist()))
+
+    def first_region(self, class_index: int, alpha: float) -> PeakRegion:
+        """The region of the maximum's first cell, grown with nothing claimed.
+
+        Entries are sorted by ``least`` and their intervals (below, least]
+        are disjoint, so only the first entry with least >= alpha * max can
+        hold the threshold.
+        """
+        _, (r, c), _ = self.top()
+        lo = alpha * self.p[r, c]  # the threshold _grow compares with
+        i = bisect_left(self._first, lo, key=itemgetter(0))
+        if i < len(self._first) and self._first[i][1] < lo:
+            return self._first[i][2]
+        region = _region(self.p, None, class_index, r, c, alpha)
+        row0, col0, row1, col1 = region.bbox
+        least = float(self.p[row0:row1, col0:col1][region.mask].min())
+        # the box one cell wider holds every 8-neighbour of the region
+        near = self.p[max(0, row0 - 1):row1 + 1, max(0, col0 - 1):col1 + 1]
+        left_out = near[near < lo]
+        below = float(left_out.max()) if left_out.size else -np.inf
+        entry = (least, below, region)
+        if i < len(self._first) and self._first[i][0] == least:
+            # nested regions differ in their least cell, so this is the same
+            # region, now known to hold down to a lower threshold
+            self._first[i] = entry
+        else:
+            self._first.insert(i, entry)
+        return region
 
 
 class PreparedMap:
@@ -207,8 +251,9 @@ _GROW_RADIUS = 16  # half-width of the first crop, in cells
 _EIGHT = np.ones((3, 3), dtype=bool)
 
 
-def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
-    """Region of the peak at (r, c): (row0, col0, mask) of its crop."""
+def _grow(p: np.ndarray, claimed: np.ndarray | None, r: int, c: int, alpha: float):
+    """Region of the peak at (r, c): (row0, col0, mask) of its crop.
+    ``claimed`` is None when no cell is claimed."""
     H, W = p.shape
     peak = p[r, c]
     lo = alpha * peak
@@ -217,7 +262,9 @@ def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
         r0, r1 = max(0, r - up), min(H, r + down + 1)
         c0, c1 = max(0, c - left), min(W, c + right + 1)
         crop = p[r0:r1, c0:c1]
-        mask = ~claimed[r0:r1, c0:c1] & (crop >= lo) & (crop <= peak)
+        mask = (crop >= lo) & (crop <= peak)
+        if claimed is not None:
+            mask &= ~claimed[r0:r1, c0:c1]
         labels, _ = ndimage.label(mask, structure=_EIGHT)
         region = labels == labels[r - r0, c - c0]
         grown = False
@@ -233,19 +280,20 @@ def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
             return r0, c0, region
 
 
-def _region(p: np.ndarray, claimed: np.ndarray, class_index: int, r: int, c: int,
+def _region(p: np.ndarray, claimed: np.ndarray | None, class_index: int, r: int, c: int,
             alpha: float) -> PeakRegion:
-    """Grow the peak at (r, c) over the unclaimed cells, and claim its region."""
+    """Grow the peak at (r, c) over the unclaimed cells."""
     r0, c0, region = _grow(p, claimed, r, c, alpha)
-    claimed[r0:r0 + region.shape[0], c0:c0 + region.shape[1]] |= region
     rr, cc = np.nonzero(region)
     n = rr.size
     top, left = int(rr.min()), int(cc.min())
     bottom, right = int(rr.max()) + 1, int(cc.max()) + 1
+    mask = region[top:bottom, left:right].copy()
+    mask.flags.writeable = False  # a memoised region is shared between calls
     return PeakRegion(
         class_index=class_index,
         bbox=(r0 + top, c0 + left, r0 + bottom, c0 + right),
-        mask=region[top:bottom, left:right].copy(),
+        mask=mask,
         centroid=((int(rr.sum()) + r0 * n) / n, (int(cc.sum()) + c0 * n) / n),
         peak_prob=float(p[r, c]),
         member_count=n,
@@ -253,21 +301,30 @@ def _region(p: np.ndarray, claimed: np.ndarray, class_index: int, r: int, c: int
     )
 
 
+def _claim(claimed: np.ndarray, region: PeakRegion) -> None:
+    row0, col0, row1, col1 = region.bbox
+    claimed[row0:row1, col0:col1] |= region.mask
+
+
 def _iter_regions(channel: _Channel, class_index: int, d: int, tau: float,
                   alpha: float) -> Iterator[PeakRegion]:
     """The channel's regions in decode's order, each grown as it is read.
 
-    The first grows from the memoised maximum, with nothing claimed; the
-    window winners of d are computed only when a caller reads past it.
+    The first is the channel's memoised first region; the window winners
+    of d are computed, and cells claimed, only when a caller reads past it.
     """
-    peak, first, _ = channel.top()
+    peak, _, _ = channel.top()
     if peak < tau:
         return
+    first = channel.first_region(class_index, alpha)
+    yield first
     claimed = np.zeros(channel.p.shape, dtype=bool)
-    yield _region(channel.p, claimed, class_index, *first, alpha)
-    for r, c in channel.peaks(d, tau)[1:]:  # the first peak is `first`
+    _claim(claimed, first)
+    for r, c in channel.peaks(d, tau)[1:]:  # the first peak is the maximum's cell
         if not claimed[r, c]:  # else merged into an earlier region
-            yield _region(channel.p, claimed, class_index, r, c, alpha)
+            region = _region(channel.p, claimed, class_index, r, c, alpha)
+            _claim(claimed, region)
+            yield region
 
 
 def maximal_filter_regions(
@@ -346,7 +403,9 @@ def top_detections(prepared: PreparedMap, params: DecodeParams) -> list[Detectio
 
     Only classes whose maximum is the highest take part, each with the
     regions of its peaks at that maximum. A class whose maximum no other
-    cell holds has one such region, grown without its window winners.
+    cell holds has one such region, its memoised first region, read
+    without its window winners; it is grown only when ``alpha * maximum``
+    lies outside every threshold interval the memo already holds.
     """
     channels = [prepared._class(k) for k in range(1, prepared.shape[0])]
     best = max(channel.top()[0] for channel in channels)

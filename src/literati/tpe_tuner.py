@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -358,9 +359,13 @@ def optimize(
     return best, history
 
 
-def write_trials(path, history: Sequence[Trial]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([t.to_dict() for t in history], f, indent=2)
+def write_trials(dest, history: Sequence[Trial]) -> None:
+    """Write the trial log to ``dest``, a path or a text file open for writing."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as f:
+            write_trials(f, history)
+        return
+    json.dump([t.to_dict() for t in history], dest, indent=2)
 
 
 DECODER_PARAMS = ("d", "tau", "alpha")  # the DecodeParams fields a space may tune
@@ -392,10 +397,12 @@ def tune_decoder(
     be worse than the baseline. The maps of each trial are scored on a
     ShardPool, so each worker keeps its prepared maps across trials. In
     ``top1`` mode a trial reads only the first tie group of each map's
-    detections (``top_detections``): one region growth per class whose
+    detections (``top_detections``): the first region of each class whose
     maximum is the map's highest, with window winners only where that
-    maximum ties. ``greedy_multi`` decodes every map in full, with each
-    channel's window winners memoised per d.
+    maximum ties. Each class memoises its first regions by the interval of
+    ``alpha * maximum`` over which they stay the same, so across trials a
+    region is grown once, not once per trial. ``greedy_multi`` decodes every
+    map in full, with each channel's window winners memoised per d.
     Returns (best DecodeParams, best Trial, history).
     """
     from . import eval_harness as harness

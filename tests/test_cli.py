@@ -726,6 +726,40 @@ def test_decode_idempotent_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _decode_or_tune(command, tmp_path, out):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=3)
+    argv = [command, "--maps", str(maps_dir), "--out", str(out)]
+    return argv + ["--ann", str(ann_path), "--budget", "4"] if command == "tune" else argv
+
+
+class _NoMapPrepared(map_decoder.PreparedMap):
+    def __init__(self, logits):
+        raise RuntimeError("a map was prepared")
+
+
+@pytest.mark.parametrize("command", ["decode", "tune"])
+def test_unwritable_out_fails_before_any_map_is_decoded(tmp_path, monkeypatch, caplog, command):
+    argv = _decode_or_tune(command, tmp_path, tmp_path / "missing" / "out.json")
+    monkeypatch.setattr(map_decoder, "PreparedMap", _NoMapPrepared)
+    assert run(argv) == 2
+    _one_line_error(caplog, "I/O error")
+    assert "prepared" not in caplog.text
+
+
+@pytest.mark.parametrize("command", ["decode", "tune"])
+def test_failed_run_keeps_the_old_out(tmp_path, monkeypatch, caplog, command):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "out.json"
+    out.write_bytes(b"old output\n")
+    argv = _decode_or_tune(command, tmp_path, out)
+    monkeypatch.setattr(map_decoder, "PreparedMap", _NoMapPrepared)
+    assert run(argv) == 1
+    _one_line_error(caplog, "a map was prepared")
+    assert [p.name for p in out_dir.iterdir()] == ["out.json"]
+    assert out.read_bytes() == b"old output\n"
+
+
 # --- tune --------------------------------------------------------------------------------
 
 def test_tune_writes_trials(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from literati import map_decoder
 from literati.annotation_store import Box
 from literati.eval_harness import IOU_THRESHOLDS, iou, match_image
 from literati.map_decoder import (
@@ -411,6 +412,110 @@ def test_top_detections_is_the_first_tie_group_of_decode(data):
                        tau=st.floats(0, 0.99), alpha=st.floats(0.05, 1))
     for p in data.draw(st.lists(params, min_size=1, max_size=4), label="params"):
         _check_top_detections(prepared, logits, p)
+
+
+# --- the first-region memo -----------------------------------------------------------
+
+def _rings(H, W, center, levels):
+    """A two-channel map whose class logit falls by Chebyshev ring around
+    ``center``, where it is 0: its probability there is exactly 0.5."""
+    rows, cols = np.indices((H, W))
+    dist = np.maximum(abs(rows - center[0]), abs(cols - center[1]))
+    disease = np.asarray([0.0, *levels])[np.minimum(dist, len(levels))]
+    return np.stack([np.zeros((H, W)), disease])
+
+
+def _check_against_fresh(prepared, logits, params):
+    fresh = PreparedMap(logits)
+    assert decode(prepared, params) == decode(fresh, params), params
+    assert top_detections(prepared, params) == top_detections(fresh, params), params
+
+
+def test_first_region_memo_edges(monkeypatch):
+    # the maximum is 0.5, so alpha = 2 * q puts the threshold exactly on q
+    logits = _rings(9, 12, (4, 5), [-0.3, -0.7, -1.2, -2.0, -3.0])
+    prepared = PreparedMap(logits)
+    channel = prepared._class(1)
+    grown = []  # the growths on this prepared map, not on the fresh ones
+    real_grow = map_decoder._grow
+
+    def counting_grow(p, *args):
+        if p is channel.p:
+            grown.append(args[-1])
+        return real_grow(p, *args)
+
+    monkeypatch.setattr(map_decoder, "_grow", counting_grow)
+
+    _check_against_fresh(prepared, logits, DecodeParams(alpha=0.5))
+    grown.clear()
+    [(least, below, _)] = channel._first
+    above = float(np.nextafter(below, 1.0))
+    alphas = [2 * least, 2 * below, 2 * above]
+    assert [alpha * 0.5 for alpha in alphas] == [least, below, above]
+    for alpha in alphas:
+        _check_against_fresh(prepared, logits, DecodeParams(alpha=alpha))
+    # on least and just above below the memo holds; on below itself the
+    # ring at below joins the region
+    assert grown == [2 * below]
+    assert len(channel._first) == 2
+    grown.clear()
+    for alpha in [0.5, *alphas] * 2:
+        params = DecodeParams(alpha=alpha)
+        decode(prepared, params)
+        top_detections(prepared, params)
+    assert grown == []
+
+
+def test_first_region_memo_keeps_one_entry_per_region():
+    # an L-shaped region around (0, 0), and at (2, 2), inside its box but
+    # touching none of it, a cell that joins no region when it passes
+    disease = np.full((5, 5), -3.0)
+    disease[0, :3] = disease[:3, 0] = -0.5
+    disease[0, 0], disease[2, 2] = 0.0, -1.0
+    logits = np.stack([np.zeros((5, 5)), disease])
+    prepared = PreparedMap(logits)
+    isolated = prepared.channel(1)[2, 2]
+    # the threshold on the isolated cell is below the first entry's interval
+    for alpha in [0.7, 2 * isolated, 0.2]:
+        _check_against_fresh(prepared, logits, DecodeParams(alpha=alpha))
+    [(_, below, region)] = prepared._class(1)._first
+    assert region.member_count == 5
+    assert below == prepared.channel(1)[3, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_first_region_memo_equals_fresh_growth(data):
+    # few logit levels, so maxima tie and thresholds land on cell values
+    K = data.draw(st.integers(2, 4), label="K")
+    H = data.draw(st.integers(1, 12), label="H")
+    W = data.draw(st.integers(1, 12), label="W")
+    levels = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+                       label="levels")
+    cells = data.draw(st.lists(st.sampled_from(levels), min_size=K * H * W,
+                               max_size=K * H * W), label="cells")
+    logits = np.asarray(cells, dtype=np.float64).reshape(K, H, W)
+    prepared = PreparedMap(logits)
+    # alphas that put alpha * max on a cell value, or one step to either side
+    edges = set()
+    for k in range(1, K):
+        p = prepared.channel(k)
+        for q in np.unique(p / p.max()):
+            edges |= {float(q), float(np.nextafter(q, 0)), float(np.nextafter(q, 2))}
+    pool = sorted(a for a in edges if 0 < a <= 1)
+    alphas = data.draw(st.lists(st.sampled_from(pool) | st.floats(0.05, 1), min_size=1,
+                                max_size=8), label="alphas")
+    for alpha in alphas + alphas[::-1]:
+        params = DecodeParams(d=data.draw(st.integers(1, 4), label="d"),
+                              tau=data.draw(st.floats(0, 0.6), label="tau"), alpha=alpha)
+        _check_against_fresh(prepared, logits, params)
+        for k in range(1, K):
+            for region in maximal_filter_regions(prepared, k, params):
+                with pytest.raises(ValueError, match="read-only"):
+                    region.mask[0, 0] = False
+    for k in range(1, K):  # one entry per distinct region, as nested regions differ in least
+        leasts = [least for least, _, _ in prepared._class(k)._first]
+        assert leasts == sorted(set(leasts))
 
 
 # --- map files ---------------------------------------------------------------------

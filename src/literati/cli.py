@@ -3,12 +3,14 @@
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
-``decode``, ``demo`` and the ``tune`` objective spread their maps over
-forked worker processes (literati.shards), each holding its shard of the
-prepared maps. ``parse`` streams chunks of report lines through forked
+``decode``, ``demo`` and ``tune --mode greedy_multi`` spread their maps
+over forked worker processes (literati.shards), each holding its shard of
+the prepared maps. ``parse`` streams chunks of report lines through forked
 workers and writes each chunk's expressions as it comes back, in input
 order. The LITERATI_THREADS environment variable caps how many workers,
-and outputs do not depend on it. ``eval`` runs serially.
+and outputs do not depend on it. ``tune --mode top1`` scores its trials
+in this process, from a memo of each map's match outcomes, since a trial
+there costs less than a round trip to a worker; ``eval`` runs serially.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import logging
 import os
 import shutil
 import sys
-from contextlib import closing, contextmanager, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from itertools import islice
 from pathlib import Path
 
@@ -264,20 +266,25 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    per_image = decoder.detections_from_json(args.detections)
-    det_spaces = {d.box.space for dets in per_image.values() for d in dets}
-    if len(det_spaces) > 1:
-        raise ValueError(f"detections mix coordinate spaces: {sorted(det_spaces)}")
-    det_space = det_spaces.pop() if det_spaces else "native"
-    gts = harness.ground_truth(args.ann, det_space)
-    results = harness.match_images(per_image, gts, harness.IOU_THRESHOLDS, args.mode)
-    table = harness.accuracy_table(results, method=args.method)
-    rendered = harness.render_table(table, format=args.format)
-    Path(args.out).write_text(rendered, encoding="utf-8")
+    if args.diagnostics and os.path.realpath(args.diagnostics) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --diagnostics name the same file: {args.out}")
+    # an unwritable path fails before any detection is read
+    with _replaced_on_success(args.out) as out, \
+            (_replaced_on_success(args.diagnostics) if args.diagnostics
+             else nullcontext()) as diagnostics:
+        per_image = decoder.detections_from_json(args.detections)
+        det_spaces = {d.box.space for dets in per_image.values() for d in dets}
+        if len(det_spaces) > 1:
+            raise ValueError(f"detections mix coordinate spaces: {sorted(det_spaces)}")
+        det_space = det_spaces.pop() if det_spaces else "native"
+        gts = harness.ground_truth(args.ann, det_space)
+        results = harness.match_images(per_image, gts, harness.IOU_THRESHOLDS, args.mode)
+        table = harness.accuracy_table(results, method=args.method)
+        rendered = harness.render_table(table, format=args.format)
+        out.write(rendered)
+        if args.diagnostics:
+            diagnostics.write(harness.diagnostics_json(results) + "\n")
     sys.stdout.write(rendered)
-    if args.diagnostics:
-        Path(args.diagnostics).write_text(harness.diagnostics_json(results) + "\n",
-                                          encoding="utf-8")
     excluded = sum(1 for r in results if r.excluded)
     logger.info("evaluated %d images (%d excluded, mode=%s)",
                 len(results) - excluded, excluded, args.mode)

@@ -394,15 +394,23 @@ def tune_decoder(
     ground-truth boxes in net416 space, and the objective scores every one
     of its images as ``eval`` does. When the space holds the decoder
     defaults, they are evaluated as trial 0, so the returned best can never
-    be worse than the baseline. The maps of each trial are scored on a
-    ShardPool, so each worker keeps its prepared maps across trials. In
-    ``top1`` mode a trial reads only the first tie group of each map's
+    be worse than the baseline. Each map is prepared once and reused by
+    every trial.
+
+    In ``top1`` mode a trial reads only the first tie group of each map's
     detections (``top_detections``): the first region of each class whose
     maximum is the map's highest, with window winners only where that
     maximum ties. Each class memoises its first regions by the interval of
     ``alpha * maximum`` over which they stay the same, so across trials a
-    region is grown once, not once per trial. ``greedy_multi`` decodes every
-    map in full, with each channel's window winners memoised per d.
+    region is grown once, not once per trial. Each map also memoises the
+    match outcome of every first tie group it has scored, so a trial whose
+    tie group repeats neither rescales nor rematches it. A trial then costs
+    about a memo lookup per map, less than a round trip to a worker
+    process, so the maps are scored in this process, in map order.
+
+    ``greedy_multi`` decodes every map in full, with each channel's window
+    winners memoised per d. Its maps are scored on a ShardPool, so each
+    worker keeps its shard of the prepared maps across trials.
     Returns (best DecodeParams, best Trial, history).
     """
     from . import eval_harness as harness
@@ -428,28 +436,46 @@ def tune_decoder(
 
     # softmax, channel maxima and window winners are shared by every trial
     prepared = [PreparedMap(m.logits) for m in maps]
-    detect = top_detections if mode == "top1" else decode  # top1 reads dets[0] only
 
-    def score(item, params: DecodeParams):
-        m, prepared_map = item
-        dets = [detection_to_net416(det, m.meta) for det in detect(prepared_map, params)]
+    def score(m, dets):
+        dets = [detection_to_net416(det, m.meta) for det in dets]
         return harness.match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
                                    mode=mode, image_id=m.meta.image_id)
+
+    # Per map, the outcome of each first tie group seen: within this call
+    # match_image depends on nothing else, and Detections hash by value.
+    outcomes = [{} for _ in maps]
+
+    def score_top1(params: DecodeParams) -> list:
+        results = []
+        for m, prepared_map, memo in zip(maps, prepared, outcomes):
+            top = tuple(top_detections(prepared_map, params))  # top1 reads dets[0] only
+            if top not in memo:
+                memo[top] = score(m, top)
+            results.append(memo[top])
+        return results
 
     # as in eval, an annotated image without a map is a miss in every trial
     mapped = {m.meta.image_id for m in maps}
     unmapped = harness.match_images(
         {}, {i: boxes for i, boxes in gts_net416.items() if i not in mapped}, iou_threshold, mode)
 
-    def objective(raw: dict) -> float:
-        return harness.accuracy(pool.map(to_params(raw)) + unmapped, iou_threshold)
-
     # the defaults go first only where the space can hold them: a value
     # outside a dimension's domain would break that dimension's density fit
     names = {p.name for p in space.params}
     trial0 = {k: v for k, v in defaults.items() if k in names}
     held = all(_holds(spec, trial0[spec.name]) for spec in space.params)
-    with ShardPool(zip(maps, prepared), score) as pool:
-        best, history = optimize(objective, space, budget, cfg,
-                                 initial_params=[trial0] if held else [])
+
+    def search(score_maps):
+        def objective(raw: dict) -> float:
+            return harness.accuracy(score_maps(to_params(raw)) + unmapped, iou_threshold)
+
+        return optimize(objective, space, budget, cfg, initial_params=[trial0] if held else [])
+
+    if mode == "top1":
+        best, history = search(score_top1)
+    else:
+        with ShardPool(zip(maps, prepared),
+                       lambda item, params: score(item[0], decode(item[1], params))) as pool:
+            best, history = search(pool.map)
     return to_params(best.params), best, history

@@ -4,15 +4,19 @@ import multiprocessing
 import os
 import signal
 import stat
+import subprocess
+import sys
 import threading
 import time
 from contextlib import closing, suppress
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import literati
 from literati import map_decoder, report_parser
 from literati.cli import PARSE_CHUNK, run
 from literati.shards import ShardPool, WorkerLostError, ordered_map, worker_count
@@ -716,6 +720,38 @@ def test_eval_space_mismatch_exits_1(tmp_path, capsys):
                 "--out", str(tmp_path / "t.csv")]) == 1
 
 
+
+def _no_detections_read(path):
+    raise RuntimeError("detections were read")
+
+
+@pytest.mark.parametrize("unwritable", ["out", "diagnostics"])
+def test_eval_unwritable_path_writes_nothing(tmp_path, monkeypatch, caplog, capsys, unwritable):
+    det_path, ann_path = _multi_detection_input(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    paths = {"out": out_dir / "table.csv", "diagnostics": out_dir / "diag.json"}
+    paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
+    kept = paths["diagnostics" if unwritable == "out" else "out"]
+    kept.write_bytes(b"old output\n")
+    monkeypatch.setattr(map_decoder, "detections_from_json", _no_detections_read)
+    assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path),
+                "--out", str(paths["out"]), "--diagnostics", str(paths["diagnostics"])]) == 2
+    _one_line_error(caplog, "I/O error")
+    assert "detections were read" not in caplog.text
+    assert [p.name for p in out_dir.iterdir()] == [kept.name]
+    assert kept.read_bytes() == b"old output\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_refuses_one_file_for_out_and_diagnostics(tmp_path, caplog, capsys):
+    det_path, ann_path = _multi_detection_input(tmp_path)
+    out = tmp_path / "table.csv"
+    assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path),
+                "--out", str(out), "--diagnostics", str(tmp_path / "." / "table.csv")]) == 1
+    _one_line_error(caplog, "--out and --diagnostics name the same file")
+    assert not out.exists()
+
 def test_decode_idempotent_bytes(tmp_path):
     maps_dir, _, _ = _write_maps(tmp_path, n=3)
     outs = []
@@ -759,6 +795,25 @@ def test_failed_run_keeps_the_old_out(tmp_path, monkeypatch, caplog, command):
     assert [p.name for p in out_dir.iterdir()] == ["out.json"]
     assert out.read_bytes() == b"old output\n"
 
+
+
+def test_a_top1_tune_imports_no_multiprocessing(tmp_path):
+    # in a fresh interpreter: neither the import of the CLI nor a top1 tune,
+    # which scores in this process, pays for importing multiprocessing
+    maps_dir, ann_path, _ = _write_maps(tmp_path)
+    script = ("import sys\n"
+              "import literati.cli\n"
+              "assert 'multiprocessing' not in sys.modules, 'imported by literati.cli'\n"
+              "assert literati.cli.run(sys.argv[1:]) == 0\n"
+              "assert 'multiprocessing' not in sys.modules, 'imported by tune'\n")
+    argv = ["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "5",
+            "--out", str(tmp_path / "trials.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
+           "LITERATI_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["trials"] == 5
 
 # --- tune --------------------------------------------------------------------------------
 
@@ -1112,11 +1167,11 @@ def _job(tmp_path, command, out):
         return argv, (report_parser, "parse_report")
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
     argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
+            # a top1 tune scores in the parent; greedy_multi decodes on workers
             "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
-                     "--budget", "3", "--out", str(out)],
+                     "--mode", "greedy_multi", "--budget", "3", "--out", str(out)],
             "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
-    # the top-1 objective reads only each map's first tie group
-    return argv, (map_decoder, "top_detections" if command == "tune" else "decode")
+    return argv, (map_decoder, "decode")
 
 
 @pytest.mark.parametrize("command", ["decode", "tune", "parse"])
@@ -1169,6 +1224,33 @@ def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
     assert not (out / "detections.json" if command == "demo" else out).exists()
     _no_child_left()
 
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, workers):
+    # top1 trials are scored in the parent, with no worker to stop
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    out = tmp_path / "trials.json"
+    calls = []
+
+    def interrupted(prepared, params):
+        calls.append(params)
+        if len(calls) == 6:  # in the second trial
+            raise KeyboardInterrupt
+        return real(prepared, params)
+
+    real = map_decoder.top_detections
+    monkeypatch.setattr(map_decoder, "top_detections", interrupted)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    try:
+        code = run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "3",
+                    "--out", str(out)])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped run()")
+    assert code == 130
+    assert [r.getMessage() for r in caplog.records] == ["interrupted"]
+    assert not out.exists() and list(tmp_path.glob(".trials.json*")) == []
+    _no_child_left()
 
 # ShardPool itself, at each worker count
 

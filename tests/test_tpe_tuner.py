@@ -448,3 +448,89 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
     log, warnings = runs.pop()
     statuses = {t["status"] for t in json.loads(log)}
     assert statuses == {"complete", "failed"} and warnings
+
+
+@pytest.mark.parametrize("mode", ["top1", "greedy_multi"])
+def test_only_greedy_multi_tunes_on_workers(monkeypatch, mode):
+    # a top1 trial costs less than a round trip to a worker, so it forks none
+    import literati.shards as shards
+
+    forked = []
+    real = shards._fork
+
+    def fork(serve, worker_args):
+        forked.append(len(worker_args))
+        if mode == "top1":
+            raise AssertionError("a top1 tune forked")
+        return real(serve, worker_args)
+
+    monkeypatch.setattr(shards, "_fork", fork)
+    monkeypatch.setenv("LITERATI_THREADS", "2")
+    maps, gts, _ = _tune_fixture()
+    tune_decoder(maps, gts, budget=4, mode=mode)
+    assert forked == ([] if mode == "top1" else [2])
+
+
+def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
+    import literati.eval_harness as harness
+    import literati.tpe_tuner as tuner
+    from literati.map_decoder import PreparedMap, top_detections
+
+    planted = make_planted_maps(6, seed=5)
+    maps = [LoadedMap(p.meta, p.logits) for p in planted]
+    gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
+                             for b in p.boxes]
+           for p in planted}
+    # after the defaults: tau and d change under every maximum, alpha moves
+    # by one part in 1e9 (the same first regions), then alpha moves far
+    scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
+                {"d": 1, "tau": 0.05, "alpha": 0.5 + 5e-10}, {"d": 3, "tau": 0.5, "alpha": 0.9}]
+    for m in maps:
+        tops = [top_detections(PreparedMap(m.logits), DecodeParams(**raw))
+                for raw in [{"d": 3, "tau": 0.5, "alpha": 0.5}, *scripted]]
+        assert tops[0] and tops[:4] == [tops[0]] * 4
+
+    calls = []
+    real = harness.match_image
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["image_id"])
+        return real(*args, **kwargs)
+
+    before_trial = []  # match_image calls made before each suggested trial
+
+    def scripted_suggest(history, space, cfg):
+        before_trial.append(len(calls))
+        return scripted[len(history) - 1]
+
+    monkeypatch.setattr(harness, "match_image", counted)
+    monkeypatch.setattr(tuner, "suggest", scripted_suggest)
+    _, _, history = tune_decoder(maps, gts, budget=5)
+    per_trial = np.diff([0, *before_trial, len(calls)]).tolist()
+    assert per_trial[:4] == [len(maps), 0, 0, 0]
+    assert per_trial[4] > 0
+    assert [t.params for t in history[1:]] == scripted
+
+
+@pytest.mark.parametrize("space", [None, _D_CHOICE], ids=["default", "d-choice"])
+@pytest.mark.parametrize("fixture", ["planted", "noise"])
+def test_top1_objective_equals_memo_free_scoring(fixture, space):
+    # each trial rescored from freshly prepared maps, with no memo of any kind
+    from literati.eval_harness import accuracy
+    from literati.map_decoder import PreparedMap, top_detections
+
+    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
+    iou_threshold = 0.5 if fixture == "noise" else 0.1
+    _, _, history = tune_decoder(maps, gts, space=space, budget=24, cfg=TpeConfig(seed=5),
+                                 iou_threshold=iou_threshold)
+    for trial in history:
+        merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **trial.params}
+        params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
+                              alpha=float(merged["alpha"]))
+        results = [match_image([detection_to_net416(det, m.meta)
+                                for det in top_detections(PreparedMap(m.logits), params)],
+                               gts[m.meta.image_id], iou_threshold, mode="top1",
+                               image_id=m.meta.image_id)
+                   for m in maps]
+        assert trial.objective == accuracy(results, iou_threshold)
+    assert len({t.objective for t in history}) > 1

@@ -3,14 +3,15 @@
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
-``decode``, ``demo`` and ``tune --mode greedy_multi`` spread their maps
-over forked worker processes (literati.shards), each holding its shard of
-the prepared maps. ``parse`` streams chunks of report lines through forked
-workers and writes each chunk's expressions as it comes back, in input
-order. The LITERATI_THREADS environment variable caps how many workers,
-and outputs do not depend on it. ``tune --mode top1`` scores its trials
-in this process, from a memo of each map's match outcomes, since a trial
-there costs less than a round trip to a worker; ``eval`` runs serially.
+``decode`` and ``demo`` load their maps, then stream them by index through
+worker processes forked after the load (literati.shards), so the workers
+inherit the maps and only indices and detections cross a pipe. ``parse``
+streams chunks of report lines the same way and writes each chunk's
+expressions as it comes back, in input order. The LITERATI_THREADS
+environment variable caps how many workers, and outputs do not depend on
+it. ``tune`` scores its trials in this process in both modes, since a
+memoised trial costs less than a round trip to a worker; ``eval`` runs
+serially.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import numeric_heads as heads
 from . import report_parser as parser_mod
 from . import synthetic
 from . import tpe_tuner as tpe
-from .shards import ShardPool, ordered_map, worker_count
+from .shards import ordered_map, worker_count
 
 logger = logging.getLogger("literati")
 
@@ -215,27 +216,28 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _decode_to(path, maps, params, space) -> dict[str, list]:
-    """Decode ``maps`` into ``space`` boxes on a ShardPool, write them to ``path``
-    and return them by image id."""
-    def decode_one(m, params):
+def _decode_to(out, maps, params, space) -> dict[str, list]:
+    """Decode ``maps`` into ``space`` boxes, write them to ``out``, a file open
+    for writing, and return them by image id."""
+    def decode_one(i):
+        m = maps[i]  # workers inherit the loaded maps; only indices cross the pipe
         dets = decoder.decode(m.logits, params)
         if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
         return dets
 
-    with _replaced_on_success(path) as out:  # an unwritable path fails before any map
-        with ShardPool(maps, decode_one) as pool:
-            results = dict(zip((m.meta.image_id for m in maps), pool.map(params)))
-        classes = {m.meta.image_id: m.meta.classes for m in maps}
-        out.write(decoder.detections_to_json(results, classes) + "\n")
+    with closing(ordered_map(decode_one, range(len(maps)))) as per_map:
+        results = dict(zip([m.meta.image_id for m in maps], per_map))
+    classes = {m.meta.image_id: m.meta.classes for m in maps}
+    out.write(decoder.detections_to_json(results, classes) + "\n")
     return results
 
 
 def cmd_decode(args) -> int:
     maps = decoder.load_maps_dir(args.maps)
     params = decoder.DecodeParams(d=args.d, tau=args.tau, alpha=args.alpha)
-    results = _decode_to(args.out, maps, params, args.space)
+    with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
+        results = _decode_to(out, maps, params, args.space)
     n = sum(len(v) for v in results.values())
     logger.info("decoded %d maps -> %d detections", len(maps), n)
     return 0
@@ -321,18 +323,23 @@ def cmd_demo(args) -> int:
     if stale:
         raise ValueError(f"{maps_dir} holds {len(stale)} map(s) that this run would not "
                          f"write, such as {stale[0]}; use another --out")
-    # decode the float32 maps as written, so that `decode` on them agrees
-    maps = [decoder.load_map(decoder.save_map(maps_dir, p.meta, p.logits)) for p in planted]
-    ann_path = out_dir / "annotations.json"
-    ann_path.write_text(json.dumps(synthetic.planted_coco(planted), indent=2) + "\n",
-                        encoding="utf-8")
-
-    results = _decode_to(out_dir / "detections.json", maps, decoder.DecodeParams(), "net416")
-    gts = harness.ground_truth(ann_path, "net416")
-    matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
-    table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
-    rendered = harness.render_table(table, format="csv")
-    (out_dir / "table.csv").write_text(rendered, encoding="utf-8")
+    coco = synthetic.planted_coco(planted)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # every output is open before the first map is written, so an unwritable
+    # one fails the run before it writes anything
+    with _replaced_on_success(out_dir / "annotations.json") as ann_out, \
+            _replaced_on_success(out_dir / "detections.json") as det_out, \
+            _replaced_on_success(out_dir / "table.csv") as table_out:
+        # decode the float32 maps as written, so that `decode` on them agrees
+        maps = [decoder.load_map(decoder.save_map(maps_dir, p.meta, p.logits))
+                for p in planted]
+        ann_out.write(json.dumps(coco, indent=2) + "\n")
+        results = _decode_to(det_out, maps, decoder.DecodeParams(), "net416")
+        gts = harness.ground_truth(coco, "net416")
+        matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
+        table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
+        rendered = harness.render_table(table, format="csv")
+        table_out.write(rendered)
     sys.stdout.write(rendered)
     logger.info("demo wrote maps, detections and table under %s", out_dir)
     return 0
@@ -362,7 +369,7 @@ def run(argv=None) -> int:
     except (ValueError, RuntimeError) as e:
         logger.error("%s", e)
         return 1
-    except KeyboardInterrupt:  # any worker pool was stopped on the way out
+    except KeyboardInterrupt:  # any workers were stopped on the way out
         logger.error("interrupted")
         return 130
 

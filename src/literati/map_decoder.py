@@ -16,15 +16,15 @@ that box, never as per-cell Python objects.
 
 Work that no parameter touches is done once per map: a PreparedMap
 validates and softmaxes the logits once and keeps the class channels.
-Each class yields its regions lazily, in decode's order. Its first peak
-is its first row-major maximum at every d, grown with nothing claimed, so
-the first region needs only the channel's memoised maximum. The window
-winners of a d are memoised per class, sorted by descending probability
-with no tau cut, and computed only when a caller reads past the first
-region; the peaks for a tau are a prefix of that order, found by one
-binary search. ``top_detections`` reads only decode's first tie group:
-unless a maximum ties, that is one region in each class holding the
-highest maximum, and no window winners.
+Each class yields its regions lazily, in decode's order
+(``iter_regions``). Its first peak is its first row-major maximum at
+every d, grown with nothing claimed, so the first region needs only the
+channel's memoised maximum. The window winners of a d are memoised per
+class, sorted by descending probability with no tau cut, and computed
+only when a caller reads past the first region; the peaks for a tau are a
+prefix of that order, found by one binary search. ``top_detections``
+reads only decode's first tie group: unless a maximum ties, that is one
+region in each class holding the highest maximum, and no window winners.
 
 The first region itself is memoised by threshold. It is the component of
 the maximum's cell in {p >= alpha * max}, and as that threshold falls
@@ -325,6 +325,14 @@ def _iter_regions(channel: _Channel, class_index: int, d: int, tau: float,
             region = _region(channel.p, claimed, class_index, r, c, alpha)
             _claim(claimed, region)
             yield region
+
+
+def iter_regions(prepared: PreparedMap, class_index: int,
+                 params: DecodeParams) -> Iterator[PeakRegion]:
+    """``maximal_filter_regions`` of a PreparedMap as a lazy stream: each
+    region is grown only when it is read."""
+    return _iter_regions(prepared._class(class_index), class_index, int(params.d),
+                         params.tau, float(params.alpha))
 
 
 def maximal_filter_regions(

@@ -1,27 +1,21 @@
-"""Forked worker processes, in two modes: a fixed shard pool and an ordered stream.
+"""Forked worker processes that stream chunks of work and keep their order.
 
-``ShardPool(items, fn)`` forks ``n = min(worker_count(), len(items))``
-workers once; worker ``w`` owns ``items[w::n]`` for the pool's whole life.
-Every ``map(arg)`` sends ``arg`` to each worker, which answers with
-``fn(item, arg)`` for the items of its shard. Because the items reach the
-workers through ``fork`` (copy-on-write) they are never pickled, and
-whatever ``fn`` memoises on an item stays warm from one ``map`` to the
-next; only ``arg`` and the results cross a pipe.
-
-``ordered_map(fn, chunks)`` streams: it yields ``fn(chunk)`` for each chunk
-of an iterable, in input order, while the chunks are worked on by
+``ordered_map(fn, chunks)`` yields ``fn(chunk)`` for each chunk of an
+iterable, in input order, while the chunks are worked on by
 ``n = min(worker_count(), number of chunks)`` forked workers. It reads the
 input lazily and keeps at most ``2 * n`` chunks in flight, so memory stays
 flat however long the input is. Chunk ``i`` goes to worker ``i % n``; each
 worker drains its pipe on a reader thread, so neither side blocks sending a
-large chunk while the other blocks sending a large result. Here the chunks
-and the results are pickled, and ``fn`` reaches the workers through
-``fork``.
+large chunk while the other blocks sending a large result. The chunks and
+the results are pickled, while ``fn``, and whatever it reads that was
+loaded before the first chunk was sent, reaches the workers through
+``fork`` (copy-on-write): a chunk can be an index into data the parent
+already holds.
 
-In both modes a failure re-raises the exception of the first failing item
-or chunk in input order, as the inline run would; with one worker (or one
-chunk) nothing is forked and ``fn`` runs inline; and the workers ignore
-SIGINT, leaving an interrupt to the parent, which stops them.
+A failure re-raises the exception of the first failing chunk in input
+order, as the inline run would; with one worker (or one chunk) nothing is
+forked and ``fn`` runs inline; and the workers ignore SIGINT, leaving an
+interrupt to the parent, which stops them.
 """
 
 from __future__ import annotations
@@ -56,24 +50,17 @@ def worker_count() -> int:
     return n
 
 
-def _worker_main(serve, *args) -> None:
-    # the parent takes an interrupt and stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    serve(*args)
-
-
-def _fork(serve, worker_args) -> list:
-    """One forked worker per tuple of ``worker_args``, running ``serve(*args, conn)``;
+def _fork(fn, n: int) -> list:
+    """``n`` forked workers, each serving ``fn`` on the chunks sent to it;
     returns them as (process, connection to it) pairs."""
     import multiprocessing  # only runs that fork pay for the import
 
     ctx = multiprocessing.get_context("fork")
     workers = []
     try:
-        for args in worker_args:
+        for _ in range(n):
             conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(serve, *args, child_conn),
-                               daemon=True)
+            proc = ctx.Process(target=_serve, args=(fn, child_conn), daemon=True)
             proc.start()
             child_conn.close()
             workers.append((proc, conn))
@@ -119,67 +106,6 @@ def _lost(proc) -> WorkerLostError:
                            f"(exit code {proc.exitcode})")
 
 
-class ShardPool:
-    """``[fn(item, arg) for item in items]`` per ``map(arg)``, spread over forked workers.
-
-    Open it after the items are loaded and prepared, as a context manager:
-    leaving the block stops every worker, and kills them if a map was cut
-    short. ``map`` returns the results in item order; if ``fn`` raised, it
-    re-raises the exception of the first failing item in item order, as the
-    inline run would.
-    """
-
-    def __init__(self, items, fn):
-        self._items = list(items)
-        self._fn = fn
-        self._workers = []  # (process, connection to it)
-        self._idle = True   # no map is waiting on a reply
-        n = min(worker_count(), len(self._items))
-        if n >= 2:
-            self._workers = _fork(self._serve, [(self._items[w::n],) for w in range(n)])
-
-    def _serve(self, shard, conn) -> None:
-        while (message := conn.recv()) is not None:  # None: the pool is closing
-            (arg,) = message
-            results = []
-            try:
-                for item in shard:
-                    results.append(self._fn(item, arg))
-            except Exception as e:
-                conn.send((len(results), e))
-            else:
-                conn.send((None, results))
-
-    def map(self, arg) -> list:
-        if not self._workers:
-            return [self._fn(item, arg) for item in self._items]
-        self._idle = False
-        for worker in self._workers:
-            _send(worker, (arg,))
-        replies = [_receive(worker) for worker in self._workers]
-        self._idle = True
-        n = len(self._workers)
-        failures = [(position * n + w, error)
-                    for w, (position, error) in enumerate(replies) if position is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        results = [None] * len(self._items)
-        for w, (_, shard_results) in enumerate(replies):
-            results[w::n] = shard_results
-        return results
-
-    def close(self) -> None:
-        """Stop the workers and wait for them: idle ones exit, busy ones are killed."""
-        _stop(self._workers, self._idle)
-        self._workers = []
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def ordered_map(fn, chunks):
     """Yield ``fn(chunk)`` for each chunk of ``chunks``, in order, from forked workers.
 
@@ -196,7 +122,7 @@ def ordered_map(fn, chunks):
     if n < 2:
         yield from map(fn, chain(head, chunks))
         return
-    workers = _fork(_serve_stream, [(fn,)] * n)
+    workers = _fork(fn, n)
     # the worker of each chunk sent and not yet answered, in chunk order; a
     # chunk counts from before its send, so a send cut short kills the workers
     pending = deque()
@@ -219,7 +145,9 @@ def _result(reply):
     return value
 
 
-def _serve_stream(fn, conn) -> None:
+def _serve(fn, conn) -> None:
+    # the parent takes an interrupt and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     import queue
     import threading
 

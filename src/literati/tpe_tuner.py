@@ -22,8 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .shards import ShardPool, WorkerLostError
-
 logger = logging.getLogger(__name__)
 
 PARAM_KINDS = ("uniform", "log_uniform", "integer_uniform", "choice")
@@ -324,8 +322,7 @@ def optimize(
     """Sequential suggest/evaluate loop; returns (best trial, history).
 
     Evaluations that raise or return a non-finite value are recorded as
-    failed and excluded from the density fits; a lost worker process is no
-    property of the parameters and ends the search. ``initial_params`` are
+    failed and excluded from the density fits. ``initial_params`` are
     evaluated first and count against the budget.
     """
     if budget < 1:
@@ -336,8 +333,6 @@ def optimize(
     def evaluate(params: dict) -> Trial:
         try:
             value = float(objective(params))
-        except WorkerLostError:
-            raise
         except Exception as e:  # objective failures are data, not crashes
             logger.warning("trial %d failed: %s", len(history), e)
             return Trial(params=params, objective=float("nan"), status="failed")
@@ -394,8 +389,11 @@ def tune_decoder(
     ground-truth boxes in net416 space, and the objective scores every one
     of its images as ``eval`` does. When the space holds the decoder
     defaults, they are evaluated as trial 0, so the returned best can never
-    be worse than the baseline. Each map is prepared once and reused by
-    every trial.
+    be worse than the baseline. A map whose image has no ground truth is
+    left out of every score, so it is never decoded; each other map is
+    prepared once and reused by every trial. Trials run in this process,
+    in map order: with the memos below a trial costs less than a round
+    trip to a worker process would.
 
     In ``top1`` mode a trial reads only the first tie group of each map's
     detections (``top_detections``): the first region of each class whose
@@ -404,18 +402,19 @@ def tune_decoder(
     ``alpha * maximum`` over which they stay the same, so across trials a
     region is grown once, not once per trial. Each map also memoises the
     match outcome of every first tie group it has scored, so a trial whose
-    tie group repeats neither rescales nor rematches it. A trial then costs
-    about a memo lookup per map, less than a round trip to a worker
-    process, so the maps are scored in this process, in map order.
+    tie group repeats neither rescales nor rematches it.
 
-    ``greedy_multi`` decodes every map in full, with each channel's window
-    winners memoised per d. Its maps are scored on a ShardPool, so each
-    worker keeps its shard of the prepared maps across trials.
+    In ``greedy_multi`` mode an image is a hit exactly when some detection
+    reaches the threshold with some box, whatever the order: the first such
+    detection finds every box unclaimed, since each detection before it
+    claims none. So a trial walks each class's lazy region stream
+    (``iter_regions``) and stops a map at its first region that hits; each
+    channel's window winners are memoised per d.
     Returns (best DecodeParams, best Trial, history).
     """
     from . import eval_harness as harness
-    from .map_decoder import (DecodeParams, PreparedMap, decode, detection_to_net416,
-                              top_detections)
+    from .map_decoder import (DecodeParams, PreparedMap, detection_to_net416, iter_regions,
+                              region_to_detection, top_detections)
 
     if not maps:
         raise ValueError("no maps to tune on")
@@ -434,26 +433,41 @@ def tune_decoder(
         return DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                             alpha=float(merged["alpha"]))
 
+    # match_image marks a map without ground truth excluded, whatever it
+    # decodes, and accuracy leaves it out
+    scored = [m for m in maps if gts_net416.get(m.meta.image_id)]
     # softmax, channel maxima and window winners are shared by every trial
-    prepared = [PreparedMap(m.logits) for m in maps]
+    prepared = [PreparedMap(m.logits) for m in scored]
 
     def score(m, dets):
         dets = [detection_to_net416(det, m.meta) for det in dets]
-        return harness.match_image(dets, gts_net416.get(m.meta.image_id, []), iou_threshold,
+        return harness.match_image(dets, gts_net416[m.meta.image_id], iou_threshold,
                                    mode=mode, image_id=m.meta.image_id)
 
     # Per map, the outcome of each first tie group seen: within this call
     # match_image depends on nothing else, and Detections hash by value.
-    outcomes = [{} for _ in maps]
+    outcomes = [{} for _ in scored]
 
     def score_top1(params: DecodeParams) -> list:
         results = []
-        for m, prepared_map, memo in zip(maps, prepared, outcomes):
+        for m, prepared_map, memo in zip(scored, prepared, outcomes):
             top = tuple(top_detections(prepared_map, params))  # top1 reads dets[0] only
             if top not in memo:
                 memo[top] = score(m, top)
             results.append(memo[top])
         return results
+
+    def first_hit(m, prepared_map, params: DecodeParams):
+        # the objective reads only `hit`, which any one hitting region settles
+        for k in range(1, prepared_map.shape[0]):
+            for region in iter_regions(prepared_map, k, params):
+                result = score(m, [region_to_detection(region)])
+                if result.outcomes[iou_threshold].hit:
+                    return result
+        return score(m, [])
+
+    def score_greedy_multi(params: DecodeParams) -> list:
+        return [first_hit(m, prepared_map, params) for m, prepared_map in zip(scored, prepared)]
 
     # as in eval, an annotated image without a map is a miss in every trial
     mapped = {m.meta.image_id for m in maps}
@@ -466,16 +480,11 @@ def tune_decoder(
     trial0 = {k: v for k, v in defaults.items() if k in names}
     held = all(_holds(spec, trial0[spec.name]) for spec in space.params)
 
-    def search(score_maps):
-        def objective(raw: dict) -> float:
-            return harness.accuracy(score_maps(to_params(raw)) + unmapped, iou_threshold)
+    score_maps = score_top1 if mode == "top1" else score_greedy_multi
 
-        return optimize(objective, space, budget, cfg, initial_params=[trial0] if held else [])
+    def objective(raw: dict) -> float:
+        return harness.accuracy(score_maps(to_params(raw)) + unmapped, iou_threshold)
 
-    if mode == "top1":
-        best, history = search(score_top1)
-    else:
-        with ShardPool(zip(maps, prepared),
-                       lambda item, params: score(item[0], decode(item[1], params))) as pool:
-            best, history = search(pool.map)
+    best, history = optimize(objective, space, budget, cfg,
+                             initial_params=[trial0] if held else [])
     return to_params(best.params), best, history

@@ -19,7 +19,7 @@ from scipy import ndimage
 import literati
 from literati import map_decoder, report_parser
 from literati.cli import PARSE_CHUNK, run
-from literati.shards import ShardPool, WorkerLostError, ordered_map, worker_count
+from literati.shards import WorkerLostError, ordered_map, worker_count
 from literati.synthetic import make_planted_maps, planted_coco
 from literati.map_decoder import MapMeta, save_map
 
@@ -798,14 +798,16 @@ def test_failed_run_keeps_the_old_out(tmp_path, monkeypatch, caplog, command):
 
 
 def test_a_top1_tune_imports_no_multiprocessing(tmp_path):
-    # in a fresh interpreter: neither the import of the CLI nor a top1 tune,
-    # which scores in this process, pays for importing multiprocessing
+    # in a fresh interpreter: neither the import of the CLI nor a tune in
+    # either mode, which scores in this process, pays for importing
+    # multiprocessing
     maps_dir, ann_path, _ = _write_maps(tmp_path)
     script = ("import sys\n"
               "import literati.cli\n"
               "assert 'multiprocessing' not in sys.modules, 'imported by literati.cli'\n"
-              "assert literati.cli.run(sys.argv[1:]) == 0\n"
-              "assert 'multiprocessing' not in sys.modules, 'imported by tune'\n")
+              "for mode in ('top1', 'greedy_multi'):\n"
+              "    assert literati.cli.run([*sys.argv[1:], '--mode', mode]) == 0\n"
+              "    assert 'multiprocessing' not in sys.modules, f'imported by a {mode} tune'\n")
     argv = ["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "5",
             "--out", str(tmp_path / "trials.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
@@ -813,7 +815,8 @@ def test_a_top1_tune_imports_no_multiprocessing(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["trials"] == 5
+    summaries = json.loads("[" + done.stdout.replace("}\n{", "},{") + "]")
+    assert [summary["trials"] for summary in summaries] == [5, 5]
 
 # --- tune --------------------------------------------------------------------------------
 
@@ -951,6 +954,25 @@ def test_demo_prints_perfect_table(tmp_path, capsys):
     assert (tmp_path / "demo" / "detections.json").read_bytes() == redecoded.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["annotations.json", "detections.json", "table.csv"])
+def test_demo_unwritable_output_writes_nothing(tmp_path, capsys, caplog, name):
+    # every output is opened before the first map is written
+    out = tmp_path / "demo"
+    out.mkdir()
+    (out / name).mkdir()
+    others = {other: f"old {other}\n".encode()
+              for other in ("annotations.json", "detections.json", "table.csv") if other != name}
+    for other, old in others.items():
+        (out / other).write_bytes(old)
+    assert run(["demo", "--seed", "3", "--n-images", "4", "--out", str(out)]) == 2
+    _one_line_error(caplog, "I/O error")
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, *others])
+    assert list((out / name).iterdir()) == []
+    for other, old in others.items():
+        assert (out / other).read_bytes() == old
+    assert capsys.readouterr().out == ""
+
+
 def test_demo_refuses_maps_of_another_run(tmp_path, capsys, caplog):
     out = tmp_path / "demo"
     argv = ["demo", "--seed", "3", "--n-images", "5", "--out", str(out)]
@@ -1064,6 +1086,26 @@ def test_decode_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, maps)
     assert len({e["image_id"] for e in json.loads(outs.pop())}) >= 5
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_decode_sends_its_workers_map_indices(tmp_path, monkeypatch, workers):
+    # the workers inherit the loaded maps, so only indices go down the pipe
+    import literati.cli as cli
+
+    maps_dir, _, _ = _write_maps(tmp_path, n=5)
+    chunks = []
+
+    def recorded(fn, items):
+        items = list(items)
+        chunks.extend(items)
+        return ordered_map(fn, items)
+
+    monkeypatch.setattr(cli, "ordered_map", recorded)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
+    assert chunks == list(range(5))
+    _no_child_left()
+
+
 def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
     outputs = set()
     for workers in WORKER_COUNTS:
@@ -1077,9 +1119,12 @@ def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys)
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("space", [None, [{"name": "d", "kind": "choice", "choices": [1, 4, 8]},
-                                          _TAU]], ids=["default", "d-choice"])
-def test_tune_log_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, space):
+@pytest.mark.parametrize("space, mode", [
+    (None, "top1"),
+    ([{"name": "d", "kind": "choice", "choices": [1, 4, 8]}, _TAU], "top1"),
+    (None, "greedy_multi"),
+], ids=["default", "d-choice", "greedy_multi"])
+def test_tune_log_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys, space, mode):
     # weak bumps, so that the trials score differently
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=7, seed=40, amplitude_range=(2.35, 2.45),
                                         baseline=2.5, sigma_range=(2.8, 3.2))
@@ -1093,7 +1138,7 @@ def test_tune_log_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys,
         monkeypatch.setenv("LITERATI_THREADS", str(workers))
         trials = tmp_path / f"trials{workers}.json"
         assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), *extra,
-                    "--budget", "14", "--seed", "4", "--out", str(trials)]) == 0
+                    "--mode", mode, "--budget", "14", "--seed", "4", "--out", str(trials)]) == 0
         outputs.add((trials.read_bytes(), capsys.readouterr().out))
         _no_child_left()
     assert len(outputs) == 1
@@ -1165,16 +1210,13 @@ def _job(tmp_path, command, out):
         argv = ["parse", "--reports", str(_write_corpus(tmp_path)), "--level", "referring",
                 "--out", str(out)]
         return argv, (report_parser, "parse_report")
-    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    maps_dir, _, _ = _write_maps(tmp_path, n=4)
     argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(out)],
-            # a top1 tune scores in the parent; greedy_multi decodes on workers
-            "tune": ["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
-                     "--mode", "greedy_multi", "--budget", "3", "--out", str(out)],
             "demo": ["demo", "--n-images", "4", "--out", str(out)]}[command]
     return argv, (map_decoder, "decode")
 
 
-@pytest.mark.parametrize("command", ["decode", "tune", "parse"])
+@pytest.mark.parametrize("command", ["decode", "demo", "parse"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
     out = tmp_path / "out.json"
@@ -1191,11 +1233,11 @@ def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
     assert _finishes(lambda: run(argv)) == 1
     _one_line_error(caplog, "ended unexpectedly (exit code -9)")
-    assert not out.exists()
+    assert not (out / "detections.json" if command == "demo" else out).exists()
     _no_child_left()
 
 
-@pytest.mark.parametrize("command", ["decode", "tune", "demo", "parse"])
+@pytest.mark.parametrize("command", ["decode", "demo", "parse"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
     out = tmp_path / "out"
@@ -1226,25 +1268,28 @@ def test_interrupt_exits_130(tmp_path, monkeypatch, caplog, command, workers):
 
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, workers):
-    # top1 trials are scored in the parent, with no worker to stop
+@pytest.mark.parametrize("mode, workers", [("top1", 1), ("top1", 2),
+                                           ("greedy_multi", 1), ("greedy_multi", 2)],
+                         ids=["1", "2", "greedy_multi-1", "greedy_multi-2"])
+def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, mode, workers):
+    # tune trials are scored in the parent in both modes, with no worker to stop
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
     out = tmp_path / "trials.json"
     calls = []
 
-    def interrupted(prepared, params):
-        calls.append(params)
-        if len(calls) == 6:  # in the second trial
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 6:  # in the second trial: each map makes one call or more
             raise KeyboardInterrupt
-        return real(prepared, params)
+        return real(*args)
 
-    real = map_decoder.top_detections
-    monkeypatch.setattr(map_decoder, "top_detections", interrupted)
+    name = "top_detections" if mode == "top1" else "iter_regions"
+    real = getattr(map_decoder, name)
+    monkeypatch.setattr(map_decoder, name, interrupted)
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
     try:
         code = run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "3",
-                    "--out", str(out)])
+                    "--mode", mode, "--out", str(out)])
     except KeyboardInterrupt:
         pytest.fail("the interrupt escaped run()")
     assert code == 130
@@ -1252,99 +1297,7 @@ def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, w
     assert not out.exists() and list(tmp_path.glob(".trials.json*")) == []
     _no_child_left()
 
-# ShardPool itself, at each worker count
-
-@pytest.mark.parametrize("n_items", [2, 7])
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_pool_keeps_item_order_and_each_item_in_one_worker(monkeypatch, workers, n_items):
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-    items = [{"i": i, "calls": 0} for i in range(n_items)]
-
-    def fn(item, arg):
-        item["calls"] += 1  # lives in the worker that owns the item
-        return item["i"] * arg, item["calls"], os.getpid()
-
-    with ShardPool(items, fn) as pool:
-        first, second = pool.map(2), pool.map(3)
-    assert [r[0] for r in second] == [3 * i for i in range(n_items)]
-    assert [r[1] for r in second] == [2] * n_items
-    assert [r[2] for r in first] == [r[2] for r in second]
-    pids = {r[2] for r in first}
-    assert len(pids) == min(workers, n_items)
-    assert (pids == {os.getpid()}) == (len(pids) == 1)
-    _no_child_left()
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_pool_raises_the_first_error_in_item_order(monkeypatch, workers):
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-
-    def fn(item, arg):
-        if arg == "fail" and item == 4:
-            raise KeyError(f"item {item}")
-        if arg == "fail" and item == 2:
-            raise ValueError(f"item {item}")
-        return item
-
-    with ShardPool(range(7), fn) as pool:
-        with pytest.raises(ValueError, match="^item 2$"):
-            pool.map("fail")
-        assert pool.map("pass") == list(range(7))  # the pool still serves
-    _no_child_left()
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pool_reports_a_lost_worker(monkeypatch, workers):
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-
-    def fn(item, arg):
-        if item == 4:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return item
-
-    def use_pool():
-        with ShardPool(range(7), fn) as pool:
-            with pytest.raises(WorkerLostError, match=r"ended unexpectedly \(exit code -9\)"):
-                pool.map(None)
-        return True
-
-    assert _finishes(use_pool)
-    _no_child_left()
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_pool_leaves_no_child_after_an_interrupt(monkeypatch, workers):
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-    parent = os.getpid()
-
-    def fn(item, arg):
-        if item == 0:
-            os.kill(parent, signal.SIGINT)
-        time.sleep(30)  # ends when the pool kills the worker
-
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        with ShardPool(range(4), fn) as pool:
-            pool.map(None)
-    assert time.monotonic() - start < 10  # the busy workers were killed, not awaited
-    _no_child_left()
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pool_workers_leave_an_interrupt_to_the_parent(monkeypatch, workers):
-    # Ctrl-C reaches every process of the group; the workers carry on
-    monkeypatch.setenv("LITERATI_THREADS", str(workers))
-
-    def fn(item, arg):
-        os.kill(os.getpid(), signal.SIGINT)
-        return item
-
-    with ShardPool(range(5), fn) as pool:
-        assert pool.map(None) == list(range(5))
-    _no_child_left()
-
-
-# ordered_map, the stream that `parse` runs on
+# ordered_map, the stream that `parse`, `decode` and `demo` run on
 
 @pytest.mark.parametrize("n_chunks", [2, 9])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -1435,4 +1388,55 @@ def test_stream_closed_early_kills_its_busy_workers(monkeypatch, workers):
     with closing(ordered_map(fn, range(8))) as results:
         assert next(results) == 0
     assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_reports_a_lost_worker(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(chunk):
+        if chunk == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chunk
+
+    def use_stream():
+        got = []
+        with pytest.raises(WorkerLostError, match=r"ended unexpectedly \(exit code -9\)"):
+            for result in ordered_map(fn, range(7)):
+                got.append(result)
+        return got
+
+    got = _finishes(use_stream)
+    assert got == list(range(len(got))) and len(got) <= 4  # never chunk 4's result
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_pool_leaves_no_child_after_an_interrupt(monkeypatch, workers):
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    parent = os.getpid()
+
+    def fn(chunk):
+        if chunk == 0:
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)  # ends when the stream kills the worker
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        list(ordered_map(fn, range(4)))
+    assert time.monotonic() - start < 10  # the busy workers were killed, not awaited
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_workers_leave_an_interrupt_to_the_parent(monkeypatch, workers):
+    # Ctrl-C reaches every process of the group; the workers carry on
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+
+    def fn(chunk):
+        os.kill(os.getpid(), signal.SIGINT)
+        return chunk
+
+    assert list(ordered_map(fn, range(5))) == list(range(5))
     _no_child_left()

@@ -422,17 +422,19 @@ def test_discrete_parzen_rejects_value_outside_universe():
 def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, space, mode):
     # some maps fail at low tau, each with its own message: a failed trial's
     # warning must name the first failing map in map order. The top-1
-    # objective reads only the top detections; greedy_multi decodes in full.
+    # objective reads only the top detections; greedy_multi reads each
+    # class's region stream up to the first hit.
     import literati.map_decoder as map_decoder
 
-    scorer = "top_detections" if mode == "top1" else "decode"
+    scorer = "top_detections" if mode == "top1" else "iter_regions"
     real = getattr(map_decoder, scorer)
 
-    def failing(prepared, params):
+    def failing(prepared, *args):
+        params = args[-1]
         peak = int(prepared.channel(1).argmax())
         if params.tau < 0.3 and peak % 3:
             raise ValueError(f"no decode below tau 0.3 at cell {peak}")
-        return real(prepared, params)
+        return real(prepared, *args)
 
     monkeypatch.setattr(map_decoder, scorer, failing)
     maps, gts, _ = _tune_fixture()
@@ -451,24 +453,51 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
 
 
 @pytest.mark.parametrize("mode", ["top1", "greedy_multi"])
-def test_only_greedy_multi_tunes_on_workers(monkeypatch, mode):
-    # a top1 trial costs less than a round trip to a worker, so it forks none
+def test_no_tune_mode_forks(monkeypatch, mode):
+    # a memoised trial costs less than a round trip to a worker, so no trial
+    # of either mode forks one
     import literati.shards as shards
 
-    forked = []
-    real = shards._fork
-
-    def fork(serve, worker_args):
-        forked.append(len(worker_args))
-        if mode == "top1":
-            raise AssertionError("a top1 tune forked")
-        return real(serve, worker_args)
+    def fork(fn, n):
+        raise AssertionError(f"a {mode} tune forked")
 
     monkeypatch.setattr(shards, "_fork", fork)
     monkeypatch.setenv("LITERATI_THREADS", "2")
     maps, gts, _ = _tune_fixture()
-    tune_decoder(maps, gts, budget=4, mode=mode)
-    assert forked == ([] if mode == "top1" else [2])
+    _, _, history = tune_decoder(maps, gts, budget=4, mode=mode)
+    assert [t.status for t in history] == ["complete"] * 4
+
+
+@pytest.mark.parametrize("mode", ["top1", "greedy_multi"])
+def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
+    # such a map is excluded from accuracy whatever it decodes, so no trial
+    # reads its detections, and the log is that of a run without it
+    import literati.map_decoder as map_decoder
+
+    maps, gts, _ = _tune_fixture()
+    unannotated = [LoadedMap(MapMeta(f"extra{i}", ("background", "pneumonia", "other"),
+                                     size=(9, 7)),
+                             np.random.default_rng(i).normal(size=(3, 7, 9)))
+                   for i in range(2)]
+    gts_with_empty = {**gts, "extra0": []}  # extra1 is not in the ground truth at all
+    shapes = []
+
+    def recorded(name):
+        real = getattr(map_decoder, name)
+
+        def wrapper(prepared, *args):
+            shapes.append(prepared.shape)
+            return real(prepared, *args)
+        monkeypatch.setattr(map_decoder, name, wrapper)
+
+    recorded("top_detections")
+    recorded("iter_regions")
+    cfg = TpeConfig(seed=3)
+    _, _, history = tune_decoder(maps[:5] + unannotated + maps[5:], gts_with_empty, budget=12,
+                                 cfg=cfg, mode=mode)
+    assert shapes and (3, 7, 9) not in shapes
+    _, _, want = tune_decoder(maps, gts, budget=12, cfg=cfg, mode=mode)
+    assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
 
 
 def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
@@ -512,25 +541,31 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     assert [t.params for t in history[1:]] == scripted
 
 
-@pytest.mark.parametrize("space", [None, _D_CHOICE], ids=["default", "d-choice"])
-@pytest.mark.parametrize("fixture", ["planted", "noise"])
-def test_top1_objective_equals_memo_free_scoring(fixture, space):
-    # each trial rescored from freshly prepared maps, with no memo of any kind
-    from literati.eval_harness import accuracy
+@pytest.mark.parametrize("fixture, space, mode, iou_threshold", [
+    ("noise", _D_CHOICE, "top1", 0.5), ("noise", None, "top1", 0.5),
+    ("planted", _D_CHOICE, "top1", 0.1), ("planted", None, "top1", 0.1),
+    ("noise", None, "greedy_multi", 0.1), ("noise", _D_CHOICE, "greedy_multi", 0.5),
+    ("planted", _D_CHOICE, "greedy_multi", 0.1), ("planted", None, "greedy_multi", 0.5),
+], ids=["noise-d-choice", "noise-default", "planted-d-choice", "planted-default",
+        "greedy_multi-noise-default-0.1", "greedy_multi-noise-d-choice-0.5",
+        "greedy_multi-planted-d-choice-0.1", "greedy_multi-planted-default-0.5"])
+def test_top1_objective_equals_memo_free_scoring(fixture, space, mode, iou_threshold):
+    # each trial rescored from freshly prepared maps, with no memo of any
+    # kind: top1 from the top detections, greedy_multi from a full decode
+    from literati.eval_harness import accuracy, match_images
     from literati.map_decoder import PreparedMap, top_detections
 
     maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
-    iou_threshold = 0.5 if fixture == "noise" else 0.1
     _, _, history = tune_decoder(maps, gts, space=space, budget=24, cfg=TpeConfig(seed=5),
-                                 iou_threshold=iou_threshold)
+                                 iou_threshold=iou_threshold, mode=mode)
+    detections = top_detections if mode == "top1" else decode
     for trial in history:
         merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **trial.params}
         params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                               alpha=float(merged["alpha"]))
-        results = [match_image([detection_to_net416(det, m.meta)
-                                for det in top_detections(PreparedMap(m.logits), params)],
-                               gts[m.meta.image_id], iou_threshold, mode="top1",
-                               image_id=m.meta.image_id)
-                   for m in maps]
+        per_image = {m.meta.image_id: [detection_to_net416(det, m.meta)
+                                       for det in detections(PreparedMap(m.logits), params)]
+                     for m in maps}
+        results = match_images(per_image, gts, iou_threshold, mode)
         assert trial.objective == accuracy(results, iou_threshold)
     assert len({t.objective for t in history}) > 1

@@ -3,9 +3,9 @@
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
-``decode`` and ``demo`` load their maps, then stream them by index through
-worker processes forked after the load (literati.shards), so the workers
-inherit the maps and only indices and detections cross a pipe. ``parse``
+``decode`` loads its maps and ``demo`` plants its own, then each streams
+them by index through worker processes forked after that (literati.shards),
+so the workers inherit the maps and only indices and detections cross a pipe. ``parse``
 streams chunks of report lines the same way and writes each chunk's
 expressions as it comes back, in input order. The LITERATI_THREADS
 environment variable caps how many workers, and outputs do not depend on
@@ -196,7 +196,8 @@ def cmd_split(args) -> int:
     ids = store.read_id_file(args.ids)
     ratios = tuple(float(r) for r in args.ratios.split(","))
     split = store.make_split(ids, ratios, args.seed)
-    Path(args.out).write_text(json.dumps(split.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with _replaced_on_success(args.out) as out:
+        out.write(json.dumps(split.to_dict(), indent=2) + "\n")
     logger.info("split %d ids into %d/%d/%d", len(ids),
                 len(split.train_ids), len(split.val_ids), len(split.test_ids))
     return 0
@@ -208,7 +209,8 @@ def cmd_mix(args) -> int:
     mixed = store.mix_negatives(positives, pool, args.ratio, args.seed)
     text = "\n".join(mixed) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _replaced_on_success(args.out) as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     logger.info("mixed %d positives with %d negatives", len(positives),
@@ -325,14 +327,16 @@ def cmd_demo(args) -> int:
                          f"write, such as {stale[0]}; use another --out")
     coco = synthetic.planted_coco(planted)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # every output is open before the first map is written, so an unwritable
-    # one fails the run before it writes anything
+    # decode the maps at the float32 precision they are written with, as
+    # load_map reads them back, so that `decode` on the written maps agrees
+    maps = [decoder.LoadedMap(p.meta, decoder.validate_logit_map(p.logits.astype("float32")))
+            for p in planted]
+    # every output is open before the first map is written, and the maps go
+    # last: a run that fails before them leaves no map, and a failed map
+    # write discards the other outputs
     with _replaced_on_success(out_dir / "annotations.json") as ann_out, \
             _replaced_on_success(out_dir / "detections.json") as det_out, \
             _replaced_on_success(out_dir / "table.csv") as table_out:
-        # decode the float32 maps as written, so that `decode` on them agrees
-        maps = [decoder.load_map(decoder.save_map(maps_dir, p.meta, p.logits))
-                for p in planted]
         ann_out.write(json.dumps(coco, indent=2) + "\n")
         results = _decode_to(det_out, maps, decoder.DecodeParams(), "net416")
         gts = harness.ground_truth(coco, "net416")
@@ -340,6 +344,8 @@ def cmd_demo(args) -> int:
         table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
         rendered = harness.render_table(table, format="csv")
         table_out.write(rendered)
+        for m in maps:
+            decoder.save_map(maps_dir, m.meta, m.logits)
     sys.stdout.write(rendered)
     logger.info("demo wrote maps, detections and table under %s", out_dir)
     return 0

@@ -22,9 +22,10 @@ every d, grown with nothing claimed, so the first region needs only the
 channel's memoised maximum. The window winners of a d are memoised per
 class, sorted by descending probability with no tau cut, and computed
 only when a caller reads past the first region; the peaks for a tau are a
-prefix of that order, found by one binary search. ``top_detections``
-reads only decode's first tie group: unless a maximum ties, that is one
-region in each class holding the highest maximum, and no window winners.
+prefix of that order, found by one binary search. ``top_detection``
+reads only decode's first detection. It comes from the first class whose
+maximum is the highest, and unless that maximum ties within the class it
+is the memoised first region, read with no window winners.
 
 The first region itself is memoised by threshold. It is the component of
 the maximum's cell in {p >= alpha * max}, and as that threshold falls
@@ -46,7 +47,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -405,28 +406,25 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
     return detections
 
 
-def top_detections(prepared: PreparedMap, params: DecodeParams) -> list[Detection]:
-    """The first tie group of ``decode(prepared, params)``: the detections of
-    the highest confidence, in decode's order.
+def top_detection(prepared: PreparedMap, params: DecodeParams) -> Detection | None:
+    """``decode(prepared, params)[0]``, or None when decode finds nothing.
 
-    Only classes whose maximum is the highest take part, each with the
-    regions of its peaks at that maximum. A class whose maximum no other
-    cell holds has one such region, its memoised first region, read
-    without its window winners; it is grown only when ``alpha * maximum``
-    lies outside every threshold interval the memo already holds.
+    That detection comes from the first class whose maximum is the highest,
+    so no other class is read. Unless another cell of that class holds its
+    maximum, it is the class's memoised first region, read without window
+    winners. Otherwise it is the region of least centroid among those of
+    the class's peaks at that maximum, the first on equal centroids, as
+    decode's stable sort keeps them.
     """
     channels = [prepared._class(k) for k in range(1, prepared.shape[0])]
     best = max(channel.top()[0] for channel in channels)
     if best < params.tau:
-        return []
-    detections = []
-    for k, channel in enumerate(channels, 1):
-        peak, _, unique = channel.top()
-        if peak == best:
-            regions = _iter_regions(channel, k, int(params.d), best, float(params.alpha))
-            detections += map(region_to_detection, islice(regions, 1) if unique else regions)
-    detections.sort(key=_decode_order)
-    return detections
+        return None
+    k, channel = next((k, c) for k, c in enumerate(channels, 1) if c.top()[0] == best)
+    _, _, unique = channel.top()
+    regions = _iter_regions(channel, k, int(params.d), best, float(params.alpha))
+    return region_to_detection(min(islice(regions, 1) if unique else regions,
+                                   key=attrgetter("centroid")))
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,6 @@ CATEGORY_ORDER = ("R7", "R1", "R5", "R6")
 _CATEGORY_RANK = {cat: rank for rank, cat in enumerate(CATEGORY_ORDER)}
 LEVELS = ("scene_label", "referring", "disease_emphasis")
 
-SCENE_PHRASES = {
-    frozenset(): "no pneumo",
-    frozenset({"pneumonia"}): "pneumonia",
-    frozenset({"pneumothorax"}): "pneumothorax",
-    frozenset({"pneumonia", "pneumothorax"}): "pneumonia and pneumothorax",
-}
-
 # Sentence-final '.' is not a boundary when it closes one of these.
 _ABBREVIATIONS = frozenset({
     "dr.", "mr.", "mrs.", "ms.", "st.", "a.m.", "p.m.", "p.a.",
@@ -547,7 +540,7 @@ def _scene_label(report: Report, lexicon: Lexicon) -> ReferringExpression:
     return ReferringExpression(
         report_id=report.report_id,
         sentence_index=-1,  # report-level, not tied to one sentence
-        phrase=SCENE_PHRASES.get(tags, " and ".join(sorted(tags))),
+        phrase=" and ".join(sorted(tags)) or "no pneumo",
         components=(),
         polarity="positive" if tags else "negative",
         disease_tags=tags,

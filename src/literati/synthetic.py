@@ -22,7 +22,6 @@ class PlantedMap:
     meta: MapMeta
     logits: np.ndarray            # float64 [2, H, W]
     boxes: tuple[Box, ...]        # ground truth, map space
-    centers: tuple[tuple[float, float], ...]  # (row, col) bump centers
 
 
 def _logistic(z: float) -> float:
@@ -109,8 +108,7 @@ def make_planted_maps(
             classes=("background", "pneumonia"),
             size=(W, H),
         )
-        out.append(PlantedMap(meta=meta, logits=logits, boxes=tuple(boxes),
-                              centers=tuple(centers)))
+        out.append(PlantedMap(meta=meta, logits=logits, boxes=tuple(boxes)))
     return out
 
 

@@ -1,6 +1,6 @@
 """Tree-structured Parzen estimator for decoder hyperparameters.
 
-Completed trials are split at the ceil(gamma * n) best into a good and a
+Completed trials are split at the ceil(GAMMA * n) best into a good and a
 bad set; per dimension, each set gets a Parzen density (truncated normal
 kernels at the observed points for continuous dimensions, add-one-smoothed
 category counts for integer and choice dimensions). Candidates drawn from
@@ -25,6 +25,8 @@ from scipy import special
 logger = logging.getLogger(__name__)
 
 PARAM_KINDS = ("uniform", "log_uniform", "integer_uniform", "choice")
+GAMMA = 0.25  # share of the completed trials that form the good set
+N_CANDIDATES = 24  # candidates drawn from the good density per suggestion
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -116,16 +118,12 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class TpeConfig:
-    gamma: float = 0.25
-    n_startup: int = 10
-    n_candidates: int = 24
+    n_startup: int = 10  # trials sampled uniformly before the densities are fit
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must be in (0, 1)")
-        if self.n_startup < 1 or self.n_candidates < 1:
-            raise ValueError("n_startup and n_candidates must be >= 1")
+        if self.n_startup < 1:
+            raise ValueError("n_startup must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
     rng = np.random.default_rng([cfg.seed, len(history)])
     complete = [t for t in history if t.status == "complete"]
 
-    n_good = math.ceil(cfg.gamma * len(complete))
+    n_good = math.ceil(GAMMA * len(complete))
     # a degenerate split leaves too few trials to model "bad"
     if len(complete) < cfg.n_startup or n_good >= len(complete):
         params = {p.name: _sample_uniform(p, rng) for p in space.params}
@@ -286,18 +284,18 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
     bad = [complete[i] for i in ranked[n_good:]]
 
     candidate_values: dict[str, list] = {}
-    log_ratios = np.zeros(cfg.n_candidates)
+    log_ratios = np.zeros(N_CANDIDATES)
     for spec in space.params:
         l_density = _fit(spec, [t.params[spec.name] for t in good])
         g_density = _fit(spec, [t.params[spec.name] for t in bad])
-        cands = l_density.sample(rng, cfg.n_candidates)
+        cands = l_density.sample(rng, N_CANDIDATES)
         candidate_values[spec.name] = cands
         log_ratios += np.log(l_density.pdf(cands)) - np.log(g_density.pdf(cands))
 
     chosen = int(np.argmax(log_ratios))
     candidates = tuple(
         {name: vals[j] for name, vals in candidate_values.items()}
-        for j in range(cfg.n_candidates)
+        for j in range(N_CANDIDATES)
     )
     return candidates[chosen], SuggestTrace(
         mode="tpe",
@@ -395,14 +393,15 @@ def tune_decoder(
     in map order: with the memos below a trial costs less than a round
     trip to a worker process would.
 
-    In ``top1`` mode a trial reads only the first tie group of each map's
-    detections (``top_detections``): the first region of each class whose
-    maximum is the map's highest, with window winners only where that
-    maximum ties. Each class memoises its first regions by the interval of
-    ``alpha * maximum`` over which they stay the same, so across trials a
-    region is grown once, not once per trial. Each map also memoises the
-    match outcome of every first tie group it has scored, so a trial whose
-    tie group repeats neither rescales nor rematches it.
+    In ``top1`` mode a trial reads only each map's first detection
+    (``top_detection``), the one ``match_image`` matches: a region of the
+    first class whose maximum is the map's highest, with window winners
+    only where that maximum ties in its class. Each class memoises its
+    first regions by the interval of ``alpha * maximum`` over which they
+    stay the same, so across trials a region is grown once, not once per
+    trial. Each map also memoises the match outcome of every first
+    detection it has scored, so a trial that repeats one neither rescales
+    nor rematches it.
 
     In ``greedy_multi`` mode an image is a hit exactly when some detection
     reaches the threshold with some box, whatever the order: the first such
@@ -414,7 +413,7 @@ def tune_decoder(
     """
     from . import eval_harness as harness
     from .map_decoder import (DecodeParams, PreparedMap, detection_to_net416, iter_regions,
-                              region_to_detection, top_detections)
+                              region_to_detection, top_detection)
 
     if not maps:
         raise ValueError("no maps to tune on")
@@ -444,16 +443,16 @@ def tune_decoder(
         return harness.match_image(dets, gts_net416[m.meta.image_id], iou_threshold,
                                    mode=mode, image_id=m.meta.image_id)
 
-    # Per map, the outcome of each first tie group seen: within this call
+    # Per map, the outcome of each first detection seen: within this call
     # match_image depends on nothing else, and Detections hash by value.
     outcomes = [{} for _ in scored]
 
     def score_top1(params: DecodeParams) -> list:
         results = []
         for m, prepared_map, memo in zip(scored, prepared, outcomes):
-            top = tuple(top_detections(prepared_map, params))  # top1 reads dets[0] only
+            top = top_detection(prepared_map, params)
             if top not in memo:
-                memo[top] = score(m, top)
+                memo[top] = score(m, [] if top is None else [top])
             results.append(memo[top])
         return results
 

@@ -577,6 +577,27 @@ def test_split_and_mix_flow(tmp_path, capsys):
     assert len(mixed) == 8
 
 
+@pytest.mark.parametrize("command", ["split", "mix"])
+def test_split_and_mix_replace_their_out(tmp_path, command):
+    # the output is renamed onto --out, so a hard link to the old file keeps
+    # the old bytes
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\n".join(f"id{i}" for i in range(20)) + "\n", encoding="utf-8")
+    neg = tmp_path / "neg.txt"
+    neg.write_text("\n".join(f"n{i}" for i in range(30)) + "\n", encoding="utf-8")
+    argv = {"split": ["split", "--ids", str(ids)],
+            "mix": ["mix", "--pos", str(ids), "--neg", str(neg)]}[command]
+    fresh = tmp_path / "fresh.txt"
+    assert run([*argv, "--out", str(fresh)]) == 0
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old output\n")
+    link = tmp_path / "link.txt"
+    os.link(out, link)
+    assert run([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert link.read_bytes() == b"old output\n"
+
+
 # --- decode / eval ----------------------------------------------------------------------
 
 def test_decode_eval_round_trip(tmp_path, capsys):
@@ -1234,6 +1255,8 @@ def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
     assert _finishes(lambda: run(argv)) == 1
     _one_line_error(caplog, "ended unexpectedly (exit code -9)")
     assert not (out / "detections.json" if command == "demo" else out).exists()
+    if command == "demo":  # the maps are written only once every other output is
+        assert not (out / "maps").exists()
     _no_child_left()
 
 
@@ -1283,7 +1306,7 @@ def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, m
             raise KeyboardInterrupt
         return real(*args)
 
-    name = "top_detections" if mode == "top1" else "iter_regions"
+    name = "top_detection" if mode == "top1" else "iter_regions"
     real = getattr(map_decoder, name)
     monkeypatch.setattr(map_decoder, name, interrupted)
     monkeypatch.setenv("LITERATI_THREADS", str(workers))

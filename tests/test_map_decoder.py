@@ -23,7 +23,7 @@ from literati.map_decoder import (
     region_to_detection,
     save_map,
     softmax_map,
-    top_detections,
+    top_detection,
 )
 from literati.synthetic import make_planted_maps
 
@@ -336,22 +336,23 @@ def test_prepared_map_has_no_background_channel():
         maximal_filter_regions(prepared, 3, DecodeParams())
 
 
-# --- top_detections ---------------------------------------------------------------
+# --- top_detection ----------------------------------------------------------------
 
 def _first_tie_group(dets):
     return [det for det in dets if det.confidence == dets[0].confidence]
 
 
-def _check_top_detections(prepared, logits, params):
-    """top_detections is decode's first tie group, and scores as decode does."""
+def _check_top_detection(prepared, logits, params):
+    """top_detection is decode's first detection, and scores as decode does.
+    Returns decode's detections."""
     full = decode(logits, params)
-    top = top_detections(prepared, params)
-    assert top == _first_tie_group(full), params
+    top = top_detection(prepared, params)
+    assert top == (full or [None])[0], params
     _, H, W = logits.shape
     gts = [Box(0.0, 0.0, W / 2, H / 2, space="map"), Box(W / 3, H / 3, W / 2, H / 2, space="map")]
-    assert (match_image(top, gts, IOU_THRESHOLDS, mode="top1")
+    assert (match_image([] if top is None else [top], gts, IOU_THRESHOLDS, mode="top1")
             == match_image(full, gts, IOU_THRESHOLDS, mode="top1"))
-    return top
+    return full
 
 
 def _plateaus(H, W, cells, level=2.0, floor=-2.0):
@@ -391,12 +392,14 @@ def test_top_detections_on_tied_maxima(case):
     logits, runs = _TIE_CASES[case]
     prepared = PreparedMap(logits)
     for params, n_top in runs:
-        assert len(_check_top_detections(prepared, logits, params)) == n_top, params
+        # the case holds n_top detections at the highest confidence
+        full = _check_top_detection(prepared, logits, params)
+        assert len(_first_tie_group(full)) == n_top, params
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_top_detections_is_the_first_tie_group_of_decode(data):
+def test_top_detection_is_the_first_detection_of_decode(data):
     # few logit levels, so maxima tie within and across classes; one
     # prepared map answers a run of params, so its memos are reused
     K = data.draw(st.integers(2, 4), label="K")
@@ -411,7 +414,33 @@ def test_top_detections_is_the_first_tie_group_of_decode(data):
     params = st.builds(DecodeParams, d=st.integers(1, 5),
                        tau=st.floats(0, 0.99), alpha=st.floats(0.05, 1))
     for p in data.draw(st.lists(params, min_size=1, max_size=4), label="params"):
-        _check_top_detections(prepared, logits, p)
+        _check_top_detection(prepared, logits, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_top_detection_on_maxima_tied_within_and_across_classes(data):
+    # every class channel is one base map plus 0 or -1, so a cell's
+    # probabilities depend on its base value alone: the classes at offset 0
+    # (two or more) tie exactly, and so do the base maximum's cells (two or
+    # more) within each class
+    K = data.draw(st.integers(3, 5), label="K")
+    H = data.draw(st.integers(1, 10), label="H")
+    W = data.draw(st.integers(2, 10), label="W")
+    # under a background logit of 0, the probability falls by about e per
+    # unit below the maximum, so alpha decides which cells join a region
+    base = np.asarray(data.draw(st.lists(st.integers(-5, -1), min_size=H * W, max_size=H * W),
+                                label="base"), dtype=np.float64)
+    tied = data.draw(st.lists(st.integers(0, H * W - 1), min_size=2, max_size=4, unique=True),
+                     label="tied")
+    base[tied] = 0.0
+    rest = data.draw(st.lists(st.sampled_from([0.0, -1.0]), min_size=K - 3, max_size=K - 3),
+                     label="rest")
+    offsets = data.draw(st.permutations([0.0, 0.0, *rest]), label="offsets")
+    logits = np.stack([np.zeros((H, W)), *[base.reshape(H, W) + o for o in offsets]])
+    p = data.draw(st.builds(DecodeParams, d=st.integers(1, 5), tau=st.floats(0, 0.2),
+                            alpha=st.floats(0.05, 1)), label="params")
+    assert top_detection(PreparedMap(logits), p) == (decode(logits, p) or [None])[0]
 
 
 # --- the first-region memo -----------------------------------------------------------
@@ -428,7 +457,7 @@ def _rings(H, W, center, levels):
 def _check_against_fresh(prepared, logits, params):
     fresh = PreparedMap(logits)
     assert decode(prepared, params) == decode(fresh, params), params
-    assert top_detections(prepared, params) == top_detections(fresh, params), params
+    assert top_detection(prepared, params) == top_detection(fresh, params), params
 
 
 def test_first_region_memo_edges(monkeypatch):
@@ -462,7 +491,7 @@ def test_first_region_memo_edges(monkeypatch):
     for alpha in [0.5, *alphas] * 2:
         params = DecodeParams(alpha=alpha)
         decode(prepared, params)
-        top_detections(prepared, params)
+        top_detection(prepared, params)
     assert grown == []
 
 

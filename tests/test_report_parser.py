@@ -13,7 +13,6 @@ from literati.report_parser import (
     Lexicon,
     LexiconError,
     Report,
-    SCENE_PHRASES,
     classify_attributes,
     compose_referring_expression,
     default_lexicon,
@@ -339,9 +338,15 @@ def test_scene_label_any_lexicon_disease(lexicon):
     assert exprs[0].disease_tags == frozenset({"effusion", "pneumonia"})
 
 
-def test_scene_phrases_closed_vocabulary():
-    assert set(SCENE_PHRASES.values()) == {
-        "pneumonia", "pneumothorax", "pneumonia and pneumothorax", "no pneumo"}
+def test_scene_phrases_closed_vocabulary(lexicon):
+    # with the bundled lexicon, a scene label names its diseases in sorted
+    # order, or says there is none
+    texts = ["Lungs clear.", "Multifocal pneumonia.", "Large left pneumothorax.",
+             "Left pneumothorax. Right pneumonia.", "No pneumonia. No pneumothorax."]
+    phrases = [parse_report(Report("s", "t", text), lexicon, "scene_label")[0].phrase
+               for text in texts]
+    assert phrases == ["no pneumo", "pneumonia", "pneumothorax", "pneumonia and pneumothorax",
+                       "no pneumo"]
 
 
 def test_referring_level_matches_composition(lexicon):

@@ -11,6 +11,7 @@ from literati.eval_harness import match_image
 from literati.map_decoder import DecodeParams, LoadedMap, MapMeta, decode, detection_to_net416
 from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
+    GAMMA,
     ParamSpec,
     SearchSpace,
     TpeConfig,
@@ -78,7 +79,7 @@ def test_suggest_prefers_good_cluster():
 
     # independent truncated-normal mixture evaluation on the candidate set
     complete = sorted(history, key=lambda t: -t.objective)
-    n_good = math.ceil(cfg.gamma * len(complete))
+    n_good = math.ceil(GAMMA * len(complete))
     good = np.sort([t.params["x"] for t in complete[:n_good]])
     bad = np.sort([t.params["x"] for t in complete[n_good:]])
 
@@ -426,7 +427,7 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
     # class's region stream up to the first hit.
     import literati.map_decoder as map_decoder
 
-    scorer = "top_detections" if mode == "top1" else "iter_regions"
+    scorer = "top_detection" if mode == "top1" else "iter_regions"
     real = getattr(map_decoder, scorer)
 
     def failing(prepared, *args):
@@ -490,7 +491,7 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
             return real(prepared, *args)
         monkeypatch.setattr(map_decoder, name, wrapper)
 
-    recorded("top_detections")
+    recorded("top_detection")
     recorded("iter_regions")
     cfg = TpeConfig(seed=3)
     _, _, history = tune_decoder(maps[:5] + unannotated + maps[5:], gts_with_empty, budget=12,
@@ -503,7 +504,7 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
 def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     import literati.eval_harness as harness
     import literati.tpe_tuner as tuner
-    from literati.map_decoder import PreparedMap, top_detections
+    from literati.map_decoder import PreparedMap, top_detection
 
     planted = make_planted_maps(6, seed=5)
     maps = [LoadedMap(p.meta, p.logits) for p in planted]
@@ -515,9 +516,9 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
                 {"d": 1, "tau": 0.05, "alpha": 0.5 + 5e-10}, {"d": 3, "tau": 0.5, "alpha": 0.9}]
     for m in maps:
-        tops = [top_detections(PreparedMap(m.logits), DecodeParams(**raw))
+        tops = [top_detection(PreparedMap(m.logits), DecodeParams(**raw))
                 for raw in [{"d": 3, "tau": 0.5, "alpha": 0.5}, *scripted]]
-        assert tops[0] and tops[:4] == [tops[0]] * 4
+        assert tops[0] is not None and tops[:4] == [tops[0]] * 4
 
     calls = []
     real = harness.match_image
@@ -541,6 +542,44 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     assert [t.params for t in history[1:]] == scripted
 
 
+def test_top1_trials_with_one_first_detection_match_once(monkeypatch):
+    # class 1 holds the highest probability at one cell; class 2 ties it at
+    # two cells 2 apart, one peak at d=3 and two at d=1. So the two trials'
+    # first tie groups differ, while their first detection, class 1's
+    # region, is the same, and only the first trial matches.
+    import literati.eval_harness as harness
+    import literati.tpe_tuner as tuner
+
+    # at -40 the other class adds nothing to a tied cell's softmax sum, so
+    # the three tied cells hold one probability exactly
+    classes = np.full((2, 6, 8), -40.0)
+    classes[0, 4, 6] = classes[1, 1, 2] = classes[1, 1, 4] = 0.0
+    logits = np.concatenate([np.full((1, 6, 8), -2.0), classes])
+    trials = [{"d": 3, "tau": 0.5, "alpha": 0.5}, {"d": 1, "tau": 0.5, "alpha": 0.5}]
+    groups = []
+    for raw in trials:
+        dets = decode(logits, DecodeParams(**raw))
+        groups.append([det for det in dets if det.confidence == dets[0].confidence])
+    assert [len(g) for g in groups] == [2, 3]
+    assert groups[0][0] == groups[1][0] and groups[0][0].class_index == 1
+
+    meta = MapMeta("tied", ("background", "pneumonia", "pneumothorax"), size=(8, 6))
+    gts = {"tied": [rescale_box(groups[0][0].box, meta.size, (NET_SIZE, NET_SIZE), "net416")]}
+    calls = []
+    real = harness.match_image
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["image_id"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "match_image", counted)
+    monkeypatch.setattr(tuner, "suggest", lambda history, space, cfg: trials[len(history)])
+    _, _, history = tune_decoder([LoadedMap(meta, logits)], gts, budget=2)
+    assert [t.params for t in history] == trials
+    assert [t.objective for t in history] == [1.0, 1.0]
+    assert calls == ["tied"]
+
+
 @pytest.mark.parametrize("fixture, space, mode, iou_threshold", [
     ("noise", _D_CHOICE, "top1", 0.5), ("noise", None, "top1", 0.5),
     ("planted", _D_CHOICE, "top1", 0.1), ("planted", None, "top1", 0.1),
@@ -551,20 +590,19 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
         "greedy_multi-planted-d-choice-0.1", "greedy_multi-planted-default-0.5"])
 def test_top1_objective_equals_memo_free_scoring(fixture, space, mode, iou_threshold):
     # each trial rescored from freshly prepared maps, with no memo of any
-    # kind: top1 from the top detections, greedy_multi from a full decode
+    # kind, from a full decode
     from literati.eval_harness import accuracy, match_images
-    from literati.map_decoder import PreparedMap, top_detections
+    from literati.map_decoder import PreparedMap
 
     maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
     _, _, history = tune_decoder(maps, gts, space=space, budget=24, cfg=TpeConfig(seed=5),
                                  iou_threshold=iou_threshold, mode=mode)
-    detections = top_detections if mode == "top1" else decode
     for trial in history:
         merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **trial.params}
         params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                               alpha=float(merged["alpha"]))
         per_image = {m.meta.image_id: [detection_to_net416(det, m.meta)
-                                       for det in detections(PreparedMap(m.logits), params)]
+                                       for det in decode(PreparedMap(m.logits), params)]
                      for m in maps}
         results = match_images(per_image, gts, iou_threshold, mode)
         assert trial.objective == accuracy(results, iou_threshold)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 logger = logging.getLogger(__name__)
 
 SPACES = ("native", "net416", "map")
@@ -209,6 +207,10 @@ def make_split(ids, ratios, seed: int) -> DatasetSplit:
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
 
+    # numpy is imported only where a generator is seeded, so that reading
+    # annotations (eval_harness, and through it the CLI parser) loads none
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
@@ -239,6 +241,8 @@ def mix_negatives(positive_ids, negative_pool, ratio: float, seed: int) -> list[
     positive_ids = [str(i) for i in positive_ids]
     negative_pool = [str(i) for i in negative_pool]
     want = math.floor(ratio * len(positive_ids))
+    import numpy as np  # here only, as in make_split
+
     rng = np.random.default_rng(seed)
     if want > len(negative_pool):
         logger.warning(

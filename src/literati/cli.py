@@ -12,6 +12,13 @@ environment variable caps how many workers, and outputs do not depend on
 it. ``tune`` scores its trials in this process in both modes, since a
 memoised trial costs less than a round trip to a worker; ``eval`` runs
 serially.
+
+Each subcommand imports the library modules it runs, and only when it
+runs, so that a short job does not pay for the others' imports:
+``decode``, ``tune``, ``demo`` and ``eval`` load numpy and scipy (``eval``
+reads detections through ``map_decoder``); ``split``, ``mix`` and
+``gradcheck`` load numpy only; ``parse``, ``--version`` and ``--help``
+load neither.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import logging
 import os
 import shutil
 import sys
+import tempfile
 from contextlib import closing, contextmanager, nullcontext, suppress
 from itertools import islice
 from pathlib import Path
@@ -30,11 +38,7 @@ from pathlib import Path
 from . import FORMAT_VERSIONS, __version__
 from . import annotation_store as store
 from . import eval_harness as harness
-from . import map_decoder as decoder
-from . import numeric_heads as heads
 from . import report_parser as parser_mod
-from . import synthetic
-from . import tpe_tuner as tpe
 from .shards import ordered_map, worker_count
 
 logger = logging.getLogger("literati")
@@ -95,9 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decode", help="logit maps -> detections.json")
     sp.add_argument("--maps", required=True, help="directory of .npy maps + sidecars")
-    sp.add_argument("--d", type=int, default=decoder.DecodeParams.d)
-    sp.add_argument("--tau", type=float, default=decoder.DecodeParams.tau)
-    sp.add_argument("--alpha", type=float, default=decoder.DecodeParams.alpha)
+    # absent unless given, so that DecodeParams alone holds the defaults
+    sp.add_argument("--d", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--tau", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     sp.add_argument("--space", choices=("map", "net416"), default="map",
                     help="coordinate space of the emitted boxes")
     sp.add_argument("--out", required=True)
@@ -165,6 +170,26 @@ def _replaced_on_success(path):
         raise
 
 
+@contextmanager
+def _filled_on_success(path):
+    """A new directory whose files move into ``path`` only if the block completes.
+
+    The directory is made beside ``path``, so each move is a rename. Files
+    of ``path`` that the block did not write stay. An error leaves ``path``
+    as it was, absent if it was absent, and no temporary directory is left
+    either way.
+    """
+    path = Path(path)
+    tmp = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+    try:
+        yield tmp
+        path.mkdir(exist_ok=True)
+        for f in tmp.iterdir():
+            os.replace(f, path / f.name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def cmd_parse(args) -> int:
     lexicon = (parser_mod.Lexicon.from_file(args.lexicon)
                if args.lexicon else parser_mod.default_lexicon())
@@ -221,6 +246,8 @@ def cmd_mix(args) -> int:
 def _decode_to(out, maps, params, space) -> dict[str, list]:
     """Decode ``maps`` into ``space`` boxes, write them to ``out``, a file open
     for writing, and return them by image id."""
+    from . import map_decoder as decoder
+
     def decode_one(i):
         m = maps[i]  # workers inherit the loaded maps; only indices cross the pipe
         dets = decoder.decode(m.logits, params)
@@ -236,8 +263,11 @@ def _decode_to(out, maps, params, space) -> dict[str, list]:
 
 
 def cmd_decode(args) -> int:
+    from . import map_decoder as decoder
+
     maps = decoder.load_maps_dir(args.maps)
-    params = decoder.DecodeParams(d=args.d, tau=args.tau, alpha=args.alpha)
+    params = decoder.DecodeParams(**{k: getattr(args, k) for k in ("d", "tau", "alpha")
+                                     if k in args})
     with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
         results = _decode_to(out, maps, params, args.space)
     n = sum(len(v) for v in results.values())
@@ -246,6 +276,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from . import map_decoder as decoder
+    from . import tpe_tuner as tpe
+
     maps = decoder.load_maps_dir(args.maps)
     gts = harness.ground_truth(args.ann, "net416")
     space = tpe.SearchSpace.from_file(args.space) if args.space else None
@@ -270,6 +303,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import map_decoder as decoder
+
     if args.diagnostics and os.path.realpath(args.diagnostics) == os.path.realpath(args.out):
         raise ValueError(f"--out and --diagnostics name the same file: {args.out}")
     # an unwritable path fails before any detection is read
@@ -298,6 +333,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     import numpy as np
 
+    from . import numeric_heads as heads
+
     rng = np.random.default_rng(args.seed)
     rows = []
     failed = False
@@ -316,6 +353,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from . import map_decoder as decoder
+    from . import synthetic
+
     out_dir = Path(args.out)
     maps_dir = out_dir / "maps"
     planted = synthetic.make_planted_maps(args.n_images, args.seed)
@@ -332,11 +372,12 @@ def cmd_demo(args) -> int:
     maps = [decoder.LoadedMap(p.meta, decoder.validate_logit_map(p.logits.astype("float32")))
             for p in planted]
     # every output is open before the first map is written, and the maps go
-    # last: a run that fails before them leaves no map, and a failed map
-    # write discards the other outputs
+    # last, moved into maps/ only once all of them are written: a failed run
+    # leaves maps/ and the other outputs as they were
     with _replaced_on_success(out_dir / "annotations.json") as ann_out, \
             _replaced_on_success(out_dir / "detections.json") as det_out, \
-            _replaced_on_success(out_dir / "table.csv") as table_out:
+            _replaced_on_success(out_dir / "table.csv") as table_out, \
+            _filled_on_success(maps_dir) as new_maps_dir:
         ann_out.write(json.dumps(coco, indent=2) + "\n")
         results = _decode_to(det_out, maps, decoder.DecodeParams(), "net416")
         gts = harness.ground_truth(coco, "net416")
@@ -345,7 +386,7 @@ def cmd_demo(args) -> int:
         rendered = harness.render_table(table, format="csv")
         table_out.write(rendered)
         for m in maps:
-            decoder.save_map(maps_dir, m.meta, m.logits)
+            decoder.save_map(new_maps_dir, m.meta, m.logits)
     sys.stdout.write(rendered)
     logger.info("demo wrote maps, detections and table under %s", out_dir)
     return 0

@@ -839,6 +839,39 @@ def test_a_top1_tune_imports_no_multiprocessing(tmp_path):
     summaries = json.loads("[" + done.stdout.replace("}\n{", "},{") + "]")
     assert [summary["trials"] for summary in summaries] == [5, 5]
 
+
+def test_parse_split_mix_and_gradcheck_import_no_scipy(tmp_path):
+    # in a fresh interpreter: the import of the CLI, --version, --help and
+    # parse load neither numpy nor scipy; split, mix and gradcheck load
+    # numpy only
+    (tmp_path / "ids.txt").write_text("".join(f"id{i}\n" for i in range(20)))
+    (tmp_path / "neg.txt").write_text("".join(f"neg{i}\n" for i in range(20)))
+    runs = [
+        (["--version"], []),
+        (["--help"], []),
+        (["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
+          "--level", "referring", "--out", str(tmp_path / "expressions.jsonl")], []),
+        (["split", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "split.json")],
+         ["numpy"]),
+        (["mix", "--pos", str(tmp_path / "ids.txt"), "--neg", str(tmp_path / "neg.txt"),
+          "--out", str(tmp_path / "mixed.txt")], ["numpy"]),
+        (["gradcheck"], ["numpy"]),
+    ]
+    script = ("import json, sys\n"
+              "import literati.cli\n"
+              "def heavy():\n"
+              "    return {m for m in ('numpy', 'scipy') if m in sys.modules}\n"
+              "assert not heavy(), f'{heavy()} imported by literati.cli'\n"
+              "for argv, allowed in json.loads(sys.argv[1]):\n"
+              "    assert literati.cli.run(argv) == 0, argv\n"
+              "    assert heavy() <= set(allowed), f'{heavy()} imported by {argv[0]}'\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
+           "LITERATI_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "expressions.jsonl").stat().st_size > 0
+
 # --- tune --------------------------------------------------------------------------------
 
 def test_tune_writes_trials(tmp_path, capsys):
@@ -991,6 +1024,39 @@ def test_demo_unwritable_output_writes_nothing(tmp_path, capsys, caplog, name):
     assert list((out / name).iterdir()) == []
     for other, old in others.items():
         assert (out / other).read_bytes() == old
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+def test_demo_failed_map_write_leaves_maps_as_they_were(tmp_path, monkeypatch, capsys,
+                                                        caplog, rerun):
+    out = tmp_path / "demo"
+    argv = ["demo", "--seed", "3", "--n-images", "5", "--out", str(out)]
+    old = {}
+    if rerun:
+        assert run(argv) == 0
+        for path in [*(out / "maps").iterdir(), *out.glob("*.*")]:
+            path.write_bytes(f"old {path.name}\n".encode())
+            old[path.relative_to(out)] = path.read_bytes()
+    capsys.readouterr()
+    calls = []
+    real = map_decoder.save_map
+
+    def third_write_fails(*args, **kwargs):
+        calls.append(args[1].image_id)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(map_decoder, "save_map", third_write_fails)
+    assert run(argv) == 2
+    _one_line_error(caplog, "disk full")
+    assert len(calls) == 3
+    # no map moved in, no temporary directory left, every old file as it was
+    files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert files == old
+    assert sorted(p.name for p in out.iterdir()) == (
+        ["annotations.json", "detections.json", "maps", "table.csv"] if rerun else [])
     assert capsys.readouterr().out == ""
 
 

@@ -3,15 +3,16 @@
 Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
-``decode`` loads its maps and ``demo`` plants its own, then each streams
-them by index through worker processes forked after that (literati.shards),
-so the workers inherit the maps and only indices and detections cross a pipe. ``parse``
-streams chunks of report lines the same way and writes each chunk's
-expressions as it comes back, in input order. The LITERATI_THREADS
-environment variable caps how many workers, and outputs do not depend on
-it. ``tune`` scores its trials in this process in both modes, since a
-memoised trial costs less than a round trip to a worker; ``eval`` runs
-serially.
+``decode`` streams the indices of its maps through forked worker processes
+(literati.shards), each of which loads the map it decodes, so only an
+index and a map's meta and detections cross a pipe and no process holds
+every map. ``demo`` plants its maps in this process and streams their
+indices the same way, to workers that inherit the maps. ``parse`` streams
+chunks of report lines the same way and writes each chunk's expressions as
+it comes back, in input order. The LITERATI_THREADS environment variable
+caps how many workers, and outputs do not depend on it. ``tune`` scores
+its trials in this process in both modes, since a memoised trial costs
+less than a round trip to a worker; ``eval`` runs serially.
 
 Each subcommand imports the library modules it runs, and only when it
 runs, so that a short job does not pay for the others' imports:
@@ -243,21 +244,32 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _decode_to(out, maps, params, space) -> dict[str, list]:
-    """Decode ``maps`` into ``space`` boxes, write them to ``out``, a file open
-    for writing, and return them by image id."""
+def _decode_to(out, load, paths, params, space) -> dict[str, list]:
+    """Decode the maps ``load(i)``, for each index i of ``paths``, into
+    ``space`` boxes, write them to ``out``, a file open for writing, and
+    return them by image id.
+
+    ``load(i)`` runs in the worker that decodes map i, and only i, the map's
+    meta and its detections cross a pipe, so a ``load`` that reads the map
+    from disk keeps the maps out of this process. ``paths[i]`` names map i
+    if its image id repeats an earlier map's, which is refused before the
+    next map's result is read.
+    """
     from . import map_decoder as decoder
 
     def decode_one(i):
-        m = maps[i]  # workers inherit the loaded maps; only indices cross the pipe
+        m = load(i)
         dets = decoder.decode(m.logits, params)
         if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
-        return dets
+        return m.meta, dets
 
-    with closing(ordered_map(decode_one, range(len(maps)))) as per_map:
-        results = dict(zip([m.meta.image_id for m in maps], per_map))
-    classes = {m.meta.image_id: m.meta.classes for m in maps}
+    results, classes, seen = {}, {}, {}
+    with closing(ordered_map(decode_one, range(len(paths)))) as per_map:
+        for path, (meta, dets) in zip(paths, per_map):
+            decoder.claim_image_id(seen, meta, path)
+            results[meta.image_id] = dets
+            classes[meta.image_id] = meta.classes
     out.write(decoder.detections_to_json(results, classes) + "\n")
     return results
 
@@ -265,13 +277,14 @@ def _decode_to(out, maps, params, space) -> dict[str, list]:
 def cmd_decode(args) -> int:
     from . import map_decoder as decoder
 
-    maps = decoder.load_maps_dir(args.maps)
+    paths = decoder.map_paths(args.maps)
     params = decoder.DecodeParams(**{k: getattr(args, k) for k in ("d", "tau", "alpha")
                                      if k in args})
     with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
-        results = _decode_to(out, maps, params, args.space)
+        results = _decode_to(out, lambda i: decoder.load_map(paths[i]), paths, params,
+                             args.space)
     n = sum(len(v) for v in results.values())
-    logger.info("decoded %d maps -> %d detections", len(maps), n)
+    logger.info("decoded %d maps -> %d detections", len(paths), n)
     return 0
 
 
@@ -379,7 +392,9 @@ def cmd_demo(args) -> int:
             _replaced_on_success(out_dir / "table.csv") as table_out, \
             _filled_on_success(maps_dir) as new_maps_dir:
         ann_out.write(json.dumps(coco, indent=2) + "\n")
-        results = _decode_to(det_out, maps, decoder.DecodeParams(), "net416")
+        results = _decode_to(det_out, maps.__getitem__,
+                             [maps_dir / f"{m.meta.image_id}.npy" for m in maps],
+                             decoder.DecodeParams(), "net416")
         gts = harness.ground_truth(coco, "net416")
         matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
         table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")

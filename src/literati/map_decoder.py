@@ -502,18 +502,32 @@ def load_map(npy_path) -> LoadedMap:
     return LoadedMap(meta=meta, logits=arr)
 
 
-def load_maps_dir(directory) -> list[LoadedMap]:
+def map_paths(directory) -> list[Path]:
+    """The ``.npy`` maps of ``directory``, sorted by name; a directory with
+    none is refused."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.npy"))
     if not paths:
         raise ValueError(f"no .npy maps found in {directory}")
+    return paths
+
+
+def claim_image_id(seen: dict, meta: MapMeta, path) -> None:
+    """Record in ``seen`` (image id -> path) that the map at ``path`` holds
+    ``meta.image_id``, refusing an id that an earlier map holds: detections
+    and scores are keyed by image id."""
+    if meta.image_id in seen:
+        raise ValueError(f"{seen[meta.image_id]} and {path} both hold "
+                         f"image_id {meta.image_id!r}")
+    seen[meta.image_id] = path
+
+
+def load_maps_dir(directory) -> list[LoadedMap]:
+    """Every map of ``directory``, loaded in ``map_paths`` order."""
     maps, seen = [], {}
-    for path in paths:
+    for path in map_paths(directory):
         m = load_map(path)
-        if m.meta.image_id in seen:  # detections and scores are keyed by image id
-            raise ValueError(f"{seen[m.meta.image_id]} and {path} both hold "
-                             f"image_id {m.meta.image_id!r}")
-        seen[m.meta.image_id] = path
+        claim_image_id(seen, m.meta, path)
         maps.append(m)
     return maps
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -6,14 +7,18 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import weakref
 from contextlib import closing, suppress
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import literati
@@ -1175,7 +1180,7 @@ def test_decode_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, maps)
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_decode_sends_its_workers_map_indices(tmp_path, monkeypatch, workers):
-    # the workers inherit the loaded maps, so only indices go down the pipe
+    # each worker loads the maps it decodes, so only indices go down the pipe
     import literati.cli as cli
 
     maps_dir, _, _ = _write_maps(tmp_path, n=5)
@@ -1191,6 +1196,186 @@ def test_decode_sends_its_workers_map_indices(tmp_path, monkeypatch, workers):
     assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
     assert chunks == list(range(5))
     _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_decode_loads_each_map_once_in_a_worker(tmp_path, monkeypatch, workers):
+    maps_dir, _, planted = _write_maps(tmp_path, n=7)
+    log = tmp_path / "loads.txt"
+    real = map_decoder.load_map
+
+    def recorded(path):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {Path(path).name}\n")
+        return real(path)
+
+    monkeypatch.setattr(map_decoder, "load_map", recorded)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
+    loads = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(name for _, name in loads) == sorted(f"{p.meta.image_id}.npy"
+                                                       for p in planted)
+    pids = {int(pid) for pid, _ in loads}
+    assert os.getpid() not in pids
+    assert len(pids) == workers
+    _no_child_left()
+
+
+def test_decode_on_one_worker_holds_one_map_at_a_time(tmp_path, monkeypatch):
+    maps_dir, _, _ = _write_maps(tmp_path, n=5)
+    real = map_decoder.load_map
+    alive, most = [0], [0]
+
+    def counted(path):
+        m = real(path)
+        alive[0] += 1
+        most[0] = max(most[0], alive[0])
+        weakref.finalize(m, lambda: alive.__setitem__(0, alive[0] - 1))
+        return m
+
+    monkeypatch.setattr(map_decoder, "load_map", counted)
+    monkeypatch.setenv("LITERATI_THREADS", "1")
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
+    assert most[0] == 1 and alive[0] == 0
+
+
+def test_decode_parent_memory_does_not_grow_with_the_maps(tmp_path):
+    # in a fresh interpreter, at 2 workers: the parent's peak RSS for 32
+    # maps of 3 x 256 x 256 is that for 8 (each map is 1.5 MB as float64).
+    # The peak is the interpreter's own VmHWM: its RUSAGE_SELF peak starts at
+    # this test process's size, which the kernel carries from fork to exec.
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (8, 32):
+        maps_dir = tmp_path / f"maps{n}"
+        for i in range(n):
+            logits = np.zeros((3, 256, 256))
+            logits[1 + i % 2, rng.integers(256), rng.integers(256)] = 4.0
+            save_map(maps_dir, MapMeta(f"m{i:02d}", ("background", "a", "b"), (256, 256)),
+                     logits)
+        script = ("import sys\n"
+                  "import literati.cli\n"
+                  "assert literati.cli.run(sys.argv[1:]) == 0\n"
+                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                  "           if line.startswith('VmHWM:')))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
+               "LITERATI_THREADS": "2"}
+        done = subprocess.run([sys.executable, "-c", script, "decode", "--maps", str(maps_dir),
+                               "--out", str(tmp_path / f"det{n}.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stdout) / 1024)  # VmHWM is in kB
+    assert abs(peaks[1] - peaks[0]) < 10, peaks
+
+
+def test_decode_error_in_an_earlier_map_comes_before_a_later_refusal(tmp_path, monkeypatch,
+                                                                     caplog):
+    # maps are loaded as they are decoded, so the first failing map in path
+    # order is the one reported, whether it fails to load or to decode
+    maps_dir, _, planted = _write_maps(tmp_path, n=5)
+    ids = sorted(p.meta.image_id for p in planted)
+    (maps_dir / f"{ids[3]}.npy").write_bytes(b"")
+    real = map_decoder.detection_to_net416
+
+    def failing(det, meta):
+        if meta.image_id == ids[1]:
+            raise ValueError(f"cannot place {meta.image_id}")
+        return real(det, meta)
+
+    monkeypatch.setattr(map_decoder, "detection_to_net416", failing)
+    for workers in WORKER_COUNTS:
+        monkeypatch.setenv("LITERATI_THREADS", str(workers))
+        caplog.clear()
+        assert run(["decode", "--maps", str(maps_dir), "--space", "net416",
+                    "--out", str(tmp_path / "det.json")]) == 1
+        _one_line_error(caplog, f"cannot place {ids[1]}")
+        assert not (tmp_path / "det.json").exists()
+        _no_child_left()
+
+
+_DROP = object()  # a sidecar field to delete
+
+
+def _sidecar_with(**fields):
+    def edit(data, _):
+        doc = json.loads(data)
+        for key, value in fields.items():
+            if value is _DROP:
+                del doc[key]
+            else:
+                doc[key] = value
+        return json.dumps(doc).encode()
+    return edit
+
+
+def _npy_with(change):
+    def edit(data, u):
+        arr = np.load(io.BytesIO(data))
+        buf = io.BytesIO()
+        np.save(buf, change(arr, u))
+        return buf.getvalue()
+    return edit
+
+
+def _set_cell(value):
+    def change(arr, u):
+        arr.flat[int(u * arr.size)] = value
+        return arr
+    return change
+
+
+def _truncated(data, u):
+    text = data.rstrip()  # a sidecar cut only before its final newline still parses
+    return text[:1 + int(u * (len(text) - 1))]
+
+
+# One mutation of one file of a valid 3-map directory: (file suffix, name,
+# how to rewrite the file's bytes given a random number in [0, 1)).
+_MAP_MUTATIONS = [
+    (".json", "top-level-array", lambda data, _: b"[" + data + b"]"),
+    (".json", "number-image-id", _sidecar_with(image_id=7)),
+    (".json", "list-image-id", _sidecar_with(image_id=["x"])),
+    (".json", "null-image-id", _sidecar_with(image_id=None)),
+    (".json", "string-classes", _sidecar_with(classes="background")),
+    (".json", "object-classes", _sidecar_with(classes={"0": "background"})),
+    (".json", "number-class", _sidecar_with(classes=["background", 1])),
+    (".json", "no-image-id", _sidecar_with(image_id=_DROP)),
+    (".json", "no-classes", _sidecar_with(classes=_DROP)),
+    (".json", "truncated", _truncated),
+    (".json", "empty", lambda data, _: b""),
+    (".npy", "nan", _npy_with(_set_cell(np.nan))),
+    (".npy", "inf", _npy_with(_set_cell(-np.inf))),
+    (".npy", "float64", _npy_with(lambda arr, _: arr.astype(np.float64))),
+    (".npy", "2-d", _npy_with(lambda arr, _: arr[1])),
+    (".npy", "truncated", _truncated),
+    (".npy", "empty", lambda data, _: b""),
+]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from(_MAP_MUTATIONS), which=st.integers(0, 2),
+       u=st.floats(0, 1, exclude_max=True))
+def test_malformed_map_is_refused_on_one_line(tmp_path, monkeypatch, caplog, mutation, which,
+                                              u):
+    suffix, _, edit = mutation
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        maps_dir, _, planted = _write_maps(Path(tmp), n=3)
+        target = maps_dir / f"{sorted(p.meta.image_id for p in planted)[which]}{suffix}"
+        target.write_bytes(edit(target.read_bytes(), u))
+        out = Path(tmp) / "det.json"
+        errors = set()
+        for workers in (1, 2):
+            monkeypatch.setenv("LITERATI_THREADS", str(workers))
+            caplog.clear()
+            assert run(["decode", "--maps", str(maps_dir), "--out", str(out)]) in (1, 2)
+            [error] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert "\n" not in error and "Traceback" not in caplog.text, caplog.text
+            assert target.stem in error
+            assert not out.exists()
+            _no_child_left()
+            errors.add(error)
+        assert len(errors) == 1, errors
 
 
 def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):

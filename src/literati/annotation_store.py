@@ -202,8 +202,8 @@ def make_split(ids, ratios, seed: int) -> DatasetSplit:
     if len(set(ids)) != len(ids):
         raise ValueError("ids must be unique")
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three non-negative numbers")
+    if len(ratios) != 3 or not all(0 <= r < math.inf for r in ratios):  # NaN fails too
+        raise ValueError(f"ratios must be three non-negative finite numbers, not {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
 
@@ -234,25 +234,25 @@ def mix_negatives(positive_ids, negative_pool, ratio: float, seed: int) -> list[
     """Positives plus a seeded sample of floor(ratio * n_pos) negatives.
 
     Ratio 1.0 mixes negatives and positives equally. A pool smaller than
-    the request yields the whole pool and a warning.
+    the request, however large the ratio, yields the whole pool and a warning.
     """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive")
+    if not 0 < ratio < math.inf:  # NaN fails too
+        raise ValueError(f"ratio must be a positive finite number, not {ratio}")
     positive_ids = [str(i) for i in positive_ids]
     negative_pool = [str(i) for i in negative_pool]
-    want = math.floor(ratio * len(positive_ids))
+    want = ratio * len(positive_ids)  # inf where the product overflows
     import numpy as np  # here only, as in make_split
 
     rng = np.random.default_rng(seed)
-    if want > len(negative_pool):
+    if want >= len(negative_pool) + 1:  # floor(want) > len(negative_pool)
         logger.warning(
-            "negative pool has %d ids, wanted %d; taking the whole pool",
-            len(negative_pool), want,
+            "negative pool has %d ids, wanted %s; taking the whole pool",
+            len(negative_pool), math.floor(want) if want < math.inf else want,
         )
         sampled = list(negative_pool)
         rng.shuffle(sampled)
     else:
-        idx = rng.choice(len(negative_pool), size=want, replace=False)
+        idx = rng.choice(len(negative_pool), size=math.floor(want), replace=False)
         sampled = [negative_pool[i] for i in idx]
     return positive_ids + sampled
 
@@ -274,5 +274,9 @@ def rescale_box(box: Box, from_dims, to_dims, to_space: str | None = None) -> Bo
 
 
 def read_id_file(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+    """The non-blank lines of ``path``, stripped."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e

@@ -6,8 +6,8 @@ Logs go to standard error; every subcommand is deterministic given its seed.
 ``decode`` streams the indices of its maps through forked worker processes
 (literati.shards), each of which loads the map it decodes, so only an
 index and a map's meta and detections cross a pipe and no process holds
-every map. ``demo`` plants its maps in this process and streams their
-indices the same way, to workers that inherit the maps. ``parse`` streams
+every map. ``demo`` writes the maps it plants and decodes those files the
+same way, so its detections are those of ``decode``. ``parse`` streams
 chunks of report lines the same way and writes each chunk's expressions as
 it comes back, in input order. The LITERATI_THREADS environment variable
 caps how many workers, and outputs do not depend on it. ``tune`` scores
@@ -59,11 +59,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """A --seed value: the seeded generators take integers >= 0 only."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An integer flag value >= ``low``: a --seed, since the seeded generators
+    take integers >= 0 only, or a --n-images, since demo needs an image."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
+        return int(text)
+    return parse
 
 
 def _version_string() -> str:
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("split", help="deterministic train/val/test split")
     sp.add_argument("--ids", required=True, help="text file, one id per line")
     sp.add_argument("--ratios", default="0.8,0.1,0.1")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_split)
 
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pos", required=True)
     sp.add_argument("--neg", required=True)
     sp.add_argument("--ratio", type=float, default=1.0)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--out", default=None, help="default: stdout")
     sp.set_defaults(func=cmd_mix)
 
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ann", required=True, help="COCO JSON with ground truth")
     sp.add_argument("--space", default=None, help="space JSON (default: built-in d/tau/alpha)")
     sp.add_argument("--budget", type=int, default=40)
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--iou", type=float, default=0.1)
     sp.add_argument("--mode", choices=harness.MATCH_MODES, default="top1")
     sp.add_argument("--out", required=True, help="trial log JSON")
@@ -131,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("gradcheck", help="verify analytic gradients")
-    sp.add_argument("--seed", type=_seed, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--h", type=float, default=1e-6)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("demo", help="synthetic end-to-end run")
-    sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--n-images", type=int, default=50)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
+    sp.add_argument("--n-images", type=_at_least(1), default=50)
     sp.add_argument("--out", default="literati_demo")
     sp.set_defaults(func=cmd_demo)
     return p
@@ -244,21 +247,19 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _decode_to(out, load, paths, params, space) -> dict[str, list]:
-    """Decode the maps ``load(i)``, for each index i of ``paths``, into
-    ``space`` boxes, write them to ``out``, a file open for writing, and
-    return them by image id.
+def _decode_to(out, paths, params, space) -> dict[str, list]:
+    """Decode the maps at ``paths`` into ``space`` boxes, write them to
+    ``out``, a file open for writing, and return them by image id.
 
-    ``load(i)`` runs in the worker that decodes map i, and only i, the map's
-    meta and its detections cross a pipe, so a ``load`` that reads the map
-    from disk keeps the maps out of this process. ``paths[i]`` names map i
-    if its image id repeats an earlier map's, which is refused before the
-    next map's result is read.
+    Map i is loaded in the worker that decodes it, and only i, the map's
+    meta and its detections cross a pipe, so no map is held in this
+    process. A map whose image id repeats an earlier map's is refused
+    before the next map's result is read.
     """
     from . import map_decoder as decoder
 
     def decode_one(i):
-        m = load(i)
+        m = decoder.load_map(paths[i])
         dets = decoder.decode(m.logits, params)
         if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
@@ -281,8 +282,7 @@ def cmd_decode(args) -> int:
     params = decoder.DecodeParams(**{k: getattr(args, k) for k in ("d", "tau", "alpha")
                                      if k in args})
     with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
-        results = _decode_to(out, lambda i: decoder.load_map(paths[i]), paths, params,
-                             args.space)
+        results = _decode_to(out, paths, params, args.space)
     n = sum(len(v) for v in results.values())
     logger.info("decoded %d maps -> %d detections", len(paths), n)
     return 0
@@ -380,28 +380,22 @@ def cmd_demo(args) -> int:
                          f"write, such as {stale[0]}; use another --out")
     coco = synthetic.planted_coco(planted)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # decode the maps at the float32 precision they are written with, as
-    # load_map reads them back, so that `decode` on the written maps agrees
-    maps = [decoder.LoadedMap(p.meta, decoder.validate_logit_map(p.logits.astype("float32")))
-            for p in planted]
-    # every output is open before the first map is written, and the maps go
-    # last, moved into maps/ only once all of them are written: a failed run
+    # every output is open before the first map is written, and the maps are
+    # decoded from the files written, as `decode --space net416` reads them;
+    # they move into maps/ only once the run succeeds, so a failed run
     # leaves maps/ and the other outputs as they were
     with _replaced_on_success(out_dir / "annotations.json") as ann_out, \
             _replaced_on_success(out_dir / "detections.json") as det_out, \
             _replaced_on_success(out_dir / "table.csv") as table_out, \
             _filled_on_success(maps_dir) as new_maps_dir:
         ann_out.write(json.dumps(coco, indent=2) + "\n")
-        results = _decode_to(det_out, maps.__getitem__,
-                             [maps_dir / f"{m.meta.image_id}.npy" for m in maps],
-                             decoder.DecodeParams(), "net416")
+        paths = [decoder.save_map(new_maps_dir, p.meta, p.logits) for p in planted]
+        results = _decode_to(det_out, paths, decoder.DecodeParams(), "net416")
         gts = harness.ground_truth(coco, "net416")
         matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
         table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
         rendered = harness.render_table(table, format="csv")
         table_out.write(rendered)
-        for m in maps:
-            decoder.save_map(new_maps_dir, m.meta, m.logits)
     sys.stdout.write(rendered)
     logger.info("demo wrote maps, detections and table under %s", out_dir)
     return 0

@@ -45,7 +45,6 @@ from typing import Iterable, Iterator, Optional
 # longest entry first.
 _MatchIndex = dict[str, tuple[tuple[tuple[str, ...], object], ...]]
 
-CATEGORIES = ("R1", "R5", "R6", "R7")
 # Canonical component order inside a composed expression.
 CATEGORY_ORDER = ("R7", "R1", "R5", "R6")
 _CATEGORY_RANK = {cat: rank for rank, cat in enumerate(CATEGORY_ORDER)}

@@ -603,6 +603,94 @@ def test_split_and_mix_replace_their_out(tmp_path, command):
     assert link.read_bytes() == b"old output\n"
 
 
+def _split_or_mix(tmp_path, command, value, out):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a\nb\n", encoding="utf-8")
+    neg = tmp_path / "neg.txt"
+    neg.write_text("x\ny\nz\n", encoding="utf-8")
+    return {"split": ["split", "--ids", str(ids), f"--ratios={value}"],
+            "mix": ["mix", "--pos", str(ids), "--neg", str(neg), f"--ratio={value}"],
+            }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command, value, shown", [
+    ("mix", "inf", "inf"), ("mix", "nan", "nan"), ("mix", "-inf", "-inf"), ("mix", "0", "0.0"),
+    ("split", "nan,0.5,0.5", "(nan, 0.5, 0.5)"), ("split", "0.5,inf,0", "(0.5, inf, 0.0)"),
+    ("split", "0.5,0.5", "(0.5, 0.5)"),
+])
+def test_bad_ratio_exits_1_naming_the_value(tmp_path, caplog, command, value, shown):
+    out = tmp_path / "out.txt"
+    assert run(_split_or_mix(tmp_path, command, value, out)) == 1
+    _one_line_error(caplog, f"not {shown}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value", [("split", "0.5,0.5,0"), ("mix", "1")])
+def test_id_file_not_utf8_exits_1_naming_it(tmp_path, caplog, command, value):
+    out = tmp_path / "out.txt"
+    argv = _split_or_mix(tmp_path, command, value, out)
+    (tmp_path / "ids.txt").write_bytes(b"a\n\xff\n")
+    assert run(argv) == 1
+    _one_line_error(caplog, f"{tmp_path / 'ids.txt'}: not UTF-8 (invalid start byte at byte 2)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["100", "1e308"])
+def test_mix_ratio_beyond_the_pool_takes_the_whole_pool(tmp_path, caplog, ratio):
+    # 2 positives at 1e308 ask for more negatives than a float holds
+    out = tmp_path / "mixed.txt"
+    assert run(_split_or_mix(tmp_path, "mix", ratio, out)) == 0
+    assert sorted(out.read_text(encoding="utf-8").split()) == ["a", "b", "x", "y", "z"]
+    assert any("taking the whole pool" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1.5"])
+def test_demo_without_images_exits_1_before_any_output(tmp_path, capsys, n):
+    out = tmp_path / "demo"
+    assert run(["demo", "--n-images", n, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"literati: error: argument --n-images: must be an integer >= 1, not '{n}'"]
+    assert not out.exists()
+
+
+# an id file: blank lines, duplicates, and maybe a last line that is not UTF-8
+_ID_FILE = st.builds(lambda lines, tail: b"\n".join(lines) + tail,
+                     st.lists(st.sampled_from([b"a", b"b", b"c", b"a", b"", b"  "]), max_size=8),
+                     st.sampled_from([b"", b"\n", b"\n\xff", b"\nid\xc3("]))
+_RATIO = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "1e400", "x", ""]),
+                   st.floats().map(repr))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["split", "mix"]),
+       files=st.lists(_ID_FILE, min_size=2, max_size=2),
+       ratios=st.lists(_RATIO, min_size=1, max_size=4))
+def test_split_and_mix_fuzz_exit_cleanly(tmp_path, capsys, caplog, command, files, ratios):
+    # every run returns 0, 1 or 2; a refusal is one line and leaves no --out
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        pos, neg, out = Path(tmp) / "pos.txt", Path(tmp) / "neg.txt", Path(tmp) / "out.txt"
+        for path, data in zip((pos, neg), files):
+            path.write_bytes(data)
+        argv = {"split": ["split", "--ids", str(pos), f"--ratios={','.join(ratios)}"],
+                "mix": ["mix", "--pos", str(pos), "--neg", str(neg), f"--ratio={ratios[0]}"],
+                }[command]
+        capsys.readouterr()
+        caplog.clear()
+        code = run([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err + caplog.text
+        if code:
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            errors += [line for line in err.splitlines() if line.startswith("literati: error:")]
+            assert len(errors) == 1 and "\n" not in errors[0], errors
+            assert not out.exists()
+        else:
+            assert out.exists()
+
+
 # --- decode / eval ----------------------------------------------------------------------
 
 def test_decode_eval_round_trip(tmp_path, capsys):
@@ -1198,9 +1286,14 @@ def test_decode_sends_its_workers_map_indices(tmp_path, monkeypatch, workers):
     _no_child_left()
 
 
+@pytest.mark.parametrize("command", ["decode", "demo"])
 @pytest.mark.parametrize("workers", [2, 3])
-def test_decode_loads_each_map_once_in_a_worker(tmp_path, monkeypatch, workers):
+def test_decode_loads_each_map_once_in_a_worker(tmp_path, monkeypatch, workers, command):
+    # demo decodes the map files it writes, as `decode` reads them
     maps_dir, _, planted = _write_maps(tmp_path, n=7)
+    out = tmp_path / "demo"
+    argv = {"decode": ["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")],
+            "demo": ["demo", "--n-images", "7", "--out", str(out)]}[command]
     log = tmp_path / "loads.txt"
     real = map_decoder.load_map
 
@@ -1211,10 +1304,12 @@ def test_decode_loads_each_map_once_in_a_worker(tmp_path, monkeypatch, workers):
 
     monkeypatch.setattr(map_decoder, "load_map", recorded)
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
-    assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
+    assert run(argv) == 0
+    if command == "demo":
+        maps_dir = out / "maps"
     loads = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
-    assert sorted(name for _, name in loads) == sorted(f"{p.meta.image_id}.npy"
-                                                       for p in planted)
+    assert sorted(name for _, name in loads) == sorted(p.name for p in maps_dir.glob("*.npy"))
+    assert len(loads) == len(planted)
     pids = {int(pid) for pid, _ in loads}
     assert os.getpid() not in pids
     assert len(pids) == workers
@@ -1506,7 +1601,7 @@ def test_killed_worker_exits_1(tmp_path, monkeypatch, caplog, command, workers):
     assert _finishes(lambda: run(argv)) == 1
     _one_line_error(caplog, "ended unexpectedly (exit code -9)")
     assert not (out / "detections.json" if command == "demo" else out).exists()
-    if command == "demo":  # the maps are written only once every other output is
+    if command == "demo":  # the maps move into maps/ only once the whole run succeeds
         assert not (out / "maps").exists()
     _no_child_left()
 

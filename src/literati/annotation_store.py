@@ -24,7 +24,8 @@ class CocoParseError(ValueError):
     """The document is not UTF-8, not valid JSON or not an object, lacks a
     required array or holds a non-array there, or an entry of one is not an
     object, lacks its id, holds a category id that is an array or an object,
-    or holds a bbox that is not 4 finite numbers."""
+    holds a caption or phrase that is neither a string nor null, or holds a
+    bbox that is not 4 finite numbers."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -180,6 +181,10 @@ def _coco_records(doc) -> tuple[list[ImageRecord], list[Annotation]]:
                 f"annotation on image {image_id}: non-positive bbox dims {w}x{h}"
             )
         cat_id = _category_id(ann.get("category_id"), f"annotations[{i}] 'category_id'")
+        for key in ("caption", "phrase"):
+            if not isinstance(ann.get(key), (str, type(None))):
+                raise CocoParseError(f"annotations[{i}] {key!r} must be a string or null, "
+                                     f"not {ann[key]!r}")
         phrase = ann.get("caption") or ann.get("phrase") or categories.get(cat_id, "")
         if not phrase:
             raise CocoValidationError(f"annotation on image {image_id}: empty phrase")
@@ -230,16 +235,26 @@ def make_split(ids, ratios, seed: int) -> DatasetSplit:
     )
 
 
-def mix_negatives(positive_ids, negative_pool, ratio: float, seed: int) -> list[str]:
+def mix_negatives(positive_ids, negative_pool, ratio: float, seed: int,
+                  names=("positives", "negative pool")) -> list[str]:
     """Positives plus a seeded sample of floor(ratio * n_pos) negatives.
 
     Ratio 1.0 mixes negatives and positives equally. A pool smaller than
     the request, however large the ratio, yields the whole pool and a warning.
+    An id listed twice, in one list or in both, is refused, naming each
+    list by its entry in ``names``.
     """
     if not 0 < ratio < math.inf:  # NaN fails too
         raise ValueError(f"ratio must be a positive finite number, not {ratio}")
     positive_ids = [str(i) for i in positive_ids]
     negative_pool = [str(i) for i in negative_pool]
+    listed = {}
+    for name, ids in zip(names, (positive_ids, negative_pool)):
+        for i in ids:
+            if i in listed:
+                raise ValueError(f"{name}: id {i!r} is listed twice" if listed[i] == name
+                                 else f"{name}: id {i!r} is also listed in {listed[i]}")
+            listed[i] = name
     want = ratio * len(positive_ids)  # inf where the product overflows
     import numpy as np  # here only, as in make_split
 

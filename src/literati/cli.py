@@ -10,9 +10,10 @@ every map. ``demo`` writes the maps it plants and decodes those files the
 same way, so its detections are those of ``decode``. ``parse`` streams
 chunks of report lines the same way and writes each chunk's expressions as
 it comes back, in input order. The LITERATI_THREADS environment variable
-caps how many workers, and outputs do not depend on it. ``tune`` scores
-its trials in this process in both modes, since a memoised trial costs
-less than a round trip to a worker; ``eval`` runs serially.
+caps how many workers, and outputs do not depend on it. ``tune`` loads its
+maps as ``decode``'s workers do, one at a time once its output is open,
+keeps each only prepared, and scores trials in this process: a memoised
+trial costs less than a round trip to a worker. ``eval`` runs serially.
 
 Each subcommand imports the library modules it runs, and only when it
 runs, so that a short job does not pay for the others' imports:
@@ -223,7 +224,11 @@ def cmd_parse(args) -> int:
 
 def cmd_split(args) -> int:
     ids = store.read_id_file(args.ids)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:  # make_split's refusal, naming the flag's whole value
+        raise ValueError(f"--ratios must be three non-negative finite numbers, "
+                         f"not {args.ratios!r}") from None
     split = store.make_split(ids, ratios, args.seed)
     with _replaced_on_success(args.out) as out:
         out.write(json.dumps(split.to_dict(), indent=2) + "\n")
@@ -235,7 +240,7 @@ def cmd_split(args) -> int:
 def cmd_mix(args) -> int:
     positives = store.read_id_file(args.pos)
     pool = store.read_id_file(args.neg)
-    mixed = store.mix_negatives(positives, pool, args.ratio, args.seed)
+    mixed = store.mix_negatives(positives, pool, args.ratio, args.seed, (args.pos, args.neg))
     text = "\n".join(mixed) + "\n"
     if args.out:
         with _replaced_on_success(args.out) as out:
@@ -292,11 +297,13 @@ def cmd_tune(args) -> int:
     from . import map_decoder as decoder
     from . import tpe_tuner as tpe
 
-    maps = decoder.load_maps_dir(args.maps)
+    paths = decoder.map_paths(args.maps)
     gts = harness.ground_truth(args.ann, "net416")
     space = tpe.SearchSpace.from_file(args.space) if args.space else None
     cfg = tpe.TpeConfig(seed=args.seed)
-    with _replaced_on_success(args.out) as out:  # an unwritable path fails before any trial
+    with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
+        # each map's logits are dropped once it is prepared
+        maps = [(m.meta, decoder.PreparedMap(m.logits)) for m in decoder.iter_maps(paths)]
         best_params, best, history = tpe.tune_decoder(
             maps, gts, space=space, budget=args.budget, cfg=cfg,
             iou_threshold=args.iou, mode=args.mode,

@@ -522,14 +522,18 @@ def claim_image_id(seen: dict, meta: MapMeta, path) -> None:
     seen[meta.image_id] = path
 
 
-def load_maps_dir(directory) -> list[LoadedMap]:
-    """Every map of ``directory``, loaded in ``map_paths`` order."""
-    maps, seen = [], {}
-    for path in map_paths(directory):
+def iter_maps(paths) -> Iterator[LoadedMap]:
+    """The maps at ``paths``, loaded one at a time, each once its image id is claimed."""
+    seen = {}
+    for path in paths:
         m = load_map(path)
         claim_image_id(seen, m.meta, path)
-        maps.append(m)
-    return maps
+        yield m
+
+
+def load_maps_dir(directory) -> list[LoadedMap]:
+    """Every map of ``directory``, loaded in ``map_paths`` order."""
+    return list(iter_maps(map_paths(directory)))
 
 
 def detection_to_net416(det: Detection, meta: MapMeta) -> Detection:

@@ -383,15 +383,15 @@ def tune_decoder(
 ):
     """Tune decode parameters against detection accuracy on held-out maps.
 
-    ``maps`` are LoadedMap records; ``gts_net416`` maps image ids to
-    ground-truth boxes in net416 space, and the objective scores every one
-    of its images as ``eval`` does. When the space holds the decoder
-    defaults, they are evaluated as trial 0, so the returned best can never
-    be worse than the baseline. A map whose image has no ground truth is
-    left out of every score, so it is never decoded; each other map is
-    prepared once and reused by every trial. Trials run in this process,
-    in map order: with the memos below a trial costs less than a round
-    trip to a worker process would.
+    ``maps`` are (MapMeta, PreparedMap) pairs, each map prepared once and
+    reused by every trial; ``gts_net416`` maps image ids to ground-truth
+    boxes in net416 space, and the objective scores every one of its images
+    as ``eval`` does. When the space holds the decoder defaults, they are
+    evaluated as trial 0, so the returned best can never be worse than the
+    baseline. A map whose image has no ground truth is left out of every
+    score, so it is never decoded. Trials run in this process, in map
+    order: with the memos below a trial costs less than a round trip to a
+    worker process would.
 
     In ``top1`` mode a trial reads only each map's first detection
     (``top_detection``), the one ``match_image`` matches: a region of the
@@ -412,12 +412,15 @@ def tune_decoder(
     Returns (best DecodeParams, best Trial, history).
     """
     from . import eval_harness as harness
-    from .map_decoder import (DecodeParams, PreparedMap, detection_to_net416, iter_regions,
+    from .map_decoder import (DecodeParams, detection_to_net416, iter_regions,
                               region_to_detection, top_detection)
 
-    if not maps:
-        raise ValueError("no maps to tune on")
-    if not any(gts_net416.get(m.meta.image_id) for m in maps):
+    # match_image marks a map without ground truth excluded, whatever it
+    # decodes, and accuracy leaves it out. Each scored map keeps the outcome
+    # of each first detection seen: within this call match_image depends on
+    # nothing else, and Detections hash by value.
+    scored = [(meta, prepared, {}) for meta, prepared in maps if gts_net416.get(meta.image_id)]
+    if not scored:
         raise ValueError("no ground-truth boxes for the provided maps")
     harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
@@ -432,44 +435,34 @@ def tune_decoder(
         return DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                             alpha=float(merged["alpha"]))
 
-    # match_image marks a map without ground truth excluded, whatever it
-    # decodes, and accuracy leaves it out
-    scored = [m for m in maps if gts_net416.get(m.meta.image_id)]
-    # softmax, channel maxima and window winners are shared by every trial
-    prepared = [PreparedMap(m.logits) for m in scored]
-
-    def score(m, dets):
-        dets = [detection_to_net416(det, m.meta) for det in dets]
-        return harness.match_image(dets, gts_net416[m.meta.image_id], iou_threshold,
-                                   mode=mode, image_id=m.meta.image_id)
-
-    # Per map, the outcome of each first detection seen: within this call
-    # match_image depends on nothing else, and Detections hash by value.
-    outcomes = [{} for _ in scored]
+    def score(meta, dets):
+        dets = [detection_to_net416(det, meta) for det in dets]
+        return harness.match_image(dets, gts_net416[meta.image_id], iou_threshold,
+                                   mode=mode, image_id=meta.image_id)
 
     def score_top1(params: DecodeParams) -> list:
         results = []
-        for m, prepared_map, memo in zip(scored, prepared, outcomes):
-            top = top_detection(prepared_map, params)
+        for meta, prepared, memo in scored:
+            top = top_detection(prepared, params)
             if top not in memo:
-                memo[top] = score(m, [] if top is None else [top])
+                memo[top] = score(meta, [] if top is None else [top])
             results.append(memo[top])
         return results
 
-    def first_hit(m, prepared_map, params: DecodeParams):
+    def first_hit(meta, prepared, params: DecodeParams):
         # the objective reads only `hit`, which any one hitting region settles
-        for k in range(1, prepared_map.shape[0]):
-            for region in iter_regions(prepared_map, k, params):
-                result = score(m, [region_to_detection(region)])
+        for k in range(1, prepared.shape[0]):
+            for region in iter_regions(prepared, k, params):
+                result = score(meta, [region_to_detection(region)])
                 if result.outcomes[iou_threshold].hit:
                     return result
-        return score(m, [])
+        return score(meta, [])
 
     def score_greedy_multi(params: DecodeParams) -> list:
-        return [first_hit(m, prepared_map, params) for m, prepared_map in zip(scored, prepared)]
+        return [first_hit(meta, prepared, params) for meta, prepared, _ in scored]
 
     # as in eval, an annotated image without a map is a miss in every trial
-    mapped = {m.meta.image_id for m in maps}
+    mapped = {meta.image_id for meta, _ in maps}
     unmapped = harness.match_images(
         {}, {i: boxes for i, boxes in gts_net416.items() if i not in mapped}, iou_threshold, mode)
 

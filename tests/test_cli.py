@@ -165,23 +165,32 @@ def _nan_map():
     return logits
 
 
-@pytest.mark.parametrize("write, message", [
-    (lambda path: np.save(path, _nan_map()), "non-finite logit at channel 1, cell (2, 1)"),
-    (lambda path: np.save(path, np.zeros((4, 4), dtype=np.float32)),
-     "logit map must be [K, H, W], got shape (4, 4)"),
-    (lambda path: np.save(path, np.zeros((1, 4, 4), dtype=np.float32)),
-     "logit map needs at least 2 channels (background + class)"),
-    (lambda path: np.save(path, np.zeros((3, 4, 4), dtype=np.float32)),
-     "3 channels but 2 class names in sidecar"),
-    (lambda path: np.save(path, np.zeros((2, 4, 4))), "expected float32, got float64"),
-    (lambda path: path.write_bytes(b""), "No data left in file"),
-], ids=["nan", "2-d", "one-channel", "channel-count", "float64", "empty-file"])
-def test_map_refusal_names_the_map(tmp_path, caplog, write, message):
-    maps_dir, _, _ = _write_maps(tmp_path, n=2)  # x.npy is refused among good maps
+_MAP_REFUSALS = {
+    "nan": (lambda path: np.save(path, _nan_map()), "non-finite logit at channel 1, cell (2, 1)"),
+    "2-d": (lambda path: np.save(path, np.zeros((4, 4), dtype=np.float32)),
+            "logit map must be [K, H, W], got shape (4, 4)"),
+    "one-channel": (lambda path: np.save(path, np.zeros((1, 4, 4), dtype=np.float32)),
+                    "logit map needs at least 2 channels (background + class)"),
+    "channel-count": (lambda path: np.save(path, np.zeros((3, 4, 4), dtype=np.float32)),
+                      "3 channels but 2 class names in sidecar"),
+    "float64": (lambda path: np.save(path, np.zeros((2, 4, 4))), "expected float32, got float64"),
+    "empty-file": (lambda path: path.write_bytes(b""), "No data left in file"),
+}
+
+
+@pytest.mark.parametrize("command, write, message", [
+    pytest.param(command, write, message, id=name if command == "decode" else f"tune-{name}")
+    for command in ("decode", "tune") for name, (write, message) in _MAP_REFUSALS.items()])
+def test_map_refusal_names_the_map(tmp_path, caplog, command, write, message):
+    # tune loads its maps through the loader that decode's workers use
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)  # x.npy is refused among good maps
     write(maps_dir / "x.npy")
     (maps_dir / "x.json").write_text('{"image_id": "x", "classes": ["background", "pneumonia"]}')
-    out = tmp_path / "det.json"
-    assert run(["decode", "--maps", str(maps_dir), "--out", str(out)]) == 1
+    out = tmp_path / "out.json"
+    argv = [command, "--maps", str(maps_dir), "--out", str(out)]
+    if command == "tune":
+        argv += ["--ann", str(ann_path), "--budget", "2"]
+    assert run(argv) == 1
     _one_line_error(caplog, f"map x.npy: {message}")
     assert not out.exists()
 
@@ -359,7 +368,14 @@ def test_coco_unhashable_category_id_exits_1(tmp_path, caplog, array, key, value
      "annotation references unknown image id 'z'"),
     (b'{"images": [{"id": "a", "width": 0, "height": 5}], "annotations": [], "categories": []}',
      "image a: non-positive dimensions 0x5"),
-], ids=["truncated", "images-not-array", "not-utf-8", "dangling-image-id", "zero-width"])
+    (b'{"images": [{"id": "a", "width": 5, "height": 5}], "annotations": '
+     b'[{"image_id": "a", "bbox": [0, 0, 1, 1], "caption": ["x"]}], "categories": []}',
+     "annotations[0] 'caption' must be a string or null, not ['x']"),
+    (b'{"images": [{"id": "a", "width": 5, "height": 5}], "annotations": '
+     b'[{"image_id": "a", "bbox": [0, 0, 1, 1], "phrase": {"x": 1}}], "categories": []}',
+     "annotations[0] 'phrase' must be a string or null, not {'x': 1}"),
+], ids=["truncated", "images-not-array", "not-utf-8", "dangling-image-id", "zero-width",
+        "array-caption", "object-phrase"])
 @pytest.mark.parametrize("command", ["eval", "tune"])
 def test_coco_refusal_starts_with_its_path(tmp_path, caplog, command, content, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
@@ -616,12 +632,29 @@ def _split_or_mix(tmp_path, command, value, out):
 @pytest.mark.parametrize("command, value, shown", [
     ("mix", "inf", "inf"), ("mix", "nan", "nan"), ("mix", "-inf", "-inf"), ("mix", "0", "0.0"),
     ("split", "nan,0.5,0.5", "(nan, 0.5, 0.5)"), ("split", "0.5,inf,0", "(0.5, inf, 0.0)"),
-    ("split", "0.5,0.5", "(0.5, 0.5)"),
+    ("split", "0.5,0.5", "(0.5, 0.5)"), ("split", "x,0,0", "'x,0,0'"),
 ])
 def test_bad_ratio_exits_1_naming_the_value(tmp_path, caplog, command, value, shown):
     out = tmp_path / "out.txt"
     assert run(_split_or_mix(tmp_path, command, value, out)) == 1
     _one_line_error(caplog, f"not {shown}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pos, neg, fault", [
+    ("a,a,b", "a,x,x", "{pos}: id 'a' is listed twice"),
+    ("a,b", "a,x,x", "{neg}: id 'a' is also listed in {pos}"),
+    ("a,b", "x,x", "{neg}: id 'x' is listed twice"),
+], ids=["twice-in-pos", "in-both", "twice-in-neg"])
+def test_mix_refuses_an_id_listed_twice(tmp_path, caplog, pos, neg, fault):
+    # as split refuses a repeated id: a repeat would be mixed in twice
+    paths = {"pos": tmp_path / "pos.txt", "neg": tmp_path / "neg.txt"}
+    for name, ids in (("pos", pos), ("neg", neg)):
+        paths[name].write_text(ids.replace(",", "\n") + "\n", encoding="utf-8")
+    out = tmp_path / "mixed.txt"
+    assert run(["mix", "--pos", str(paths["pos"]), "--neg", str(paths["neg"]),
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, fault.format(**paths))
     assert not out.exists()
 
 
@@ -894,6 +927,19 @@ def test_unwritable_out_fails_before_any_map_is_decoded(tmp_path, monkeypatch, c
     assert run(argv) == 2
     _one_line_error(caplog, "I/O error")
     assert "prepared" not in caplog.text
+
+
+def test_tune_reports_a_bad_coco_file_before_a_bad_map(tmp_path, caplog):
+    # as decode does, tune lists its maps, reads what it scores against and
+    # opens --out before it loads a map
+    maps_dir, ann_path, planted = _write_maps(tmp_path, n=3)
+    (maps_dir / f"{planted[1].meta.image_id}.npy").write_bytes(b"")
+    ann_path.write_text('{"images": 5}', encoding="utf-8")
+    out = tmp_path / "trials.json"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--budget", "2",
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{ann_path}: 'images' must be an array, not int")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["decode", "tune"])
@@ -1334,11 +1380,27 @@ def test_decode_on_one_worker_holds_one_map_at_a_time(tmp_path, monkeypatch):
     assert most[0] == 1 and alive[0] == 0
 
 
+def _fresh_peak_mb(argv) -> float:
+    """The peak RSS in MB of ``literati <argv>`` in a fresh interpreter at 2
+    workers. The peak is the interpreter's own VmHWM: its RUSAGE_SELF peak
+    starts at this test process's size, which the kernel carries from fork
+    to exec."""
+    script = ("import sys\n"
+              "import literati.cli\n"
+              "assert literati.cli.run(sys.argv[1:]) == 0\n"
+              "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+              "           if line.startswith('VmHWM:')))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
+           "LITERATI_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB, printed last
+
+
 def test_decode_parent_memory_does_not_grow_with_the_maps(tmp_path):
-    # in a fresh interpreter, at 2 workers: the parent's peak RSS for 32
-    # maps of 3 x 256 x 256 is that for 8 (each map is 1.5 MB as float64).
-    # The peak is the interpreter's own VmHWM: its RUSAGE_SELF peak starts at
-    # this test process's size, which the kernel carries from fork to exec.
+    # the parent's peak RSS for 32 maps of 3 x 256 x 256 is that for 8
+    # (each map is 1.5 MB as float64)
     rng = np.random.default_rng(5)
     peaks = []
     for n in (8, 32):
@@ -1348,19 +1410,37 @@ def test_decode_parent_memory_does_not_grow_with_the_maps(tmp_path):
             logits[1 + i % 2, rng.integers(256), rng.integers(256)] = 4.0
             save_map(maps_dir, MapMeta(f"m{i:02d}", ("background", "a", "b"), (256, 256)),
                      logits)
-        script = ("import sys\n"
-                  "import literati.cli\n"
-                  "assert literati.cli.run(sys.argv[1:]) == 0\n"
-                  "print(next(line.split()[1] for line in open('/proc/self/status')\n"
-                  "           if line.startswith('VmHWM:')))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(literati.__file__).parents[1]),
-               "LITERATI_THREADS": "2"}
-        done = subprocess.run([sys.executable, "-c", script, "decode", "--maps", str(maps_dir),
-                               "--out", str(tmp_path / f"det{n}.json")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        peaks.append(int(done.stdout) / 1024)  # VmHWM is in kB
+        peaks.append(_fresh_peak_mb(["decode", "--maps", str(maps_dir),
+                                     "--out", str(tmp_path / f"det{n}.json")]))
     assert abs(peaks[1] - peaks[0]) < 10, peaks
+
+
+def test_tune_memory_grows_by_prepared_maps_only(tmp_path):
+    # tune keeps each map prepared (its class channels' probabilities, 1 MB
+    # for 3 x 256 x 256) and drops its float64 logits (1.5 MB) once
+    # prepared, so 24 more maps raise the peak by their prepared maps and
+    # not by their logits as well (60 MB)
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (8, 32):
+        maps_dir = tmp_path / f"maps{n}"
+        images, annotations = [], []
+        for i in range(n):
+            logits = np.zeros((3, 256, 256))
+            r, c = rng.integers(8, 248, size=2)
+            logits[1 + i % 2, r, c] = 4.0
+            save_map(maps_dir, MapMeta(f"m{i:02d}", ("background", "a", "b"), (256, 256)),
+                     logits)
+            images.append({"id": f"m{i:02d}", "width": 256, "height": 256})
+            annotations.append({"image_id": f"m{i:02d}", "bbox": [int(c) - 2, int(r) - 2, 5, 5],
+                                "category_id": 1 + i % 2})
+        ann_path = tmp_path / f"ann{n}.json"
+        ann_path.write_text(json.dumps({"images": images, "annotations": annotations,
+                                        "categories": [{"id": 1, "name": "a"},
+                                                       {"id": 2, "name": "b"}]}))
+        peaks.append(_fresh_peak_mb(["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                                     "--budget", "2", "--out", str(tmp_path / f"trials{n}.json")]))
+    assert peaks[1] - peaks[0] < 30, peaks
 
 
 def test_decode_error_in_an_earlier_map_comes_before_a_later_refusal(tmp_path, monkeypatch,

@@ -8,7 +8,8 @@ from scipy import ndimage
 
 from literati.annotation_store import NET_SIZE, rescale_box
 from literati.eval_harness import match_image
-from literati.map_decoder import DecodeParams, LoadedMap, MapMeta, decode, detection_to_net416
+from literati.map_decoder import (DecodeParams, LoadedMap, MapMeta, PreparedMap, decode,
+                                  detection_to_net416)
 from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
     GAMMA,
@@ -276,25 +277,28 @@ def test_optimize_log_digest_is_pinned(tmp_path, seed):
 
 # --- tune_decoder -----------------------------------------------------------------
 
+def _prepared(maps):
+    """What tune_decoder takes: each map's meta with the map freshly prepared."""
+    return [(m.meta, PreparedMap(m.logits)) for m in maps]
+
+
 def _tune_fixture():
     # bumps whose peak probability sits just under the default tau, so the
     # default parameters find nothing and tuning must lower tau
     maps = make_planted_maps(10, seed=40, amplitude_range=(2.35, 2.45),
                              baseline=2.5, sigma_range=(2.8, 3.2))
-    planted_maps = [type("M", (), {"meta": p.meta, "logits": p.logits})()
-                    for p in maps]
     gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
                              for b in p.boxes]
            for p in maps}
-    return planted_maps, gts, maps
+    return maps, gts
 
 
 def test_tune_decoder_beats_default_baseline():
-    maps, gts, planted = _tune_fixture()
+    maps, gts = _tune_fixture()
     # defaults decode nothing on these weak peaks
-    assert decode(planted[0].logits, DecodeParams()) == []
+    assert decode(maps[0].logits, DecodeParams()) == []
     best_params, best, history = tune_decoder(
-        maps, gts, budget=40, cfg=TpeConfig(seed=1))
+        _prepared(maps), gts, budget=40, cfg=TpeConfig(seed=1))
     assert history[0].params == {"d": 3, "tau": 0.5, "alpha": 0.5}  # baseline
     assert best.objective >= history[0].objective
     assert best.objective > 0.5
@@ -310,13 +314,12 @@ def test_tune_decoder_beats_its_defaults_and_matches_random_search(seed):
     # the same best, so the trials after the 10 start-up ones must also score
     # higher on average, where TPE samples from its fitted densities
     planted = make_planted_maps(20, seed, peaks_per_image=2, alpha=0.85)
-    maps = [LoadedMap(p.meta, p.logits) for p in planted]
     gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
                              for b in p.boxes]
            for p in planted}
-    _, best, history = tune_decoder(maps, gts, budget=30, cfg=TpeConfig(seed=seed),
-                                    iou_threshold=0.7)
-    _, random_best, random_history = tune_decoder(maps, gts, budget=30,
+    _, best, history = tune_decoder(_prepared(planted), gts, budget=30,
+                                    cfg=TpeConfig(seed=seed), iou_threshold=0.7)
+    _, random_best, random_history = tune_decoder(_prepared(planted), gts, budget=30,
                                                   cfg=TpeConfig(seed=seed, n_startup=30),
                                                   iou_threshold=0.7)
     assert history[0].params == {"d": 3, "tau": 0.5, "alpha": 0.5}
@@ -327,22 +330,22 @@ def test_tune_decoder_beats_its_defaults_and_matches_random_search(seed):
 
 
 def test_tune_decoder_budget_zero():
-    maps, gts, _ = _tune_fixture()
+    maps, gts = _tune_fixture()
     with pytest.raises(ValueError):
-        tune_decoder(maps, gts, budget=0)
+        tune_decoder(_prepared(maps), gts, budget=0)
 
 
 def test_tune_decoder_requires_ground_truth():
-    maps, _, _ = _tune_fixture()
+    maps, _ = _tune_fixture()
     with pytest.raises(ValueError, match="ground-truth"):
-        tune_decoder(maps, {}, budget=5)
+        tune_decoder(_prepared(maps), {}, budget=5)
 
 
 def test_tune_decoder_deterministic_log():
-    maps, gts, _ = _tune_fixture()
+    maps, gts = _tune_fixture()
     logs = []
     for _ in range(2):
-        _, _, history = tune_decoder(maps, gts, budget=12, cfg=TpeConfig(seed=2))
+        _, _, history = tune_decoder(_prepared(maps), gts, budget=12, cfg=TpeConfig(seed=2))
         logs.append([t.to_dict() for t in history])
     assert logs[0] == logs[1]
 
@@ -377,14 +380,14 @@ _D_CHOICE = SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
 @pytest.mark.parametrize("space", [None, _D_CHOICE], ids=["default", "d-choice"])
 @pytest.mark.parametrize("fixture", ["planted", "noise"])
 def test_tune_decoder_log_equals_fresh_decode_loop(monkeypatch, fixture, space, workers):
-    # the tuner prepares each map once and reads only the top detections; a
+    # the tuner reads each map prepared once, and only its top detections; a
     # loop that decodes the raw logits in full in every trial must log the
     # same trials
-    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
+    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()
     iou_threshold = 0.5 if fixture == "noise" else 0.1
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
     cfg = TpeConfig(seed=3)
-    _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=cfg,
+    _, _, history = tune_decoder(_prepared(maps), gts, space=space, budget=16, cfg=cfg,
                                  iou_threshold=iou_threshold)
 
     def objective(raw):
@@ -408,11 +411,11 @@ def test_tune_decoder_log_equals_fresh_decode_loop(monkeypatch, fixture, space, 
 
 
 def test_tune_decoder_rejects_unknown_param():
-    maps, gts, _ = _tune_fixture()
+    maps, gts = _tune_fixture()
     space = SearchSpace((ParamSpec("tau", "uniform", 0.1, 0.9),
                          ParamSpec("gamma", "uniform", 0.1, 0.9)))
     with pytest.raises(ValueError, match="'gamma' is not a decoder parameter"):
-        tune_decoder(maps, gts, space=space, budget=5)
+        tune_decoder(_prepared(maps), gts, space=space, budget=5)
 
 
 @pytest.mark.parametrize("space, holds", [
@@ -423,8 +426,8 @@ def test_tune_decoder_rejects_unknown_param():
     ((ParamSpec("alpha", "log_uniform", 0.1, 0.5),), True),  # the bound itself
 ], ids=["choice-without", "choice-with", "uniform-above", "integer-above", "bound"])
 def test_tune_decoder_tries_defaults_only_inside_the_space(space, holds):
-    maps, gts, _ = _tune_fixture()
-    _, _, history = tune_decoder(maps, gts, space=SearchSpace(space), budget=14,
+    maps, gts = _tune_fixture()
+    _, _, history = tune_decoder(_prepared(maps), gts, space=SearchSpace(space), budget=14,
                                  cfg=TpeConfig(seed=5))
     name = space[0].name
     default = getattr(DecodeParams(), name)
@@ -463,13 +466,13 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
         return real(prepared, *args)
 
     monkeypatch.setattr(map_decoder, scorer, failing)
-    maps, gts, _ = _tune_fixture()
+    maps, gts = _tune_fixture()
     runs = set()
     for workers in (1, 2, 3):
         monkeypatch.setenv("LITERATI_THREADS", str(workers))
         caplog.clear()
-        _, _, history = tune_decoder(maps, gts, space=space, budget=16, cfg=TpeConfig(seed=3),
-                                     mode=mode)
+        _, _, history = tune_decoder(_prepared(maps), gts, space=space, budget=16,
+                                     cfg=TpeConfig(seed=3), mode=mode)
         warnings = tuple(r.getMessage() for r in caplog.records if r.levelname == "WARNING")
         runs.add((json.dumps([t.to_dict() for t in history]), warnings))
     assert len(runs) == 1
@@ -489,8 +492,8 @@ def test_no_tune_mode_forks(monkeypatch, mode):
 
     monkeypatch.setattr(shards, "_fork", fork)
     monkeypatch.setenv("LITERATI_THREADS", "2")
-    maps, gts, _ = _tune_fixture()
-    _, _, history = tune_decoder(maps, gts, budget=4, mode=mode)
+    maps, gts = _tune_fixture()
+    _, _, history = tune_decoder(_prepared(maps), gts, budget=4, mode=mode)
     assert [t.status for t in history] == ["complete"] * 4
 
 
@@ -500,7 +503,7 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
     # reads its detections, and the log is that of a run without it
     import literati.map_decoder as map_decoder
 
-    maps, gts, _ = _tune_fixture()
+    maps, gts = _tune_fixture()
     unannotated = [LoadedMap(MapMeta(f"extra{i}", ("background", "pneumonia", "other"),
                                      size=(9, 7)),
                              np.random.default_rng(i).normal(size=(3, 7, 9)))
@@ -519,23 +522,22 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
     recorded("top_detection")
     recorded("iter_regions")
     cfg = TpeConfig(seed=3)
-    _, _, history = tune_decoder(maps[:5] + unannotated + maps[5:], gts_with_empty, budget=12,
-                                 cfg=cfg, mode=mode)
+    _, _, history = tune_decoder(_prepared(maps[:5] + unannotated + maps[5:]), gts_with_empty,
+                                 budget=12, cfg=cfg, mode=mode)
     assert shapes and (3, 7, 9) not in shapes
-    _, _, want = tune_decoder(maps, gts, budget=12, cfg=cfg, mode=mode)
+    _, _, want = tune_decoder(_prepared(maps), gts, budget=12, cfg=cfg, mode=mode)
     assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
 
 
 def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     import literati.eval_harness as harness
     import literati.tpe_tuner as tuner
-    from literati.map_decoder import PreparedMap, top_detection
+    from literati.map_decoder import top_detection
 
-    planted = make_planted_maps(6, seed=5)
-    maps = [LoadedMap(p.meta, p.logits) for p in planted]
+    maps = make_planted_maps(6, seed=5)
     gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
                              for b in p.boxes]
-           for p in planted}
+           for p in maps}
     # after the defaults: tau and d change under every maximum, alpha moves
     # by one part in 1e9 (the same first regions), then alpha moves far
     scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
@@ -560,7 +562,7 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
 
     monkeypatch.setattr(harness, "match_image", counted)
     monkeypatch.setattr(tuner, "suggest", scripted_suggest)
-    _, _, history = tune_decoder(maps, gts, budget=5)
+    _, _, history = tune_decoder(_prepared(maps), gts, budget=5)
     per_trial = np.diff([0, *before_trial, len(calls)]).tolist()
     assert per_trial[:4] == [len(maps), 0, 0, 0]
     assert per_trial[4] > 0
@@ -599,7 +601,7 @@ def test_top1_trials_with_one_first_detection_match_once(monkeypatch):
 
     monkeypatch.setattr(harness, "match_image", counted)
     monkeypatch.setattr(tuner, "suggest", lambda history, space, cfg: trials[len(history)])
-    _, _, history = tune_decoder([LoadedMap(meta, logits)], gts, budget=2)
+    _, _, history = tune_decoder([(meta, PreparedMap(logits))], gts, budget=2)
     assert [t.params for t in history] == trials
     assert [t.objective for t in history] == [1.0, 1.0]
     assert calls == ["tied"]
@@ -617,11 +619,10 @@ def test_top1_objective_equals_memo_free_scoring(fixture, space, mode, iou_thres
     # each trial rescored from freshly prepared maps, with no memo of any
     # kind, from a full decode
     from literati.eval_harness import accuracy, match_images
-    from literati.map_decoder import PreparedMap
 
-    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()[:2]
-    _, _, history = tune_decoder(maps, gts, space=space, budget=24, cfg=TpeConfig(seed=5),
-                                 iou_threshold=iou_threshold, mode=mode)
+    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()
+    _, _, history = tune_decoder(_prepared(maps), gts, space=space, budget=24,
+                                 cfg=TpeConfig(seed=5), iou_threshold=iou_threshold, mode=mode)
     for trial in history:
         merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **trial.params}
         params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),

@@ -8,6 +8,7 @@ deterministic functions of their seed.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -21,11 +22,11 @@ NET_SIZE = 416
 
 
 class CocoParseError(ValueError):
-    """The document is not UTF-8, not valid JSON or not an object, lacks a
-    required array or holds a non-array there, or an entry of one is not an
-    object, lacks its id, holds a category id that is an array or an object,
-    holds a caption or phrase that is neither a string nor null, or holds a
-    bbox that is not 4 finite numbers."""
+    """The document lacks a required array or holds a non-array there, or an
+    entry of one is not an object, lacks its id, holds a category id that is
+    an array or an object, holds a caption or phrase that is neither a
+    string nor null, or holds a bbox that is not 4 finite numbers. A file
+    that is not UTF-8, not JSON or not an object is refused by read_json."""
 
 
 class ReferentialIntegrityError(ValueError):
@@ -122,22 +123,13 @@ def load_coco(source) -> tuple[list[ImageRecord], list[Annotation]]:
     """
     if not isinstance(source, (str, Path)):
         return _coco_records(source)
-    try:
-        doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        return _coco_records(doc)
-    except UnicodeDecodeError as e:
-        raise CocoParseError(f"{source}: not UTF-8 text at offset {e.start} ({e.reason})") from e
-    except json.JSONDecodeError as e:
-        raise CocoParseError(
-            f"{source}: malformed JSON at offset {e.pos} (line {e.lineno}): {e.msg}"
-        ) from e
+    try:  # read_json's own refusals already start with the path
+        return _coco_records(read_json(source, dict))
     except (CocoParseError, ReferentialIntegrityError, CocoValidationError) as e:
         raise type(e)(f"{source}: {e}") from e
 
 
-def _coco_records(doc) -> tuple[list[ImageRecord], list[Annotation]]:
-    if not isinstance(doc, dict):
-        raise CocoParseError(f"document must be a JSON object, not {type(doc).__name__}")
+def _coco_records(doc: dict) -> tuple[list[ImageRecord], list[Annotation]]:
     for key in ("images", "annotations", "categories"):
         if key not in doc:
             raise CocoParseError(f"document is missing the {key!r} array")
@@ -288,10 +280,28 @@ def rescale_box(box: Box, from_dims, to_dims, to_space: str | None = None) -> Bo
     )
 
 
+def utf8_text(data: bytes, where) -> str:
+    """``data`` decoded, or a ValueError that starts with ``where``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{where}: not UTF-8 ({e.reason} at byte {e.start})") from e
+
+
+def read_json(path, top: type):
+    """The JSON document of the UTF-8 file ``path``, whose top level must be
+    a ``top`` (dict or list); each refusal is a ValueError naming the path."""
+    try:
+        doc = json.loads(utf8_text(Path(path).read_bytes(), path))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(doc, top):
+        kind = "object" if top is dict else "array"
+        raise ValueError(f"{path}: top level must be a JSON {kind}, not {type(doc).__name__}")
+    return doc
+
+
 def read_id_file(path) -> list[str]:
     """The non-blank lines of ``path``, stripped."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return [line.strip() for line in f if line.strip()]
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from e
+    text = utf8_text(Path(path).read_bytes(), path)
+    return [line.strip() for line in io.StringIO(text, newline=None) if line.strip()]

@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gradcheck", help="verify analytic gradients")
     sp.add_argument("--seed", type=_at_least(0), default=0)
-    sp.add_argument("--h", type=float, default=1e-6)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("demo", help="synthetic end-to-end run")
@@ -302,8 +301,8 @@ def cmd_tune(args) -> int:
     space = tpe.SearchSpace.from_file(args.space) if args.space else None
     cfg = tpe.TpeConfig(seed=args.seed)
     with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
-        # each map's logits are dropped once it is prepared
-        maps = [(m.meta, decoder.PreparedMap(m.logits)) for m in decoder.iter_maps(paths)]
+        # read once tune_decoder has checked its arguments; logits dropped once prepared
+        maps = ((m.meta, decoder.PreparedMap(m.logits)) for m in decoder.iter_maps(paths))
         best_params, best, history = tpe.tune_decoder(
             maps, gts, space=space, budget=args.budget, cfg=cfg,
             iou_threshold=args.iou, mode=args.mode,
@@ -360,7 +359,7 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for op in heads.GRAD_CHECK_OPS:
         inputs = heads.make_grad_check_inputs(op, rng)
-        err = heads.grad_check(op, inputs, h=args.h, projection_seed=args.seed)
+        err = heads.grad_check(op, inputs, projection_seed=args.seed)
         bound = heads.GRAD_CHECK_BOUNDS[op]
         ok = err < bound
         failed |= not ok

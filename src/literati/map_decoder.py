@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .annotation_store import NET_SIZE, Box, is_finite_number, rescale_box
+from .annotation_store import NET_SIZE, Box, is_finite_number, read_json, rescale_box
 
 MAP_SPACE = "map"
 
@@ -464,13 +464,7 @@ def load_map(npy_path) -> LoadedMap:
     sidecar = npy_path.with_suffix(".json")
     if not sidecar.exists():
         raise ValueError(f"map {npy_path.name} has no JSON sidecar")
-    try:
-        meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{sidecar}: invalid JSON ({e})") from e
-    if not isinstance(meta_doc, dict):
-        raise ValueError(f"{sidecar}: top level must be a JSON object, "
-                         f"not {type(meta_doc).__name__}")
+    meta_doc = read_json(sidecar, dict)
     try:
         image_id, classes = meta_doc["image_id"], meta_doc["classes"]
     except KeyError as e:
@@ -568,13 +562,7 @@ def _finite_numbers(value, n: int, what: str, where: str) -> list[float]:
 def detections_from_json(path) -> dict[str, list[Detection]]:
     """Detections by image id, by descending confidence; ties keep the
     file's order, which is the order ``decode`` gave them."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            entries = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: invalid JSON ({e})") from e
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: expected a JSON array of detections")
+    entries = read_json(path, list)
     per_image: dict[str, list[Detection]] = {}
     for i, e in enumerate(entries):
         where = f"{path}: entry {i}"

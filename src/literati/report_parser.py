@@ -41,6 +41,8 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from .annotation_store import read_json, utf8_text
+
 # First-token index: lowercased first token -> ((entry tokens, value), ...),
 # longest entry first.
 _MatchIndex = dict[str, tuple[tuple[tuple[str, ...], object], ...]]
@@ -248,8 +250,6 @@ class Lexicon:
     @classmethod
     def from_dict(cls, doc: dict) -> "Lexicon":
         """Build a lexicon from its JSON form; a LexiconError names the bad key."""
-        if not isinstance(doc, dict):
-            raise LexiconError(f"top level must be a JSON object, not {type(doc).__name__}")
         for key in _LEXICON_KEYS:
             if key not in doc:
                 raise LexiconError(f"lexicon file missing key {key!r}")
@@ -270,13 +270,8 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise LexiconError(f"{path}: invalid JSON ({e})") from e
         try:
-            return cls.from_dict(doc)
+            return cls.from_dict(read_json(path, dict))
         except LexiconError as e:
             raise LexiconError(f"{path}: {e}") from e
 
@@ -295,8 +290,7 @@ def _string_list(value, key: str) -> list[str]:
 @lru_cache(maxsize=1)
 def default_lexicon() -> Lexicon:
     """The bundled, versioned lexicon."""
-    ref = resources.files("literati").joinpath("data/lexicon.json")
-    return Lexicon.from_dict(json.loads(ref.read_text(encoding="utf-8")))
+    return Lexicon.from_file(resources.files("literati").joinpath("data/lexicon.json"))
 
 
 def _term_tokens(term: str) -> tuple[str, ...]:
@@ -568,11 +562,12 @@ def parse_report(report: Report, lexicon: Lexicon, level: str) -> list[Referring
 def report_lines(path) -> Iterator[tuple[str, str]]:
     """``(line, "path:lineno")`` for each non-blank line of a JSON Lines file,
     read one line at a time."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
+    with open(path, "rb") as f:  # so that a line that is not UTF-8 is named
+        for lineno, raw in enumerate(f, 1):
+            where = f"{path}:{lineno}"
+            line = utf8_text(raw, where).strip()
             if line:
-                yield line, f"{path}:{lineno}"
+                yield line, where
 
 
 def report_from_line(line: str, where: str) -> Report:

@@ -22,11 +22,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
+from .annotation_store import is_finite_number, read_json
+
 logger = logging.getLogger(__name__)
 
 PARAM_KINDS = ("uniform", "log_uniform", "integer_uniform", "choice")
 GAMMA = 0.25  # share of the completed trials that form the good set
 N_CANDIDATES = 24  # candidates drawn from the good density per suggestion
+MAX_INTEGER_VALUES = 10_000  # the TPE densities list every value of an integer range
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -49,16 +52,20 @@ class ParamSpec:
         else:
             if self.low is None or self.high is None:
                 raise ValueError(f"param {self.name!r}: low and high required")
-            if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            if not (is_finite_number(self.low) and is_finite_number(self.high)):
                 raise ValueError(f"param {self.name!r}: bounds must be finite")
             if self.low >= self.high:
                 raise ValueError(f"param {self.name!r}: low must be < high")
+            if not is_finite_number(self.high - self.low):  # numpy samples no wider range
+                raise ValueError(f"param {self.name!r}: high - low must be finite")
             if self.kind == "log_uniform" and self.low <= 0:
                 raise ValueError(f"param {self.name!r}: log_uniform needs low > 0")
-            if self.kind == "integer_uniform" and (
-                int(self.low) != self.low or int(self.high) != self.high
-            ):
-                raise ValueError(f"param {self.name!r}: integer bounds required")
+            if self.kind == "integer_uniform":
+                if int(self.low) != self.low or int(self.high) != self.high:
+                    raise ValueError(f"param {self.name!r}: integer bounds required")
+                if self.high - self.low >= MAX_INTEGER_VALUES:
+                    raise ValueError(f"param {self.name!r}: integer range [{self.low}, "
+                                     f"{self.high}] holds more than {MAX_INTEGER_VALUES} values")
 
 
 @dataclass(frozen=True)
@@ -76,16 +83,8 @@ class SearchSpace:
     def from_file(cls, path) -> "SearchSpace":
         """Read a JSON array of parameter objects; a ValueError names the
         file, the entry index and the key at fault."""
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: invalid JSON ({e})") from e
-        if not isinstance(doc, list):
-            raise ValueError(f"{path}: top level must be a JSON array of parameters, "
-                             f"not {type(doc).__name__}")
         specs = []
-        for i, entry in enumerate(doc):
+        for i, entry in enumerate(read_json(path, list)):
             where = f"{path}: entry {i}"
             if not isinstance(entry, dict):
                 raise ValueError(f"{where}: not an object")
@@ -98,8 +97,10 @@ class SearchSpace:
                 value = entry.get(key, 0.0)
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ValueError(f"{where}: {key!r} must be a number, not {value!r}")
-            if "choices" in entry and not isinstance(entry["choices"], list):
-                raise ValueError(f"{where}: 'choices' must be an array")
+            choices = entry.get("choices", [])  # the densities hash each choice
+            if not isinstance(choices, list) or any(isinstance(c, (list, dict)) for c in choices):
+                raise ValueError(f"{where}: 'choices' must be an array of strings, numbers, "
+                                 f"booleans or nulls")
             try:
                 specs.append(ParamSpec(
                     name=entry["name"],
@@ -383,10 +384,10 @@ def tune_decoder(
 ):
     """Tune decode parameters against detection accuracy on held-out maps.
 
-    ``maps`` are (MapMeta, PreparedMap) pairs, each map prepared once and
-    reused by every trial; ``gts_net416`` maps image ids to ground-truth
-    boxes in net416 space, and the objective scores every one of its images
-    as ``eval`` does. When the space holds the decoder defaults, they are
+    ``maps`` are (MapMeta, PreparedMap) pairs, read once, after the
+    arguments are checked; each map is prepared once and reused by every
+    trial. ``gts_net416`` maps image ids to ground-truth boxes in net416
+    space, and the objective scores every one of its images as ``eval`` does. When the space holds the decoder defaults, they are
     evaluated as trial 0, so the returned best can never be worse than the
     baseline. A map whose image has no ground truth is left out of every
     score, so it is never decoded. Trials run in this process, in map
@@ -415,19 +416,23 @@ def tune_decoder(
     from .map_decoder import (DecodeParams, detection_to_net416, iter_regions,
                               region_to_detection, top_detection)
 
-    # match_image marks a map without ground truth excluded, whatever it
-    # decodes, and accuracy leaves it out. Each scored map keeps the outcome
-    # of each first detection seen: within this call match_image depends on
-    # nothing else, and Detections hash by value.
-    scored = [(meta, prepared, {}) for meta, prepared in maps if gts_net416.get(meta.image_id)]
-    if not scored:
-        raise ValueError("no ground-truth boxes for the provided maps")
     harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
     for spec in space.params:
         if spec.name not in DECODER_PARAMS:
             raise ValueError(f"search space parameter {spec.name!r} is not a decoder "
                              f"parameter ({', '.join(DECODER_PARAMS)})")
+    # match_image marks a map without ground truth excluded, whatever it
+    # decodes, and accuracy leaves it out. Each scored map keeps the outcome
+    # of each first detection seen: within this call match_image depends on
+    # nothing else, and Detections hash by value.
+    scored, mapped = [], set()
+    for meta, prepared in maps:  # one pass: maps may be a stream
+        mapped.add(meta.image_id)
+        if gts_net416.get(meta.image_id):
+            scored.append((meta, prepared, {}))
+    if not scored:
+        raise ValueError("no ground-truth boxes for the provided maps")
     defaults = {name: getattr(DecodeParams(), name) for name in DECODER_PARAMS}
 
     def to_params(raw: dict) -> DecodeParams:
@@ -462,7 +467,6 @@ def tune_decoder(
         return [first_hit(meta, prepared, params) for meta, prepared, _ in scored]
 
     # as in eval, an annotated image without a map is a miss in every trial
-    mapped = {meta.image_id for meta, _ in maps}
     unmapped = harness.match_images(
         {}, {i: boxes for i, boxes in gts_net416.items() if i not in mapped}, iou_threshold, mode)
 

@@ -58,9 +58,9 @@ def test_load_non_positive_bbox():
 def test_load_malformed_json_reports_offset(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"images": [}', encoding="utf-8")
-    with pytest.raises(CocoParseError, match="offset") as e:
+    with pytest.raises(ValueError, match="char 12") as e:
         load_coco(path)
-    assert str(e.value).startswith(f"{path}: malformed JSON at offset 12 (line 1): ")
+    assert str(e.value) == f"{path}: invalid JSON (Expecting value: line 1 column 13 (char 12))"
 
 
 def test_load_missing_arrays():

@@ -132,15 +132,16 @@ _SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's wid
     ({"map_to_net_scale": 1.0}, _SCALE + "not 1.0"),
     ({"space": 5}, "{sidecar}: 'space' must be 'map', not 5"),
     ({"space": "net416"}, "{sidecar}: 'space' must be 'map', not 'net416'"),
+    (b'{"image_id": "\xff"}', "{sidecar}: not UTF-8 (invalid start byte at byte 14)"),
 ], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
         "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
-        "unit-scale", "number-space", "net416-space"])
+        "unit-scale", "number-space", "net416-space", "not-utf-8"])
 def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     maps_dir, _, planted = _write_maps(tmp_path, n=1)
     sidecar = maps_dir / f"{planted[0].meta.image_id}.json"
     if isinstance(edit, dict):
         edit = json.dumps({**json.loads(sidecar.read_text()), **edit})
-    sidecar.write_text(edit)
+    sidecar.write_bytes(edit if isinstance(edit, bytes) else edit.encode())
     out = tmp_path / "det.json"
     assert run(["decode", "--maps", str(maps_dir), "--space", "net416", "--out", str(out)]) == 1
     _one_line_error(caplog, message.format(sidecar=sidecar))
@@ -311,7 +312,7 @@ def test_coco_bad_dimension_exits_1(tmp_path, caplog, key, value, message):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (lambda doc: 5, "document must be a JSON object, not int"),
+    (lambda doc: 5, "top level must be a JSON object, not int"),
     (lambda doc: {**doc, "images": 5}, "'images' must be an array, not int"),
     (lambda doc: {**doc, "annotations": 5}, "'annotations' must be an array, not int"),
     (lambda doc: {**doc, "categories": "pneumonia"}, "'categories' must be an array, not str"),
@@ -361,9 +362,9 @@ def test_coco_unhashable_category_id_exits_1(tmp_path, caplog, array, key, value
 
 
 @pytest.mark.parametrize("content, message", [
-    (b'{"images": [\n', "malformed JSON at offset 13 (line 2): Expecting value"),
+    (b'{"images": [\n', "invalid JSON (Expecting value: line 2 column 1 (char 13))"),
     (b'{"images": 5}', "'images' must be an array, not int"),
-    (b'\xff{}', "not UTF-8 text at offset 0 (invalid start byte)"),
+    (b'\xff{}', "not UTF-8 (invalid start byte at byte 0)"),
     (b'{"images": [], "annotations": [{"image_id": "z"}], "categories": []}',
      "annotation references unknown image id 'z'"),
     (b'{"images": [{"id": "a", "width": 0, "height": 5}], "annotations": [], "categories": []}',
@@ -398,7 +399,7 @@ def test_detections_not_an_array_exits_1(tmp_path, caplog):
     det.write_text("5")
     assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
                 "--out", str(tmp_path / "t.csv")]) == 1
-    assert f"{det}: expected a JSON array of detections" in caplog.text
+    assert f"{det}: top level must be a JSON array, not int" in caplog.text
     assert "Traceback" not in caplog.text
 
 
@@ -438,6 +439,17 @@ def test_parse_malformed_report_exits_1(tmp_path, caplog, line, message):
     assert run(["parse", "--reports", str(reports), "--level", "referring",
                 "--out", str(tmp_path / "expr.jsonl")]) == 1
     _one_line_error(caplog, f"{reports}:2: {message}")
+
+
+def test_parse_line_not_utf8_exits_1_naming_it(tmp_path, caplog):
+    reports = tmp_path / "reports.jsonl"
+    reports.write_bytes(b'{"subject_id": "s1", "study_id": "st1", "text": "No pneumonia."}\n'
+                        b'{"subject_id": "s2", "study_id": "st2", "text": "\xff"}\n')
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(reports), "--level", "referring",
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{reports}:2: not UTF-8 (invalid start byte at byte 49)")
+    assert not out.exists()
 
 
 def test_parse_idempotent_bytes(tmp_path):
@@ -1080,7 +1092,7 @@ _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
 
 
 @pytest.mark.parametrize("space, message", [
-    ({"params": [_TAU]}, "{path}: top level must be a JSON array of parameters, not dict"),
+    ({"params": [_TAU]}, "{path}: top level must be a JSON array, not dict"),
     ([_TAU, "alpha"], "{path}: entry 1: not an object"),
     ([{"kind": "uniform", "low": 0.1, "high": 0.9}], "{path}: entry 0: missing 'name'"),
     ([{"name": "tau", "low": 0.1, "high": 0.9}], "{path}: entry 0: missing 'kind'"),
@@ -1094,8 +1106,17 @@ _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
      "{path}: entry 0: param 'tau': low must be < high"),
     ([_TAU, {"name": "gamma", "kind": "uniform", "low": 0.1, "high": 0.9}],
      "search space parameter 'gamma' is not a decoder parameter (d, tau, alpha)"),
+    ([{"name": "d", "kind": "integer_uniform", "low": 1, "high": 1e300}],
+     "{path}: entry 0: param 'd': integer range [1, 1e+300] holds more than 10000 values"),
+    ([{"name": "d", "kind": "integer_uniform", "low": 1, "high": 10 ** 400}],
+     "{path}: entry 0: param 'd': bounds must be finite"),
+    ([{"name": "tau", "kind": "uniform", "low": -1e308, "high": 1e308}],
+     "{path}: entry 0: param 'tau': high - low must be finite"),
+    ([{"name": "d", "kind": "choice", "choices": [True, [1]]}],
+     "{path}: entry 0: 'choices' must be an array of strings, numbers, booleans or nulls"),
 ], ids=["top-level-object", "entry-string", "missing-name", "missing-kind",
-        "string-bound", "number-choices", "number-name", "inverted-bounds", "unknown-name"])
+        "string-bound", "number-choices", "number-name", "inverted-bounds", "unknown-name",
+        "huge-integer-range", "integer-beyond-float", "range-beyond-float", "array-choice"])
 def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     path = tmp_path / "space.json"
@@ -1106,10 +1127,33 @@ def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
     _one_line_error(caplog, message.format(path=path))
 
 
+@pytest.mark.parametrize("iou, space, message", [
+    ("1.5", None, "IOU threshold must be in (0, 1], got 1.5"),
+    ("0.1", [_TAU, {"name": "gamma", "kind": "uniform", "low": 0.1, "high": 0.9}],
+     "search space parameter 'gamma' is not a decoder parameter"),
+], ids=["iou", "space-name"])
+def test_tune_checks_its_arguments_before_loading_a_map(tmp_path, monkeypatch, caplog, iou,
+                                                         space, message):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=3)
+    out = tmp_path / "trials.json"
+    argv = ["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--iou", iou,
+            "--budget", "3", "--out", str(out)]
+    if space:
+        (tmp_path / "space.json").write_text(json.dumps(space), encoding="utf-8")
+        argv += ["--space", str(tmp_path / "space.json")]
+    loads = []
+    real = map_decoder.load_map
+    monkeypatch.setattr(map_decoder, "load_map", lambda path: loads.append(path) or real(path))
+    assert run(argv) == 1
+    _one_line_error(caplog, message)
+    assert loads == []
+    assert not out.exists()
+
+
 # --- gradcheck / demo -------------------------------------------------------------------
 
 def test_gradcheck_passes(capsys):
-    assert run(["gradcheck", "--seed", "5", "--h", "1e-6"]) == 0
+    assert run(["gradcheck", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "deconv2d" in out and "FAIL" not in out
 
@@ -1468,7 +1512,7 @@ def test_decode_error_in_an_earlier_map_comes_before_a_later_refusal(tmp_path, m
         _no_child_left()
 
 
-_DROP = object()  # a sidecar field to delete
+_DROP = object()  # a JSON field to delete
 
 
 def _sidecar_with(**fields):
@@ -1551,6 +1595,139 @@ def test_malformed_map_is_refused_on_one_line(tmp_path, monkeypatch, caplog, mut
             _no_child_left()
             errors.add(error)
         assert len(errors) == 1, errors
+
+
+# The JSON inputs of tune, eval and parse: the base file that a mutation
+# rewrites, and a command line that reads it, where {name} is file name's path.
+_JSON_INPUTS = {
+    "tune --space": ("space", "tune --maps {maps} --ann {ann} --space {space} --budget 12"),
+    "tune --ann": ("ann", "tune --maps {maps} --ann {ann} --budget 12"),
+    "eval --ann": ("ann", "eval --detections {detections} --ann {ann}"),
+    "eval --detections": ("detections", "eval --detections {detections} --ann {ann}"),
+    "parse --lexicon": ("lexicon",
+                        "parse --reports {reports} --lexicon {lexicon} --level referring"),
+    "parse --reports": ("reports", "parse --reports {reports} --level referring"),
+}
+_JSON_MUTATIONS = ["swap-type", "drop-key", "nan", "infinity", "1e300",
+                   "truncate", "not-utf-8", "top-level"]
+_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "1e300": 1e300}
+_JSON_VALUES = [0, 1.5, "x", True, None, [], {}]  # one of each JSON type, bool apart
+
+
+def _json_kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _json_nodes(doc, path=()):
+    """(path, value) of every node below the top level of a JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield path + (key,), value
+        yield from _json_nodes(value, path + (key,))
+
+
+def _mutated_json(doc, mutation, draw, shortest_cut=0) -> bytes:
+    """``doc`` as JSON text after one mutation; a cut keeps at least
+    ``shortest_cut`` bytes."""
+    text = json.dumps(doc).encode()
+    if mutation == "truncate":
+        return text[:draw(st.integers(shortest_cut, len(text) - 1))]
+    if mutation == "not-utf-8":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + b"\xff" + text[i:]
+    if mutation == "top-level":
+        return json.dumps(draw(st.sampled_from(
+            [v for v in _JSON_VALUES if type(v) is not type(doc)]))).encode()
+    doc = json.loads(text)  # a copy to edit
+    nodes = list(_json_nodes(doc))
+    if mutation == "drop-key":
+        path, _ = draw(st.sampled_from([n for n in nodes if isinstance(n[0][-1], str)]))
+        value = _DROP
+    elif mutation == "swap-type":
+        path, old = draw(st.sampled_from(nodes))
+        value = draw(st.sampled_from([v for v in _JSON_VALUES
+                                      if _json_kind(v) != _json_kind(old)]))
+    else:
+        numbers = [n for n in nodes if _json_kind(n[1]) == "number"]
+        path, _ = draw(st.sampled_from(numbers or nodes))
+        value = _NUMBERS[mutation]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode()
+
+
+def _json_input_bases(tmp_path):
+    """Valid files for every JSON input, written on the first call:
+    (paths by name, documents by name; the reports as a list of lines)."""
+    base = tmp_path / "base"
+    paths = {name: base / f"{name}.json" for name in ("ann", "detections", "space", "lexicon")}
+    paths.update(maps=base / "maps", reports=base / "reports.jsonl")
+    if not base.exists():
+        _write_maps(base, n=3)
+        assert run(["decode", "--maps", str(paths["maps"]), "--space", "net416",
+                    "--out", str(paths["detections"])]) == 0
+        space = [{"name": "d", "kind": "integer_uniform", "low": 1, "high": 8},
+                 {"name": "tau", "kind": "uniform", "low": 0.05, "high": 0.9},
+                 {"name": "alpha", "kind": "uniform", "low": 0.2, "high": 0.95}]
+        paths["space"].write_text(json.dumps(space), encoding="utf-8")
+        paths["lexicon"].write_text(json.dumps(_bundled_lexicon()), encoding="utf-8")
+        reports = FIXTURES.joinpath("reports_sample.jsonl").read_text(encoding="utf-8")
+        paths["reports"].write_text("".join(reports.splitlines(True)[:6]), encoding="utf-8")
+    docs = {name: json.loads(paths[name].read_text(encoding="utf-8"))
+            for name in ("ann", "detections", "space", "lexicon")}
+    docs["reports"] = [json.loads(line)
+                       for line in paths["reports"].read_text(encoding="utf-8").splitlines()]
+    return paths, docs
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(sorted(_JSON_INPUTS)), mutation=st.sampled_from(_JSON_MUTATIONS),
+       data=st.data())
+def test_malformed_json_input_is_refused_on_one_line(tmp_path, monkeypatch, capsys, caplog,
+                                                     target, mutation, data):
+    # a refusal is exit 1 or 2, one ERROR line, no traceback and no output
+    # left; a file that is not UTF-8, is cut short or has the wrong top level
+    # is refused with exit 1 on a line that starts with its path (a report's
+    # with its path:lineno)
+    monkeypatch.setenv("LITERATI_THREADS", "1")
+    paths, docs = _json_input_bases(tmp_path)
+    name, command = _JSON_INPUTS[target]
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        paths = {**paths, name: Path(tmp) / paths[name].name}
+        if name == "reports":
+            lines = [json.dumps(doc).encode() for doc in docs["reports"]]
+            i = data.draw(st.integers(0, len(lines) - 1))
+            bad = _mutated_json(docs["reports"][i], mutation, data.draw, shortest_cut=1)
+            rest = lines[i + 1:] if mutation != "truncate" else []
+            paths[name].write_bytes(b"\n".join([*lines[:i], bad, *rest]))
+            prefix = f"{paths[name]}:{i + 1}: "
+        else:
+            paths[name].write_bytes(_mutated_json(docs[name], mutation, data.draw))
+            prefix = f"{paths[name]}: "
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in command.split()]
+        capsys.readouterr()
+        caplog.clear()
+        code = run([*argv, "--out", str(out_dir / "result")])
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        if mutation in ("truncate", "not-utf-8", "top-level"):
+            assert code == 1
+            assert errors and errors[0].startswith(prefix), errors
+        if code:
+            assert code in (1, 2)
+            assert len(errors) == 1 and "\n" not in errors[0], errors
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert errors == [] and [p.name for p in out_dir.iterdir()] == ["result"]
 
 
 def test_demo_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from literati.map_decoder import (DecodeParams, LoadedMap, MapMeta, PreparedMap,
 from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
     GAMMA,
+    MAX_INTEGER_VALUES,
     ParamSpec,
     SearchSpace,
     TpeConfig,
@@ -159,6 +160,13 @@ def test_param_spec_validation():
         ParamSpec("x", "choice", choices=())
     with pytest.raises(ValueError):
         ParamSpec("x", "banana", 0.0, 1.0)
+
+
+def test_integer_range_holds_at_most_max_integer_values():
+    # the densities list every value of the range
+    ParamSpec("d", "integer_uniform", 1, MAX_INTEGER_VALUES)
+    with pytest.raises(ValueError, match=f"holds more than {MAX_INTEGER_VALUES} values"):
+        ParamSpec("d", "integer_uniform", 0, MAX_INTEGER_VALUES)
 
 
 # --- optimize -------------------------------------------------------------------

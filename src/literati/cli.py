@@ -56,6 +56,14 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError, and takes no flag by a prefix of its name: else
+    ``gradcheck --h`` would print the help and check nothing, and
+    ``parse --rep`` would stand for ``--reports``. Subparsers are made of
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -199,14 +207,13 @@ def cmd_parse(args) -> int:
                if args.lexicon else parser_mod.default_lexicon())
 
     def parse_chunk(lines):
+        expressions = [
+            expression for line, where in lines
+            for expression in parser_mod.parse_report(
+                parser_mod.report_from_line(line, where), lexicon, args.level)]
         text = io.StringIO()
-        n_expressions = 0
-        for line, where in lines:
-            report = parser_mod.report_from_line(line, where)
-            expressions = parser_mod.parse_report(report, lexicon, args.level)
-            parser_mod.write_expressions_jsonl(text, expressions)
-            n_expressions += len(expressions)
-        return len(lines), n_expressions, text.getvalue()
+        parser_mod.write_expressions_jsonl(text, expressions)
+        return len(lines), len(expressions), text.getvalue()
 
     lines = parser_mod.report_lines(args.reports)
     chunks = iter(lambda: list(islice(lines, PARSE_CHUNK)), [])  # until the file ends

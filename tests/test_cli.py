@@ -61,6 +61,25 @@ def test_unknown_command_exits_1():
     assert run(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # --h is no --help: it used to print the help and exit 0, checking nothing
+    (["gradcheck", "--h"], "unrecognized arguments: --h"),
+    # --rep is no --reports
+    (["parse", "--rep", "reports.jsonl", "--level", "referring", "--out", "out.jsonl"],
+     "the following arguments are required: --reports"),
+], ids=["gradcheck-h", "parse-rep"])
+def test_abbreviated_flag_exits_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    usage = [line for line in err.splitlines() if line.startswith("usage:")]
+    assert len(usage) == 1 and usage[0].startswith("usage: literati [-h] [--version]")
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"literati: error: {message}"]
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["tune", "demo", "split", "mix", "gradcheck"])
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 def test_bad_seed_exits_1_naming_the_flag(tmp_path, capsys, command, seed):
@@ -439,6 +458,35 @@ def test_parse_malformed_report_exits_1(tmp_path, caplog, line, message):
     assert run(["parse", "--reports", str(reports), "--level", "referring",
                 "--out", str(tmp_path / "expr.jsonl")]) == 1
     _one_line_error(caplog, f"{reports}:2: {message}")
+
+
+@pytest.mark.parametrize("level", report_parser.LEVELS)
+@pytest.mark.parametrize("key", ["subject_id", "study_id", "text"])
+def test_parse_lone_surrogate_exits_1_naming_the_line(tmp_path, caplog, level, key):
+    # JSON can escape half of a surrogate pair, which UTF-8 cannot encode
+    doc = {"subject_id": "s2", "study_id": "st2", "text": "Large left pneumothorax."}
+    doc[key] = "x\ud800" + doc[key]
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"subject_id": "s1", "study_id": "st1", "text": "No pneumonia."}\n'
+                       + json.dumps(doc) + "\n", encoding="ascii")
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(reports), "--level", level,
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{reports}:2: '{key}' holds a lone surrogate '\\ud800' at character 1")
+    assert not out.exists()
+
+
+def test_parse_surrogate_pair_is_one_character(tmp_path):
+    # a pair escapes one character outside the BMP, which is kept as it is
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text('{"subject_id": "s\\ud83d\\ude00", "study_id": "st1", '
+                       '"text": "Large \\ud83d\\ude00 pneumothorax."}\n', encoding="ascii")
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(reports), "--level", "disease_emphasis",
+                "--out", str(out)]) == 0
+    row = json.loads(out.read_text(encoding="utf-8"))
+    assert row["report_id"] == "s\U0001f600/st1"
+    assert row["phrase"] == "Large \U0001f600 pneumothorax"
 
 
 def test_parse_line_not_utf8_exits_1_naming_it(tmp_path, caplog):

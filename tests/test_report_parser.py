@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from literati.report_parser import (
     CATEGORY_ORDER,
     Lexicon,
     LexiconError,
+    ReferringExpression,
     Report,
+    Sentence,
     classify_attributes,
     compose_referring_expression,
     default_lexicon,
@@ -466,6 +471,110 @@ def test_report_validation():
         Report("", "t", "text")
     with pytest.raises(ValueError):
         Report("s", "t", "")
+
+
+# --- write_expressions_jsonl ----------------------------------------------------
+
+# Text that JSON escapes (quotes, backslashes, control characters) or writes
+# as it is although some line splitters break at it (U+2028, U+2029, U+0085),
+# beside other non-ASCII and non-BMP text.
+_AWKWARD = st.lists(st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\u2029", "\x85", "\u00e9", "\u4e2d", "\U0001f600", "\ufeff", "/"]),
+    st.text(max_size=4)), max_size=6).map("".join)
+
+
+def _row(e):
+    """The documented row of an expression, in its key order."""
+    return {
+        "report_id": e.report_id,
+        "sentence_index": e.sentence_index,
+        "phrase": e.phrase,
+        "components": [{"category": c.category, "token_range": list(c.token_range),
+                        "surface": c.surface} for c in e.components],
+        "polarity": e.polarity,
+        "disease_tags": sorted(e.disease_tags),
+        "level": e.level,
+        "conflicts": list(e.conflicts),
+    }
+
+
+_SPANS = st.builds(AttributeSpan, _AWKWARD,
+                   st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), _AWKWARD)
+_EXPRESSIONS = st.builds(
+    ReferringExpression, _AWKWARD, st.integers(-1, 10**6), _AWKWARD,
+    st.lists(_SPANS, max_size=4).map(tuple), st.sampled_from(["positive", "negative"]),
+    st.frozensets(_AWKWARD, max_size=4), st.sampled_from(report_parser.LEVELS),
+    st.lists(_AWKWARD, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EXPRESSIONS, max_size=4))
+def test_written_line_is_json_dumps_of_the_row(expressions):
+    out = io.StringIO()
+    write_expressions_jsonl(out, expressions)
+    # split at "\n" only: JSON escapes it, but not U+2028 or U+0085
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(expressions)
+    for line, e in zip(lines, expressions):
+        row = _row(e)
+        assert line == json.dumps(row, ensure_ascii=False)
+        assert json.loads(line) == row
+
+
+def test_written_file_is_utf8_of_the_lines(tmp_path):
+    e = ReferringExpression("s\U0001f600/t", 0, 'a "b" \\ \u2028 \u00e9', (), "positive",
+                            frozenset({"z", "\u4e2d"}), "referring", ("z",))
+    out = tmp_path / "expr.jsonl"
+    write_expressions_jsonl(out, [e, e])
+    line = json.dumps(_row(e), ensure_ascii=False) + "\n"
+    assert out.read_bytes() == (2 * line).encode("utf-8")
+
+
+# --- records -------------------------------------------------------------------
+
+def _records():
+    """Two equal but distinct instances of each record type."""
+    def build():
+        span = AttributeSpan("R1", (0, 1), "pneumonia")
+        return [
+            Report("s1", 7, "Large pneumonia."),
+            Sentence("s1/7", 0, (0, 16), "Large pneumonia.", ("large", "pneumonia", "."),
+                     (0, 6, 15), (5, 15, 16)),
+            span,
+            ReferringExpression("s1/7", 0, "pneumonia", (span,), "positive",
+                                frozenset({"pneumonia"}), "referring"),
+        ]
+    return list(zip(build(), build()))
+
+
+@pytest.mark.parametrize("a, b", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_compare_by_value(a, b):
+    assert a is not b and a == b and hash(a) == hash(b)
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        a.extra = 1  # no __dict__ to hold a new attribute
+    assert a == b
+    changed = a._replace(**{a._fields[0]: "other"})
+    assert changed != a
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(twin) is type(a) and twin == a
+
+
+def test_report_id_is_computed_once():
+    report = Report("s1", 7, "Large pneumonia.")
+    assert report.report_id == "s1/7"
+    assert report == Report("s1", 7, "Large pneumonia.")
+    assert report != Report("s1", 8, "Large pneumonia.")
+    # report_id is a stored field, read without formatting it again
+    assert "report_id" in Report._fields
+    # a changed copy is checked and gets its own report_id
+    assert report._replace(study_id=8).report_id == "s1/8"
+    with pytest.raises(ValueError):
+        report._replace(text="")
 
 
 # --- longest-match oracle -----------------------------------------------------

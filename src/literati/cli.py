@@ -58,14 +58,32 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises UsageError, and takes no flag by a prefix of its name: else
     ``gradcheck --h`` would print the help and check nothing, and
-    ``parse --rep`` would stand for ``--reports``. Subparsers are made of
-    this class too."""
+    ``parse --rep`` would stand for ``--reports``. A flag that the parser
+    does not define is named before any missing required flag. Subparsers
+    are made of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse refuses a missing required flag before it looks at what it
+        # could not parse, so `parse --rep x` would be refused for lacking
+        # --reports; a first pass that requires nothing finds the stray flag
+        args = sys.argv[1:] if args is None else list(args)
+        required = [action for action in self._actions if action.required]
+        for action in required:
+            action.required = False
+        try:
+            _, extras = super().parse_known_args(args, None)
+        finally:
+            for action in required:
+                action.required = True
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return super().parse_known_args(args, namespace)
 
 
 def _at_least(low: int):

@@ -15,17 +15,19 @@ peaks x H x W. Regions are kept as a bounding box plus a boolean mask of
 that box, never as per-cell Python objects.
 
 Work that no parameter touches is done once per map: a PreparedMap
-validates and softmaxes the logits once and keeps the class channels.
-Each class yields its regions lazily, in decode's order
+validates and softmaxes the logits once and keeps the class channels, each
+with its maximum, the maximum's first row-major cell and whether another
+cell holds it, and the map's top class: the first whose maximum is the
+highest. Each class yields its regions lazily, in decode's order
 (``iter_regions``). Its first peak is its first row-major maximum at
 every d, grown with nothing claimed, so the first region needs only the
-channel's memoised maximum. The window winners of a d are memoised per
-class, sorted by descending probability with no tau cut, and computed
-only when a caller reads past the first region; the peaks for a tau are a
-prefix of that order, found by one binary search. ``top_detection``
-reads only decode's first detection. It comes from the first class whose
-maximum is the highest, and unless that maximum ties within the class it
-is the memoised first region, read with no window winners.
+channel's maximum. The window winners of a d are memoised per class,
+sorted by descending probability with no tau cut, and computed only when
+a caller reads past the first region; the peaks for a tau are a prefix of
+that order, found by one binary search. ``top_detection`` reads only
+decode's first detection. It comes from the top class, and unless that
+class's maximum ties within it, it is the detection of the memoised first
+region, read with no window winners.
 
 The first region itself is memoised by threshold. It is the component of
 the maximum's cell in {p >= alpha * max}, and as that threshold falls
@@ -34,10 +36,16 @@ these components nest, so each one stays the same over an interval
 cell under the threshold in its bounding box widened by one cell, which
 holds every 8-neighbour of the region. A threshold in that interval keeps
 every cell of the region and still leaves out every neighbour, so it
-gives the same component. Each channel keeps one (least, below, region)
-entry per distinct first region asked for, and a threshold in an entry's
-interval grows nothing. Regions are shared between calls, so their masks
-are read-only.
+gives the same component. Each channel keeps one entry per distinct first
+region asked for, sorted by ``least``, and a threshold in an entry's
+interval grows nothing. A threshold that falls between entries is grown
+inside the entry at the next lower threshold, when there is one: by the
+nesting, that entry's region holds the new one, so one labelling of that
+entry's box, over its mask and {p >= alpha * max}, finds it, with no
+crop to widen. An entry keeps the region's Detection too, built the first
+time ``top_detection`` reads the entry, so a repeated trial gets the same
+object back; ``decode`` builds its own, one per region. Regions are
+shared between calls, so their masks are read-only.
 """
 
 from __future__ import annotations
@@ -46,8 +54,7 @@ import json
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -152,26 +159,36 @@ def _window_winners(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
     return rs[order], cs[order], neg[order]
 
 
+class _FirstRegion:
+    """A memoised first region, the same for every threshold in (below,
+    least] (the channel keeps ``least`` in a sorted list of its own), and
+    its detection once ``top_detection`` has read it."""
+
+    __slots__ = ("below", "region", "detection")
+
+    def __init__(self, below: float, region: PeakRegion):
+        self.below = below
+        self.region = region
+        self.detection: Detection | None = None
+
+
 class _Channel:
     """One class channel's probabilities, with what decoding reads of it
-    memoised: its maximum, its first region per threshold interval, and its
-    window winners per d."""
+    memoised: its maximum, its first region per threshold interval with
+    that region's detection, and its window winners per d."""
 
-    def __init__(self, p: np.ndarray):
+    def __init__(self, p: np.ndarray, class_index: int):
         self.p = p
-        self._top: tuple[float, tuple[int, int], bool] | None = None
+        self.class_index = class_index
+        # the maximum's first cell in row-major order wins its window at
+        # every d, so it is the first peak whenever the maximum is >= tau
+        r, c = divmod(int(np.argmax(p)), p.shape[1])
+        self.peak_cell = (r, c)
+        self.peak = float(p[r, c])
+        self.unique = int(np.count_nonzero(p == p[r, c])) == 1  # no other cell holds it
         self._winners: dict[int, tuple] = {}
-        self._first: list[tuple[float, float, PeakRegion]] = []  # (least, below, region)
-
-    def top(self) -> tuple[float, tuple[int, int], bool]:
-        """(maximum, its first cell in row-major order, whether no other cell
-        holds it). That cell wins its window at every d, so it is the first
-        peak whenever the maximum is >= tau."""
-        if self._top is None:
-            r, c = divmod(int(np.argmax(self.p)), self.p.shape[1])
-            peak = self.p[r, c]
-            self._top = (float(peak), (r, c), int(np.count_nonzero(self.p == peak)) == 1)
-        return self._top
+        self._least: list[float] = []  # per first region, sorted ascending
+        self._first: list[_FirstRegion] = []
 
     def peaks(self, d: int, tau: float) -> list[tuple[int, int]]:
         """Peak cells by descending probability, row-major on ties."""
@@ -181,33 +198,50 @@ class _Channel:
         n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
         return list(zip(rs[:n].tolist(), cs[:n].tolist()))
 
-    def first_region(self, class_index: int, alpha: float) -> PeakRegion:
-        """The region of the maximum's first cell, grown with nothing claimed.
+    def first_region(self, alpha: float) -> _FirstRegion:
+        """The memo entry holding the region of the maximum's first cell,
+        grown with nothing claimed.
 
         Entries are sorted by ``least`` and their intervals (below, least]
         are disjoint, so only the first entry with least >= alpha * max can
-        hold the threshold.
+        hold the threshold. An entry before it was grown at a lower
+        threshold, so its region holds the one grown here.
         """
-        _, (r, c), _ = self.top()
-        lo = alpha * self.p[r, c]  # the threshold _grow compares with
-        i = bisect_left(self._first, lo, key=itemgetter(0))
-        if i < len(self._first) and self._first[i][1] < lo:
-            return self._first[i][2]
-        region = _region(self.p, None, class_index, r, c, alpha)
+        lo = alpha * self.peak  # the threshold _grow compares with
+        i = bisect_left(self._least, lo)
+        if i < len(self._least) and self._first[i].below < lo:
+            return self._first[i]
+        r, c = self.peak_cell
+        if i:
+            outer = self._first[i - 1].region
+            row0, col0, row1, col1 = outer.bbox
+            labels, _ = ndimage.label(outer.mask & (self.p[row0:row1, col0:col1] >= lo),
+                                      structure=_EIGHT)
+            region = _peak_region(self.p, self.class_index, r, c, row0, col0,
+                                  labels == labels[r - row0, c - col0])
+        else:
+            region = _region(self.p, None, self.class_index, r, c, alpha)
         row0, col0, row1, col1 = region.bbox
         least = float(self.p[row0:row1, col0:col1][region.mask].min())
         # the box one cell wider holds every 8-neighbour of the region
         near = self.p[max(0, row0 - 1):row1 + 1, max(0, col0 - 1):col1 + 1]
-        left_out = near[near < lo]
-        below = float(left_out.max()) if left_out.size else -np.inf
-        entry = (least, below, region)
-        if i < len(self._first) and self._first[i][0] == least:
+        below = float(near[near < lo].max(initial=-np.inf))
+        if i < len(self._least) and self._least[i] == least:
             # nested regions differ in their least cell, so this is the same
             # region, now known to hold down to a lower threshold
-            self._first[i] = entry
-        else:
-            self._first.insert(i, entry)
-        return region
+            self._first[i].below = below
+            return self._first[i]
+        entry = _FirstRegion(below, region)
+        self._least.insert(i, least)
+        self._first.insert(i, entry)
+        return entry
+
+    def first_detection(self, alpha: float) -> Detection:
+        """The detection of the first region, built once per memo entry."""
+        entry = self.first_region(alpha)
+        if entry.detection is None:
+            entry.detection = region_to_detection(entry.region)
+        return entry.detection
 
 
 class PreparedMap:
@@ -215,7 +249,8 @@ class PreparedMap:
 
     Keeps the class channels 1..K-1 of the softmax (channel 0, the
     background, is never decoded), each with its memoised maximum and
-    window winners. ``shape`` is the (K, H, W) of the logit map.
+    window winners, and the top class: the first whose maximum is the
+    highest. ``shape`` is the (K, H, W) of the logit map.
     """
 
     def __init__(self, logits: np.ndarray):
@@ -223,7 +258,8 @@ class PreparedMap:
         self.shape = probs.shape
         class_probs = probs[1:].copy()
         class_probs.flags.writeable = False  # the memos depend on it
-        self._channels = [_Channel(p) for p in class_probs]
+        self._channels = [_Channel(p, k) for k, p in enumerate(class_probs, 1)]
+        self._top = max(self._channels, key=attrgetter("peak"))  # the first on ties
 
     def _class(self, class_index: int) -> _Channel:
         if not 1 <= class_index < self.shape[0]:
@@ -284,11 +320,16 @@ def _grow(p: np.ndarray, claimed: np.ndarray | None, r: int, c: int, alpha: floa
 def _region(p: np.ndarray, claimed: np.ndarray | None, class_index: int, r: int, c: int,
             alpha: float) -> PeakRegion:
     """Grow the peak at (r, c) over the unclaimed cells."""
-    r0, c0, region = _grow(p, claimed, r, c, alpha)
-    rr, cc = np.nonzero(region)
+    return _peak_region(p, class_index, r, c, *_grow(p, claimed, r, c, alpha))
+
+
+def _peak_region(p: np.ndarray, class_index: int, r: int, c: int, r0: int, c0: int,
+                 region: np.ndarray) -> PeakRegion:
+    """The region of the peak at (r, c), given as a boolean crop at (r0, c0)."""
+    rr, cc = np.nonzero(region)  # row-major, so rr is sorted
     n = rr.size
-    top, left = int(rr.min()), int(cc.min())
-    bottom, right = int(rr.max()) + 1, int(cc.max()) + 1
+    top, bottom = int(rr[0]), int(rr[-1]) + 1
+    left, right = int(cc.min()), int(cc.max()) + 1
     mask = region[top:bottom, left:right].copy()
     mask.flags.writeable = False  # a memoised region is shared between calls
     return PeakRegion(
@@ -307,23 +348,21 @@ def _claim(claimed: np.ndarray, region: PeakRegion) -> None:
     claimed[row0:row1, col0:col1] |= region.mask
 
 
-def _iter_regions(channel: _Channel, class_index: int, d: int, tau: float,
-                  alpha: float) -> Iterator[PeakRegion]:
+def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float) -> Iterator[PeakRegion]:
     """The channel's regions in decode's order, each grown as it is read.
 
     The first is the channel's memoised first region; the window winners
     of d are computed, and cells claimed, only when a caller reads past it.
     """
-    peak, _, _ = channel.top()
-    if peak < tau:
+    if channel.peak < tau:
         return
-    first = channel.first_region(class_index, alpha)
+    first = channel.first_region(alpha).region
     yield first
     claimed = np.zeros(channel.p.shape, dtype=bool)
     _claim(claimed, first)
     for r, c in channel.peaks(d, tau)[1:]:  # the first peak is the maximum's cell
         if not claimed[r, c]:  # else merged into an earlier region
-            region = _region(channel.p, claimed, class_index, r, c, alpha)
+            region = _region(channel.p, claimed, channel.class_index, r, c, alpha)
             _claim(claimed, region)
             yield region
 
@@ -332,8 +371,8 @@ def iter_regions(prepared: PreparedMap, class_index: int,
                  params: DecodeParams) -> Iterator[PeakRegion]:
     """``maximal_filter_regions`` of a PreparedMap as a lazy stream: each
     region is grown only when it is read."""
-    return _iter_regions(prepared._class(class_index), class_index, int(params.d),
-                         params.tau, float(params.alpha))
+    return _iter_regions(prepared._class(class_index), int(params.d), params.tau,
+                         float(params.alpha))
 
 
 def maximal_filter_regions(
@@ -360,9 +399,9 @@ def maximal_filter_regions(
             raise ValueError(
                 f"class index {class_index} out of range for {prob_map.shape[0]} channels"
             )
-        channel = _Channel(np.ascontiguousarray(prob_map[class_index], dtype=np.float64))
-    return list(_iter_regions(channel, class_index, int(params.d), params.tau,
-                              float(params.alpha)))
+        channel = _Channel(np.ascontiguousarray(prob_map[class_index], dtype=np.float64),
+                           class_index)
+    return list(_iter_regions(channel, int(params.d), params.tau, float(params.alpha)))
 
 
 def region_to_detection(region: PeakRegion) -> Detection:
@@ -409,22 +448,21 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
 def top_detection(prepared: PreparedMap, params: DecodeParams) -> Detection | None:
     """``decode(prepared, params)[0]``, or None when decode finds nothing.
 
-    That detection comes from the first class whose maximum is the highest,
-    so no other class is read. Unless another cell of that class holds its
-    maximum, it is the class's memoised first region, read without window
-    winners. Otherwise it is the region of least centroid among those of
-    the class's peaks at that maximum, the first on equal centroids, as
-    decode's stable sort keeps them.
+    That detection comes from the map's top class, the first whose maximum
+    is the highest, so no other class is read. Unless another cell of that
+    class holds its maximum, it is the detection kept with the class's
+    memoised first region, read without window winners. Otherwise it is
+    the region of least centroid among those of the class's peaks at that
+    maximum, the first on equal centroids, as decode's stable sort keeps
+    them.
     """
-    channels = [prepared._class(k) for k in range(1, prepared.shape[0])]
-    best = max(channel.top()[0] for channel in channels)
-    if best < params.tau:
+    channel = prepared._top
+    if channel.peak < params.tau:
         return None
-    k, channel = next((k, c) for k, c in enumerate(channels, 1) if c.top()[0] == best)
-    _, _, unique = channel.top()
-    regions = _iter_regions(channel, k, int(params.d), best, float(params.alpha))
-    return region_to_detection(min(islice(regions, 1) if unique else regions,
-                                   key=attrgetter("centroid")))
+    if channel.unique:
+        return channel.first_detection(float(params.alpha))
+    regions = _iter_regions(channel, int(params.d), channel.peak, float(params.alpha))
+    return region_to_detection(min(regions, key=attrgetter("centroid")))
 
 
 # ---------------------------------------------------------------------------

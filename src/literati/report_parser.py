@@ -142,11 +142,12 @@ class _ReportFields(NamedTuple):
 
 
 class Report(_ReportFields):
-    """One report; its ids and its text must be non-empty."""
+    """One report; its ids and its text must be non-empty. An id is a
+    string or an integer, and no integer, 0 included, is empty."""
     __slots__ = ()
 
     def __new__(cls, subject_id, study_id, text):
-        if not subject_id or not study_id:
+        if subject_id == "" or study_id == "":
             raise ValueError("report ids must be non-empty")
         if not text:
             raise ValueError("report text must be non-empty")
@@ -216,10 +217,11 @@ class Lexicon:
     disease_terms: dict[str, tuple[str, ...]]
     # First-token indexes (see _first_token_index), built in __post_init__:
     # attribute terms -> category, negation cues -> None, disease synonyms
-    # -> disease name.
+    # -> disease name; and the tokens at which a negation scope can change.
     _entries: _MatchIndex = field(init=False, compare=False, repr=False)
     _cues: _MatchIndex = field(init=False, compare=False, repr=False)
     _diseases: _MatchIndex = field(init=False, compare=False, repr=False)
+    _scope_events: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sets = {
@@ -250,6 +252,7 @@ class Lexicon:
             (_term_tokens(t), cat) for cat, terms in sets.items() for t in terms))
         object.__setattr__(self, "_cues", _first_token_index(
             (_term_tokens(c), None) for c in self.negation_cues))
+        object.__setattr__(self, "_scope_events", _SCOPE_EVENTS.union(self._cues))
         object.__setattr__(self, "_diseases", _first_token_index(
             (_term_tokens(s), disease)
             for disease, synonyms in self.disease_terms.items() for s in synonyms))
@@ -406,8 +409,7 @@ def _negation_scope(lowered: tuple[str, ...], lexicon: Lexicon) -> list[bool]:
     scope = [False] * n
     active = False
     i = 0  # every token before i has its flag
-    events = _SCOPE_EVENTS.union(cues)
-    for k in compress(range(n), map(events.__contains__, lowered)):
+    for k in compress(range(n), map(lexicon._scope_events.__contains__, lowered)):
         if k < i:
             continue  # inside a pseudo-negation or cue matched before
         if active:

@@ -179,10 +179,9 @@ class _ContinuousParzen:
         span = high - low
         floor = span / min(100, n)
         bw = np.full(n, floor)
-        if n > 1:
-            left = np.diff(obs, prepend=obs[0])   # first left gap is 0
-            right = np.diff(obs, append=obs[-1])  # last right gap is 0
-            bw = np.maximum(np.maximum(left, right), floor)
+        gaps = obs[1:] - obs[:-1]
+        np.maximum(bw[1:], gaps, out=bw[1:])    # each point's gap to its left neighbour
+        np.maximum(bw[:-1], gaps, out=bw[:-1])  # and to its right one
         self.log = log
         self.low = low
         self.high = high
@@ -387,22 +386,25 @@ def tune_decoder(
     ``maps`` are (MapMeta, PreparedMap) pairs, read once, after the
     arguments are checked; each map is prepared once and reused by every
     trial. ``gts_net416`` maps image ids to ground-truth boxes in net416
-    space, and the objective scores every one of its images as ``eval`` does. When the space holds the decoder defaults, they are
-    evaluated as trial 0, so the returned best can never be worse than the
-    baseline. A map whose image has no ground truth is left out of every
-    score, so it is never decoded. Trials run in this process, in map
-    order: with the memos below a trial costs less than a round trip to a
-    worker process would.
+    space, and the objective scores every one of its images as ``eval``
+    does. When the space holds the decoder defaults, they are evaluated as
+    trial 0, so the returned best can never be worse than the baseline. A
+    map whose image has no ground truth is left out of every score, so it
+    is never decoded. Trials run in this process, in map order: with the
+    memos below a trial costs less than a round trip to a worker process
+    would.
 
     In ``top1`` mode a trial reads only each map's first detection
     (``top_detection``), the one ``match_image`` matches: a region of the
-    first class whose maximum is the map's highest, with window winners
-    only where that maximum ties in its class. Each class memoises its
-    first regions by the interval of ``alpha * maximum`` over which they
-    stay the same, so across trials a region is grown once, not once per
-    trial. Each map also memoises the match outcome of every first
-    detection it has scored, so a trial that repeats one neither rescales
-    nor rematches it.
+    map's top class, the first whose maximum is the highest, which the
+    map keeps, with window winners only where that maximum ties in its
+    class. Each class memoises its first regions by the interval of
+    ``alpha * maximum`` over which they stay the same, each with its
+    detection, so across trials a region is grown and its detection built
+    once, not once per trial; a threshold between two known regions is
+    grown inside the larger one. Each map also memoises the match outcome
+    of every first detection it has scored, so a trial that repeats one
+    neither rescales nor rematches it: on a repeat, a trial is a lookup.
 
     In ``greedy_multi`` mode an image is a hit exactly when some detection
     reaches the threshold with some box, whatever the order: the first such

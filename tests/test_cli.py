@@ -57,6 +57,39 @@ def test_unknown_flag_exits_1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["parse", "--rep", "x", "--level", "referring", "--out", "o"],
+     "unrecognized arguments: --rep x"),
+    (["decode", "--bogus"], "unrecognized arguments: --bogus"),
+    (["tune", "--maps", "m", "--budgets", "3"], "unrecognized arguments: --budgets 3"),
+    # with no stray flag, the missing required flags are named as before
+    (["parse", "--reports", "r", "--level", "referring"],
+     "the following arguments are required: --out"),
+    (["decode"], "the following arguments are required: --maps, --out"),
+], ids=["parse-rep", "decode-bogus", "tune-budgets", "parse-no-out", "decode-bare"])
+def test_stray_flag_is_named_before_missing_required_flags(tmp_path, monkeypatch, capsys,
+                                                             argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"literati: error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--pos", "pos.txt", "--neg", "neg.txt", "--ratio", "-1"],
+    ["mix", "--ratio", "-1", "--pos", "pos.txt", "--neg", "neg.txt"],
+], ids=["last", "first"])
+def test_negative_flag_value_is_a_value(tmp_path, monkeypatch, caplog, argv):
+    # a value that starts with "-" is no stray flag: mix refuses the ratio itself
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pos.txt").write_text("a\nb\n", encoding="utf-8")
+    (tmp_path / "neg.txt").write_text("c\nd\n", encoding="utf-8")
+    assert run(argv) == 1
+    _one_line_error(caplog, "ratio must be a positive finite number, not -1.0")
+
 def test_unknown_command_exits_1():
     assert run(["frobnicate"]) == 1
 
@@ -64,9 +97,9 @@ def test_unknown_command_exits_1():
 @pytest.mark.parametrize("argv, message", [
     # --h is no --help: it used to print the help and exit 0, checking nothing
     (["gradcheck", "--h"], "unrecognized arguments: --h"),
-    # --rep is no --reports
+    # --rep is no --reports, and is named before the --reports it lacks
     (["parse", "--rep", "reports.jsonl", "--level", "referring", "--out", "out.jsonl"],
-     "the following arguments are required: --reports"),
+     "unrecognized arguments: --rep reports.jsonl"),
 ], ids=["gradcheck-h", "parse-rep"])
 def test_abbreviated_flag_exits_1(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -458,6 +491,32 @@ def test_parse_malformed_report_exits_1(tmp_path, caplog, line, message):
     assert run(["parse", "--reports", str(reports), "--level", "referring",
                 "--out", str(tmp_path / "expr.jsonl")]) == 1
     _one_line_error(caplog, f"{reports}:2: {message}")
+
+
+@pytest.mark.parametrize("key", ["subject_id", "study_id"])
+def test_parse_integer_id_0_is_an_id(tmp_path, key):
+    # an integer id is never empty, 0 included
+    doc = {"subject_id": 5, "study_id": 7, "text": "No pneumothorax."}
+    doc[key] = 0
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(reports), "--level", "scene_label",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report_id"] == f"{doc['subject_id']}/{doc['study_id']}"
+
+
+@pytest.mark.parametrize("key", ["subject_id", "study_id"])
+def test_parse_empty_string_id_exits_1(tmp_path, caplog, key):
+    doc = {"subject_id": "s2", "study_id": "st2", "text": "No pneumothorax."}
+    doc[key] = ""
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    out = tmp_path / "expr.jsonl"
+    assert run(["parse", "--reports", str(reports), "--level", "scene_label",
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{reports}:1: report ids must be non-empty")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", report_parser.LEVELS)
@@ -1134,6 +1193,52 @@ def test_tune_objective_is_eval_top1_accuracy(tmp_path, capsys, seed, unmapped):
     assert objective == sum(im["outcomes"]["0.1"]["hit"] for im in images) / len(images)
     assert table.read_text().splitlines()[1].split(",")[1] == f"{objective:.3f}"
     assert len(images) == 5
+
+
+def _tune_input(tmp_path, fixture):
+    """(maps dir, annotations, extra flags) of a pinned tune run."""
+    if fixture == "planted":  # weak bumps: the defaults find nothing
+        maps_dir, ann_path, _ = _write_maps(tmp_path, n=8, seed=40, baseline=2.5,
+                                            amplitude_range=(2.35, 2.45),
+                                            sigma_range=(2.8, 3.2))
+        return maps_dir, ann_path, ["--iou", "0.1"]
+    # two peaks per map, boxes drawn at alpha 0.85 and matched at IoU 0.7: the
+    # trials score from 0 to 1, and their thresholds fall between the first
+    # regions memoised by earlier trials
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=12, seed=0, peaks=2, alpha=0.85)
+    return maps_dir, ann_path, ["--iou", "0.7"]
+
+
+# sha256 of the `tune --budget 30 --seed 4` trial log and stdout, by input
+# and mode, recorded before each map's top class and each first region's
+# detection were memoised
+TUNE_DIGESTS = {
+    ("planted", "top1"): (
+        "c4a3137babb2d8f95b9a715063c0dc576a311130fa0762ac7185bdbad4c7e0d5",
+        "7e93b1d8d1e9190f6b0ff57876b16f703d59495a4223cb05f8d974030811b4cf"),
+    ("planted", "greedy_multi"): (
+        "c4a3137babb2d8f95b9a715063c0dc576a311130fa0762ac7185bdbad4c7e0d5",
+        "7e93b1d8d1e9190f6b0ff57876b16f703d59495a4223cb05f8d974030811b4cf"),
+    ("two-peak", "top1"): (
+        "3f5f2a4384a6bde8eb2a6cde9c49a40c98aaf3fc10fd9285edfeece06de3f90b",
+        "02da1c759a0928586f19725a592974650187e1b6df937cdcb1c448ea97259822"),
+    ("two-peak", "greedy_multi"): (
+        "6f075b6240d80ea36cdcc549cbb3775362a0087b83bf3e8016ac691e0c690a42",
+        "02da1c759a0928586f19725a592974650187e1b6df937cdcb1c448ea97259822"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fixture, mode", sorted(TUNE_DIGESTS))
+def test_tune_outputs_are_pinned(tmp_path, monkeypatch, capsys, fixture, mode, workers):
+    maps_dir, ann_path, extra = _tune_input(tmp_path, fixture)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    trials = tmp_path / "trials.json"
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), *extra,
+                "--mode", mode, "--budget", "30", "--seed", "4", "--out", str(trials)]) == 0
+    got = (hashlib.sha256(trials.read_bytes()).hexdigest(),
+           hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert got == TUNE_DIGESTS[fixture, mode]
 
 
 _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}

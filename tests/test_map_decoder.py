@@ -454,6 +454,11 @@ def _rings(H, W, center, levels):
     return np.stack([np.zeros((H, W)), disease])
 
 
+def _memo(channel):
+    """A channel's first-region memo as (least, below, region) entries."""
+    return [(least, e.below, e.region) for least, e in zip(channel._least, channel._first)]
+
+
 def _check_against_fresh(prepared, logits, params):
     fresh = PreparedMap(logits)
     assert decode(prepared, params) == decode(fresh, params), params
@@ -477,7 +482,7 @@ def test_first_region_memo_edges(monkeypatch):
 
     _check_against_fresh(prepared, logits, DecodeParams(alpha=0.5))
     grown.clear()
-    [(least, below, _)] = channel._first
+    [(least, below, _)] = _memo(channel)
     above = float(np.nextafter(below, 1.0))
     alphas = [2 * least, 2 * below, 2 * above]
     assert [alpha * 0.5 for alpha in alphas] == [least, below, above]
@@ -505,11 +510,46 @@ def test_first_region_memo_keeps_one_entry_per_region():
     prepared = PreparedMap(logits)
     isolated = prepared.channel(1)[2, 2]
     # the threshold on the isolated cell is below the first entry's interval
+    tops = []
     for alpha in [0.7, 2 * isolated, 0.2]:
         _check_against_fresh(prepared, logits, DecodeParams(alpha=alpha))
-    [(_, below, region)] = prepared._class(1)._first
+        tops.append(top_detection(prepared, DecodeParams(alpha=alpha)))
+    [(_, below, region)] = _memo(prepared._class(1))
     assert region.member_count == 5
     assert below == prepared.channel(1)[3, 0]
+    # the entry keeps its detection as its interval grows
+    assert tops[0] is tops[1] is tops[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
+    # a threshold between two memo entries labels the lower entry's box
+    # once, not a crop around the maximum, and gives the region a fresh
+    # decode gives
+    planted = make_planted_maps(1, seed, peaks_per_image=2, alpha=0.85)[0]
+    prepared = PreparedMap(planted.logits)
+    channel = prepared._class(1)
+    for alpha in (0.3, 0.9):
+        top_detection(prepared, DecodeParams(tau=0.05, alpha=alpha))
+    [(_, _, lower), (least, _, upper)] = _memo(channel)
+    shapes = []
+    real = ndimage.label
+
+    def label(mask, *args, **kwargs):
+        shapes.append(mask.shape)
+        return real(mask, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", label)
+    params = DecodeParams(tau=0.05, alpha=0.6)
+    assert params.alpha * channel.peak < least  # below the upper entry's interval
+    top = top_detection(prepared, params)
+    row0, col0, row1, col1 = lower.bbox
+    assert shapes == [(row1 - row0, col1 - col0)]
+    assert len(channel._first) == 3
+    assert lower.member_count > channel._first[1].region.member_count > upper.member_count
+    monkeypatch.setattr(ndimage, "label", real)
+    _check_against_fresh(prepared, planted.logits, params)
+    assert top == decode(planted.logits, params)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -543,7 +583,7 @@ def test_first_region_memo_equals_fresh_growth(data):
                 with pytest.raises(ValueError, match="read-only"):
                     region.mask[0, 0] = False
     for k in range(1, K):  # one entry per distinct region, as nested regions differ in least
-        leasts = [least for least, _, _ in prepared._class(k)._first]
+        leasts = prepared._class(k)._least
         assert leasts == sorted(set(leasts))
 
 

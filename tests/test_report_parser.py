@@ -473,6 +473,14 @@ def test_report_validation():
         Report("s", "t", "")
 
 
+@pytest.mark.parametrize("ids", [(0, 7), (7, 0), (0, 0), (-1, "s")])
+def test_report_integer_ids_are_never_empty(ids):
+    assert Report(*ids, "text").report_id == f"{ids[0]}/{ids[1]}"
+    for empty in [("", ids[1]), (ids[0], "")]:
+        with pytest.raises(ValueError, match="report ids must be non-empty"):
+            Report(*empty, "text")
+
+
 # --- write_expressions_jsonl ----------------------------------------------------
 
 # Text that JSON escapes (quotes, backslashes, control characters) or writes

@@ -641,3 +641,60 @@ def test_top1_objective_equals_memo_free_scoring(fixture, space, mode, iou_thres
         results = match_images(per_image, gts, iou_threshold, mode)
         assert trial.objective == accuracy(results, iou_threshold)
     assert len({t.objective for t in history}) > 1
+
+
+def _two_peak_fixture(n=12):
+    # the two-peak maps of the TPE against random search test: at IoU 0.7 the
+    # trials score differently, and their thresholds fall between the first
+    # regions that earlier trials memoised
+    planted = make_planted_maps(n, 0, peaks_per_image=2, alpha=0.85)
+    gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
+                             for b in p.boxes]
+           for p in planted}
+    return planted, gts
+
+
+def test_top1_tune_builds_each_first_detection_once(monkeypatch):
+    # a top-1 trial reads each map's first detection from its memo entry: the
+    # detection is built the first time an entry is read, not once per map
+    # and trial, and decode after the tune still builds one per region
+    import literati.map_decoder as map_decoder
+
+    planted, gts = _two_peak_fixture()
+    prepared = _prepared(planted)
+    built = []
+    real = map_decoder.region_to_detection
+
+    def counted(region):
+        built.append(region)
+        return real(region)
+
+    monkeypatch.setattr(map_decoder, "region_to_detection", counted)
+    _, _, history = tune_decoder(prepared, gts, budget=30, cfg=TpeConfig(seed=4),
+                                 iou_threshold=0.7)
+    assert len({t.objective for t in history}) > 1
+    entries = [e for _, p in prepared for e in p._top._first]
+    assert all(e.detection is not None for e in entries)
+    assert len(built) == len(entries) == len({id(r) for r in built})
+    assert len(built) < len(planted) * len(history)
+
+    # the same trial again builds nothing and returns the same objects
+    params = [DecodeParams(**{"d": 3, "tau": 0.5, "alpha": 0.5, **t.params}) for t in history]
+    tops = [map_decoder.top_detection(p, params[-1]) for _, p in prepared]
+    built.clear()
+    assert [map_decoder.top_detection(p, params[-1]) for _, p in prepared] == tops
+    assert all(a is b for a, b in zip(tops, [map_decoder.top_detection(p, params[-1])
+                                             for _, p in prepared]))
+    assert built == []
+
+    # decode builds one detection per region, on a map the tune has read
+    # at its params and at new ones, and on a fresh map
+    for (meta, p), m in zip(prepared, planted):
+        for par in (params[0], params[-1], DecodeParams(d=2, tau=0.1, alpha=0.777)):
+            for q in (p, PreparedMap(m.logits)):
+                built.clear()
+                dets = decode(q, par)
+                assert len(built) == len(dets)
+                assert built == [r for k in range(1, q.shape[0])
+                                 for r in map_decoder.maximal_filter_regions(q, k, par)]
+                assert dets == decode(m.logits, par)

@@ -8,6 +8,8 @@ Modules:
   splits with negative mixing, and box rescaling between coordinate spaces.
 - ``map_decoder``: per-class probability maps -> bounding-box detections
   via maximal filtering and peak region growing.
+- ``detections``: the detections file's record, writer and reader, with
+  neither numpy nor scipy.
 - ``numeric_heads``: desk-scale network head operations (transposed
   convolution, layer norm, global average pooling, cross entropy,
   layer-selecting 1-D convolution) with analytic gradients.

@@ -4,23 +4,25 @@ Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
 Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
 Logs go to standard error; every subcommand is deterministic given its seed.
 ``decode`` streams the indices of its maps through forked worker processes
-(literati.shards), each of which loads the map it decodes, so only an
-index and a map's meta and detections cross a pipe and no process holds
-every map. ``demo`` writes the maps it plants and decodes those files the
-same way, so its detections are those of ``decode``. ``parse`` streams
-chunks of report lines the same way and writes each chunk's expressions as
-it comes back, in input order. The LITERATI_THREADS environment variable
-caps how many workers, and outputs do not depend on it. ``tune`` loads its
-maps as ``decode``'s workers do, one at a time once its output is open,
-keeps each only prepared, and scores trials in this process: a memoised
-trial costs less than a round trip to a worker. ``eval`` runs serially.
+(literati.shards), each of which loads the map it decodes and encodes
+that map's entries of the detections file, so only an index and a map's
+meta, detections and entries cross a pipe, no process holds every map, and
+the parent only joins the entries. ``demo`` writes the maps it plants and
+decodes those files the same way, so its detections are those of
+``decode``. ``parse`` streams chunks of report lines the same way and
+writes each chunk's expressions as it comes back, in input order. The
+LITERATI_THREADS environment variable caps how many workers, and outputs
+do not depend on it. ``tune`` loads its maps as ``decode``'s workers do,
+one at a time once its output is open, keeps each only prepared, and
+scores trials in this process: a memoised trial costs less than a round
+trip to a worker. ``eval`` runs serially.
 
 Each subcommand imports the library modules it runs, and only when it
 runs, so that a short job does not pay for the others' imports:
-``decode``, ``tune``, ``demo`` and ``eval`` load numpy and scipy (``eval``
-reads detections through ``map_decoder``); ``split``, ``mix`` and
-``gradcheck`` load numpy only; ``parse``, ``--version`` and ``--help``
-load neither.
+``decode``, ``tune`` and ``demo`` load numpy and scipy; ``split``, ``mix``
+and ``gradcheck`` load numpy only; ``eval`` (which reads detections through
+``literati.detections``), ``parse``, ``--version`` and ``--help`` load
+neither.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises UsageError, and takes no flag by a prefix of its name: else
     ``gradcheck --h`` would print the help and check nothing, and
-    ``parse --rep`` would stand for ``--reports``. A flag that the parser
-    does not define is named before any missing required flag. Subparsers
-    are made of this class too."""
+    ``parse --rep`` would stand for ``--reports``. A flag that no parser
+    defines, before the subcommand or after it, is named before any missing
+    required flag. Subparsers are made of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -68,21 +70,33 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _required_actions(self):
+        """The required actions of this parser and of its subcommands' parsers."""
+        for action in self._actions:
+            if action.required:
+                yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for parser in action.choices.values():
+                    yield from parser._required_actions()
+
     def parse_known_args(self, args=None, namespace=None):
         # argparse refuses a missing required flag before it looks at what it
         # could not parse, so `parse --rep x` would be refused for lacking
-        # --reports; a first pass that requires nothing finds the stray flag
+        # --reports; a first pass that requires nothing, here or in the
+        # subcommand's parser, finds the stray flags of both. In that pass a
+        # subcommand's parser has nothing required and returns its strays.
         args = sys.argv[1:] if args is None else list(args)
-        required = [action for action in self._actions if action.required]
-        for action in required:
-            action.required = False
-        try:
-            _, extras = super().parse_known_args(args, None)
-        finally:
+        required = list(self._required_actions())
+        if required:
             for action in required:
-                action.required = True
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
+                action.required = False
+            try:
+                _, extras = super().parse_known_args(args, None)
+            finally:
+                for action in required:
+                    action.required = True
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
         return super().parse_known_args(args, namespace)
 
 
@@ -280,27 +294,29 @@ def _decode_to(out, paths, params, space) -> dict[str, list]:
     """Decode the maps at ``paths`` into ``space`` boxes, write them to
     ``out``, a file open for writing, and return them by image id.
 
-    Map i is loaded in the worker that decodes it, and only i, the map's
-    meta and its detections cross a pipe, so no map is held in this
-    process. A map whose image id repeats an earlier map's is refused
-    before the next map's result is read.
+    Map i is loaded in the worker that decodes it, which also encodes the
+    map's entries of the detections file, so only i, the map's meta, its
+    detections and their text cross a pipe, no map is held in this process,
+    and this process only joins the text. A map whose image id repeats an
+    earlier map's is refused before the next map's result is read.
     """
     from . import map_decoder as decoder
+    from .detections import entries_json, join_entries
 
     def decode_one(i):
         m = decoder.load_map(paths[i])
         dets = decoder.decode(m.logits, params)
         if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
-        return m.meta, dets
+        return m.meta, dets, entries_json(m.meta.image_id, dets, m.meta.classes)
 
-    results, classes, seen = {}, {}, {}
+    results, entries, seen = {}, {}, {}
     with closing(ordered_map(decode_one, range(len(paths)))) as per_map:
-        for path, (meta, dets) in zip(paths, per_map):
+        for path, (meta, dets, text) in zip(paths, per_map):
             decoder.claim_image_id(seen, meta, path)
             results[meta.image_id] = dets
-            classes[meta.image_id] = meta.classes
-    out.write(decoder.detections_to_json(results, classes) + "\n")
+            entries[meta.image_id] = text
+    out.write(join_entries(entries[image_id] for image_id in sorted(entries)) + "\n")
     return results
 
 
@@ -347,7 +363,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import map_decoder as decoder
+    from .detections import detections_from_json
 
     if args.diagnostics and os.path.realpath(args.diagnostics) == os.path.realpath(args.out):
         raise ValueError(f"--out and --diagnostics name the same file: {args.out}")
@@ -355,7 +371,7 @@ def cmd_eval(args) -> int:
     with _replaced_on_success(args.out) as out, \
             (_replaced_on_success(args.diagnostics) if args.diagnostics
              else nullcontext()) as diagnostics:
-        per_image = decoder.detections_from_json(args.detections)
+        per_image = detections_from_json(args.detections)
         det_spaces = {d.box.space for dets in per_image.values() for d in dets}
         if len(det_spaces) > 1:
             raise ValueError(f"detections mix coordinate spaces: {sorted(det_spaces)}")

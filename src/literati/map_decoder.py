@@ -61,6 +61,8 @@ import numpy as np
 from scipy import ndimage
 
 from .annotation_store import NET_SIZE, Box, is_finite_number, read_json, rescale_box
+# the detections file's codec lives in .detections, free of numpy and scipy
+from .detections import Detection, detections_from_json, detections_to_json  # noqa: F401
 
 MAP_SPACE = "map"
 
@@ -104,14 +106,6 @@ class PeakRegion:
         ) and np.array_equal(self.mask, other.mask)
 
 
-@dataclass(frozen=True)
-class Detection:
-    class_index: int
-    box: Box
-    confidence: float
-    centroid: tuple[float, float]
-
-
 def validate_logit_map(logits: np.ndarray) -> np.ndarray:
     """``logits`` as float64 [K, H, W]: K >= 2, at least one cell, all finite."""
     arr = np.asarray(logits, dtype=np.float64)
@@ -130,9 +124,10 @@ def validate_logit_map(logits: np.ndarray) -> np.ndarray:
 def softmax_map(logits: np.ndarray) -> np.ndarray:
     """Per-cell softmax across class channels, max-subtracted for stability."""
     arr = validate_logit_map(logits)
-    shifted = arr - arr.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    e = arr - arr.max(axis=0, keepdims=True)  # a new array: the logits are not touched
+    np.exp(e, out=e)
+    e /= e.sum(axis=0, keepdims=True)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -572,59 +567,3 @@ def detection_to_net416(det: Detection, meta: MapMeta) -> Detection:
     """``det`` with its box stretched to net416 on each axis, as ground truth is."""
     box = rescale_box(det.box, meta.size, (NET_SIZE, NET_SIZE), to_space="net416")
     return Detection(det.class_index, box, det.confidence, det.centroid)
-
-
-def detections_to_json(per_image: dict[str, list[Detection]], classes_by_image: dict[str, tuple[str, ...]]) -> str:
-    entries = []
-    for image_id in sorted(per_image):
-        for det in per_image[image_id]:
-            classes = classes_by_image[image_id]
-            entries.append({
-                "image_id": image_id,
-                "class": classes[det.class_index],
-                "box": det.box.as_list(),
-                "space": det.box.space,
-                "confidence": det.confidence,
-                "centroid": [det.centroid[0], det.centroid[1]],
-            })
-    return json.dumps(entries, indent=2)
-
-
-def _finite_numbers(value, n: int, what: str, where: str) -> list[float]:
-    if not (isinstance(value, list) and len(value) == n and all(map(is_finite_number, value))):
-        raise ValueError(f"{where}: {what} must be a list of {n} numbers, each finite, "
-                         f"not {value!r}")
-    return [float(v) for v in value]
-
-
-def detections_from_json(path) -> dict[str, list[Detection]]:
-    """Detections by image id, by descending confidence; ties keep the
-    file's order, which is the order ``decode`` gave them."""
-    entries = read_json(path, list)
-    per_image: dict[str, list[Detection]] = {}
-    for i, e in enumerate(entries):
-        where = f"{path}: entry {i}"
-        if not isinstance(e, dict):
-            raise ValueError(f"{where}: not an object")
-        try:
-            image_id, confidence = e["image_id"], e["confidence"]
-            box_values = _finite_numbers(e["box"], 4, "box", where)
-            centroid = _finite_numbers(e["centroid"], 2, "centroid", where)
-            space = e["space"]
-        except KeyError as err:
-            raise ValueError(f"{where}: missing field {err}") from err
-        if not isinstance(image_id, str) or not image_id:
-            raise ValueError(f"{where}: 'image_id' must be a non-empty string, not {image_id!r}")
-        if not is_finite_number(confidence):
-            raise ValueError(f"{where}: 'confidence' must be a finite number, "
-                             f"not {confidence!r}")
-        try:
-            box = Box(*box_values, space=space)
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from err
-        det = Detection(class_index=0,  # class carried by name in the file
-                        box=box, confidence=float(confidence), centroid=tuple(centroid))
-        per_image.setdefault(image_id, []).append(det)
-    for dets in per_image.values():
-        dets.sort(key=lambda det: -det.confidence)  # stable
-    return per_image

@@ -451,9 +451,10 @@ def tune_decoder(
         results = []
         for meta, prepared, memo in scored:
             top = top_detection(prepared, params)
-            if top not in memo:
-                memo[top] = score(meta, [] if top is None else [top])
-            results.append(memo[top])
+            result = memo.get(top)  # a hit hashes the detection once
+            if result is None:
+                result = memo[top] = score(meta, [] if top is None else [top])
+            results.append(result)
         return results
 
     def first_hit(meta, prepared, params: DecodeParams):

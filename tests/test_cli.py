@@ -67,7 +67,11 @@ def test_unknown_flag_exits_1(capsys):
     (["parse", "--reports", "r", "--level", "referring"],
      "the following arguments are required: --out"),
     (["decode"], "the following arguments are required: --maps, --out"),
-], ids=["parse-rep", "decode-bogus", "tune-budgets", "parse-no-out", "decode-bare"])
+    # a stray flag before the subcommand is named too, with any after it
+    (["--bogus", "parse"], "unrecognized arguments: --bogus"),
+    (["--bogus", "parse", "--rep", "x"], "unrecognized arguments: --bogus --rep x"),
+], ids=["parse-rep", "decode-bogus", "tune-budgets", "parse-no-out", "decode-bare",
+        "bogus-parse", "bogus-parse-rep"])
 def test_stray_flag_is_named_before_missing_required_flags(tmp_path, monkeypatch, capsys,
                                                              argv, message):
     monkeypatch.chdir(tmp_path)
@@ -1000,7 +1004,7 @@ def test_eval_unwritable_path_writes_nothing(tmp_path, monkeypatch, caplog, caps
     paths[unwritable] = tmp_path / "missing" / paths[unwritable].name
     kept = paths["diagnostics" if unwritable == "out" else "out"]
     kept.write_bytes(b"old output\n")
-    monkeypatch.setattr(map_decoder, "detections_from_json", _no_detections_read)
+    monkeypatch.setattr("literati.detections.detections_from_json", _no_detections_read)
     assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path),
                 "--out", str(paths["out"]), "--diagnostics", str(paths["diagnostics"])]) == 2
     _one_line_error(caplog, "I/O error")
@@ -1026,6 +1030,48 @@ def test_decode_idempotent_bytes(tmp_path):
         assert run(["decode", "--maps", str(maps_dir), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _pinned_decode_maps(tmp_path):
+    """The noise maps, a map whose image id and class name need escaping in
+    JSON, filed first but last by image id, and a map with no detections."""
+    maps_dir = _write_noise_maps(tmp_path)
+    rng = np.random.default_rng(5)
+    smooth = ndimage.gaussian_filter(rng.normal(size=(2, 24, 32)), sigma=(0, 2, 2))
+    npy = save_map(maps_dir, MapMeta('é "quoted" id', ("background", "épanchement\tpleural"),
+                                     size=(32, 24)), 3 * smooth / smooth.std())
+    npy.rename(maps_dir / "a.npy")
+    npy.with_suffix(".json").rename(maps_dir / "a.json")
+    background = np.stack([np.full((8, 8), 9.0), np.zeros((8, 8)), np.zeros((8, 8))])
+    save_map(maps_dir, MapMeta("nothing", ("background", "pneumonia", "pneumothorax"),
+                               size=(8, 8)), background)
+    return maps_dir
+
+
+# sha256 of detections.json, recorded before each map's entries were
+# encoded in the worker that decodes it
+DECODE_DIGESTS = {
+    "map": "9fe06f26bc277c16a8ebbefe5fbc75d7615aa77ad5f6ec84390b9bbcf64a0dc1",
+    "net416": "31c9e4f532bc3428d49b354322e9beb36d8fee8e09dc1a4301736c57d235258e",
+}
+DEMO_DETECTIONS_DIGEST = "0bd668942f0f85cbcfd8e65925935b4b1716ae3f4015d9eea927bb2d6ddb46a0"
+
+
+@pytest.mark.parametrize("space", sorted(DECODE_DIGESTS))
+def test_decode_output_digest_is_pinned(tmp_path, space):
+    maps_dir = _pinned_decode_maps(tmp_path)
+    out = tmp_path / "detections.json"
+    assert run(["decode", "--maps", str(maps_dir), "--space", space, "--out", str(out)]) == 0
+    entries = json.loads(out.read_text(encoding="utf-8"))
+    assert {e["image_id"] for e in entries} == {f"noise{i}" for i in range(5)} | {
+        'é "quoted" id'}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DECODE_DIGESTS[space]
+
+
+def test_demo_detections_digest_is_pinned(tmp_path, capsys):
+    assert run(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
+    got = hashlib.sha256((tmp_path / "demo" / "detections.json").read_bytes()).hexdigest()
+    assert got == DEMO_DETECTIONS_DIGEST
 
 
 def _decode_or_tune(command, tmp_path, out):
@@ -1099,9 +1145,10 @@ def test_a_top1_tune_imports_no_multiprocessing(tmp_path):
 
 
 def test_parse_split_mix_and_gradcheck_import_no_scipy(tmp_path):
-    # in a fresh interpreter: the import of the CLI, --version, --help and
-    # parse load neither numpy nor scipy; split, mix and gradcheck load
-    # numpy only
+    # in a fresh interpreter: the import of the CLI, --version, --help,
+    # parse and eval load neither numpy nor scipy; split, mix and gradcheck
+    # load numpy only (the imports add up, so those run last)
+    det_path, ann_path = _multi_detection_input(tmp_path)
     (tmp_path / "ids.txt").write_text("".join(f"id{i}\n" for i in range(20)))
     (tmp_path / "neg.txt").write_text("".join(f"neg{i}\n" for i in range(20)))
     runs = [
@@ -1109,6 +1156,8 @@ def test_parse_split_mix_and_gradcheck_import_no_scipy(tmp_path):
         (["--help"], []),
         (["parse", "--reports", str(FIXTURES / "reports_sample.jsonl"),
           "--level", "referring", "--out", str(tmp_path / "expressions.jsonl")], []),
+        (["eval", "--detections", str(det_path), "--ann", str(ann_path),
+          "--out", str(tmp_path / "table.csv")], []),
         (["split", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "split.json")],
          ["numpy"]),
         (["mix", "--pos", str(tmp_path / "ids.txt"), "--neg", str(tmp_path / "neg.txt"),

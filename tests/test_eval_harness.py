@@ -23,7 +23,7 @@ from literati.eval_harness import (
     micro_recall,
     render_table,
 )
-from literati.map_decoder import Detection
+from literati.detections import Detection
 
 
 def _det(x, y, w, h, conf=0.9, space="map"):

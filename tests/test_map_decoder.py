@@ -73,6 +73,17 @@ def test_softmax_normalization_property():
         npt.assert_allclose(sums, 1.0, atol=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 7), (3, 16, 16), (5, 1, 9)])
+def test_softmax_is_the_three_array_formula_and_keeps_the_logits(shape):
+    # computed in one buffer, with the same operations in the same order
+    logits = np.random.default_rng(shape[0]).normal(0, 4, size=shape)
+    kept = logits.copy()
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    assert np.array_equal(softmax_map(logits), e / e.sum(axis=0, keepdims=True))
+    assert np.array_equal(logits, kept)
+
+
 # --- maximal_filter_regions ------------------------------------------------------
 
 def test_delta_peak():

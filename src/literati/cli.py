@@ -6,11 +6,13 @@ Logs go to standard error; every subcommand is deterministic given its seed.
 ``decode`` streams the indices of its maps through forked worker processes
 (literati.shards), each of which loads the map it decodes and encodes
 that map's entries of the detections file, so only an index and a map's
-meta, detections and entries cross a pipe, no process holds every map, and
-the parent only joins the entries. ``demo`` writes the maps it plants and
-decodes those files the same way, so its detections are those of
-``decode``. ``parse`` streams chunks of report lines the same way and
-writes each chunk's expressions as it comes back, in input order. The
+meta, count of detections and entries cross a pipe, no process holds every
+map, and the parent only joins the entries. ``demo`` writes the maps it
+plants and decodes those files the same way, so its detections are those
+of ``decode``; it scores the detections file it wrote as ``eval`` does,
+through ``eval_harness.match_detections_file``, so its table is
+``eval``'s on that file. ``parse`` streams chunks of report lines the same
+way and writes each chunk's expressions as it comes back, in input order. The
 LITERATI_THREADS environment variable caps how many workers, and outputs
 do not depend on it. ``tune`` loads its maps as ``decode``'s workers do,
 one at a time once its output is open, keeps each only prepared, and
@@ -290,15 +292,16 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _decode_to(out, paths, params, space) -> dict[str, list]:
+def _decode_to(out, paths, params, space) -> int:
     """Decode the maps at ``paths`` into ``space`` boxes, write them to
-    ``out``, a file open for writing, and return them by image id.
+    ``out``, a file open for writing, and return how many there are.
 
     Map i is loaded in the worker that decodes it, which also encodes the
     map's entries of the detections file, so only i, the map's meta, its
-    detections and their text cross a pipe, no map is held in this process,
-    and this process only joins the text. A map whose image id repeats an
-    earlier map's is refused before the next map's result is read.
+    count of detections and their text cross a pipe, no map or detection is
+    held in this process, and this process only joins the text. A map whose
+    image id repeats an earlier map's is refused before the next map's
+    result is read.
     """
     from . import map_decoder as decoder
     from .detections import entries_json, join_entries
@@ -308,16 +311,16 @@ def _decode_to(out, paths, params, space) -> dict[str, list]:
         dets = decoder.decode(m.logits, params)
         if space == "net416":
             dets = [decoder.detection_to_net416(det, m.meta) for det in dets]
-        return m.meta, dets, entries_json(m.meta.image_id, dets, m.meta.classes)
+        return m.meta, len(dets), entries_json(m.meta.image_id, dets, m.meta.classes)
 
-    results, entries, seen = {}, {}, {}
+    n, entries, seen = 0, {}, {}
     with closing(ordered_map(decode_one, range(len(paths)))) as per_map:
-        for path, (meta, dets, text) in zip(paths, per_map):
+        for path, (meta, count, text) in zip(paths, per_map):
             decoder.claim_image_id(seen, meta, path)
-            results[meta.image_id] = dets
+            n += count
             entries[meta.image_id] = text
     out.write(join_entries(entries[image_id] for image_id in sorted(entries)) + "\n")
-    return results
+    return n
 
 
 def cmd_decode(args) -> int:
@@ -327,8 +330,7 @@ def cmd_decode(args) -> int:
     params = decoder.DecodeParams(**{k: getattr(args, k) for k in ("d", "tau", "alpha")
                                      if k in args})
     with _replaced_on_success(args.out) as out:  # an unwritable path fails before any map
-        results = _decode_to(out, paths, params, args.space)
-    n = sum(len(v) for v in results.values())
+        n = _decode_to(out, paths, params, args.space)
     logger.info("decoded %d maps -> %d detections", len(paths), n)
     return 0
 
@@ -363,21 +365,13 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .detections import detections_from_json
-
     if args.diagnostics and os.path.realpath(args.diagnostics) == os.path.realpath(args.out):
         raise ValueError(f"--out and --diagnostics name the same file: {args.out}")
     # an unwritable path fails before any detection is read
     with _replaced_on_success(args.out) as out, \
             (_replaced_on_success(args.diagnostics) if args.diagnostics
              else nullcontext()) as diagnostics:
-        per_image = detections_from_json(args.detections)
-        det_spaces = {d.box.space for dets in per_image.values() for d in dets}
-        if len(det_spaces) > 1:
-            raise ValueError(f"detections mix coordinate spaces: {sorted(det_spaces)}")
-        det_space = det_spaces.pop() if det_spaces else "native"
-        gts = harness.ground_truth(args.ann, det_space)
-        results = harness.match_images(per_image, gts, harness.IOU_THRESHOLDS, args.mode)
+        results = harness.match_detections_file(args.detections, args.ann, args.mode)
         table = harness.accuracy_table(results, method=args.method)
         rendered = harness.render_table(table, format=args.format)
         out.write(rendered)
@@ -425,6 +419,10 @@ def cmd_demo(args) -> int:
     if stale:
         raise ValueError(f"{maps_dir} holds {len(stale)} map(s) that this run would not "
                          f"write, such as {stale[0]}; use another --out")
+    detections = out_dir / "detections.json"
+    if detections.is_fifo() or detections.is_char_device():
+        raise ValueError(f"{detections} is a pipe or device, which demo cannot read its "
+                         f"detections back from; use another --out")
     coco = synthetic.planted_coco(planted)
     out_dir.mkdir(parents=True, exist_ok=True)
     # every output is open before the first map is written, and the maps are
@@ -432,14 +430,14 @@ def cmd_demo(args) -> int:
     # they move into maps/ only once the run succeeds, so a failed run
     # leaves maps/ and the other outputs as they were
     with _replaced_on_success(out_dir / "annotations.json") as ann_out, \
-            _replaced_on_success(out_dir / "detections.json") as det_out, \
+            _replaced_on_success(detections) as det_out, \
             _replaced_on_success(out_dir / "table.csv") as table_out, \
             _filled_on_success(maps_dir) as new_maps_dir:
         ann_out.write(json.dumps(coco, indent=2) + "\n")
         paths = [decoder.save_map(new_maps_dir, p.meta, p.logits) for p in planted]
-        results = _decode_to(det_out, paths, decoder.DecodeParams(), "net416")
-        gts = harness.ground_truth(coco, "net416")
-        matches = harness.match_images(results, gts, harness.IOU_THRESHOLDS, "top1")
+        _decode_to(det_out, paths, decoder.DecodeParams(), "net416")
+        det_out.flush()  # the table is `eval`'s on the file written
+        matches = harness.match_detections_file(det_out.name, coco, "top1")
         table = harness.accuracy_table(matches, method=f"synthetic demo (seed {args.seed})")
         rendered = harness.render_table(table, format="csv")
         table_out.write(rendered)

@@ -84,7 +84,7 @@ def detections_from_json(path) -> dict[str, list[Detection]]:
         if not isinstance(e, dict):
             raise ValueError(f"{where}: not an object")
         try:
-            image_id, confidence = e["image_id"], e["confidence"]
+            image_id, class_name, confidence = e["image_id"], e["class"], e["confidence"]
             box_values = _finite_numbers(e["box"], 4, "box", where)
             centroid = _finite_numbers(e["centroid"], 2, "centroid", where)
             space = e["space"]
@@ -92,6 +92,8 @@ def detections_from_json(path) -> dict[str, list[Detection]]:
             raise ValueError(f"{where}: missing field {err}") from err
         if not isinstance(image_id, str) or not image_id:
             raise ValueError(f"{where}: 'image_id' must be a non-empty string, not {image_id!r}")
+        if not isinstance(class_name, str) or not class_name:
+            raise ValueError(f"{where}: 'class' must be a non-empty string, not {class_name!r}")
         if not is_finite_number(confidence):
             raise ValueError(f"{where}: 'confidence' must be a finite number, "
                              f"not {confidence!r}")

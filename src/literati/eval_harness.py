@@ -6,9 +6,10 @@ threshold. ``greedy_multi`` runs it over every detection and records
 per-box recall for multi-instance annotations; ``top1`` runs it over the
 first detection alone, so an image is a hit when the highest-confidence
 detection overlaps any ground-truth box at the threshold. Tables report
-accuracy at the five fixed IOU thresholds. ``eval``, the ``tune``
-objective and ``demo`` all score through ``ground_truth`` ->
-``match_image`` -> ``accuracy``.
+accuracy at the five fixed IOU thresholds. ``eval`` and ``demo`` score a
+detections file through ``match_detections_file`` (``demo`` the one it has
+just written), and the ``tune`` objective scores decoded maps; all of them
+run ``ground_truth`` -> ``match_image`` -> ``accuracy``.
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ def match_images(per_image, gts, threshold, mode: str = "top1") -> list[MatchRes
     return [match_image(per_image.get(image_id, []), boxes, threshold, mode=mode,
                         image_id=image_id)
             for image_id, boxes in sorted(gts.items())]
+
+
+def match_detections_file(path, coco, mode: str) -> list[MatchResult]:
+    """``match_images`` of the detections file at ``path`` against the ground
+    truth of ``coco`` (a COCO path or document) at each of ``IOU_THRESHOLDS``,
+    in the detections' coordinate space (``native`` when there are none)."""
+    from .detections import detections_from_json  # loaded only when a file is scored
+
+    per_image = detections_from_json(path)
+    spaces = {d.box.space for dets in per_image.values() for d in dets}
+    if len(spaces) > 1:
+        raise ValueError(f"detections mix coordinate spaces: {sorted(spaces)}")
+    gts = ground_truth(coco, spaces.pop() if spaces else "native")
+    return match_images(per_image, gts, IOU_THRESHOLDS, mode)
 
 
 @dataclass

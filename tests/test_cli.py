@@ -269,7 +269,8 @@ def test_two_maps_with_one_image_id_exit_1(tmp_path, caplog, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("missing", ["confidence", "box", "space", "centroid", "image_id"])
+@pytest.mark.parametrize("missing", ["confidence", "box", "space", "centroid", "image_id",
+                                     "class"])
 def test_detections_missing_field_exits_1(tmp_path, caplog, missing):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"
@@ -287,7 +288,9 @@ def test_detections_missing_field_exits_1(tmp_path, caplog, missing):
     ("box", "box must be a list of 4 numbers"),
     ("centroid", "centroid must be a list of 2 numbers"),
     ("entry", "not an object"),
-], ids=["box", "centroid", "entry"])
+    ("class-number", "'class' must be a non-empty string, not 7"),
+    ("class-empty", "'class' must be a non-empty string, not ''"),
+], ids=["box", "centroid", "entry", "class-number", "class-empty"])
 def test_detections_malformed_entry_exits_1(tmp_path, caplog, fault, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"
@@ -295,6 +298,8 @@ def test_detections_malformed_entry_exits_1(tmp_path, caplog, fault, message):
     entries = json.loads(det.read_text())
     if fault == "entry":
         entries[1] = "not a detection"
+    elif fault.startswith("class"):
+        entries[1]["class"] = 7 if fault == "class-number" else ""
     else:
         entries[1][fault] = entries[1][fault][:-1]
     det.write_text(json.dumps(entries))
@@ -1055,6 +1060,9 @@ DECODE_DIGESTS = {
     "net416": "31c9e4f532bc3428d49b354322e9beb36d8fee8e09dc1a4301736c57d235258e",
 }
 DEMO_DETECTIONS_DIGEST = "0bd668942f0f85cbcfd8e65925935b4b1716ae3f4015d9eea927bb2d6ddb46a0"
+# sha256 of `demo --seed 3`'s table.csv, which it also prints, recorded
+# while demo still scored the detections it held rather than its file
+DEMO_TABLE_DIGEST = "56692c50db178b7ee8d3049afa0a2339ac1afb71449af23bea14e8e8b5eb69ba"
 
 
 @pytest.mark.parametrize("space", sorted(DECODE_DIGESTS))
@@ -1072,6 +1080,38 @@ def test_demo_detections_digest_is_pinned(tmp_path, capsys):
     assert run(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
     got = hashlib.sha256((tmp_path / "demo" / "detections.json").read_bytes()).hexdigest()
     assert got == DEMO_DETECTIONS_DIGEST
+
+
+def test_demo_table_and_stdout_digests_are_pinned(tmp_path, capsys):
+    assert run(["demo", "--seed", "3", "--out", str(tmp_path / "demo")]) == 0
+    table = (tmp_path / "demo" / "table.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == DEMO_TABLE_DIGEST
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_TABLE_DIGEST
+
+
+@pytest.mark.parametrize("seed, n_images", [(0, 50), (7, 3)])
+def test_demo_table_is_eval_of_its_own_outputs(tmp_path, monkeypatch, capsys, seed, n_images):
+    # both score through one function, demo on the file it has just written,
+    # which is shorter than a write buffer at 3 images
+    from literati import eval_harness
+
+    real = eval_harness.match_detections_file
+    calls = []
+
+    def recorded(path, coco, mode):
+        calls.append((Path(path).read_bytes(), mode))
+        return real(path, coco, mode)
+
+    monkeypatch.setattr(eval_harness, "match_detections_file", recorded)
+    demo = tmp_path / "demo"
+    assert run(["demo", "--seed", str(seed), "--n-images", str(n_images),
+                "--out", str(demo)]) == 0
+    table = tmp_path / "table.csv"
+    assert run(["eval", "--detections", str(demo / "detections.json"),
+                "--ann", str(demo / "annotations.json"), "--mode", "top1",
+                "--method", f"synthetic demo (seed {seed})", "--out", str(table)]) == 0
+    assert table.read_bytes() == (demo / "table.csv").read_bytes()
+    assert calls == [((demo / "detections.json").read_bytes(), "top1")] * 2
 
 
 def _decode_or_tune(command, tmp_path, out):
@@ -1445,6 +1485,17 @@ def test_demo_failed_map_write_leaves_maps_as_they_were(tmp_path, monkeypatch, c
     assert capsys.readouterr().out == ""
 
 
+def test_demo_refuses_a_pipe_for_its_detections(tmp_path, capsys, caplog):
+    # demo reads back the detections it writes, which a pipe would not give
+    out = tmp_path / "demo"
+    out.mkdir()
+    os.mkfifo(out / "detections.json")
+    assert _finishes(lambda: run(["demo", "--n-images", "2", "--out", str(out)])) == 1
+    _one_line_error(caplog, f"{out / 'detections.json'} is a pipe or device")
+    assert [p.name for p in out.iterdir()] == ["detections.json"]
+    assert capsys.readouterr().out == ""
+
+
 def test_demo_refuses_maps_of_another_run(tmp_path, capsys, caplog):
     out = tmp_path / "demo"
     argv = ["demo", "--seed", "3", "--n-images", "5", "--out", str(out)]
@@ -1575,6 +1626,34 @@ def test_decode_sends_its_workers_map_indices(tmp_path, monkeypatch, workers):
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
     assert run(["decode", "--maps", str(maps_dir), "--out", str(tmp_path / "det.json")]) == 0
     assert chunks == list(range(5))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decode_parent_gets_counts_not_detections(tmp_path, monkeypatch, caplog, workers):
+    # a worker sends back its map's meta, count of detections and their
+    # text, so the parent unpickles no Detection
+    import literati.cli as cli
+
+    maps_dir, _, _ = _write_maps(tmp_path, n=5, peaks=2)
+    received = []
+
+    def recorded(fn, items):
+        with closing(ordered_map(fn, items)) as results:
+            for result in results:
+                received.append(result)
+                yield result
+
+    monkeypatch.setattr(cli, "ordered_map", recorded)
+    monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    caplog.set_level("INFO", logger="literati")
+    det = tmp_path / "det.json"
+    assert run(["decode", "--maps", str(maps_dir), "--out", str(det)]) == 0
+    assert len(received) == 5
+    assert all([type(x) for x in result] == [MapMeta, int, str] for result in received)
+    n = len(json.loads(det.read_text(encoding="utf-8")))
+    assert n > 5 and sum(count for _, count, _ in received) == n
+    assert f"decoded 5 maps -> {n} detections" in caplog.text
     _no_child_left()
 
 

@@ -1,23 +1,21 @@
 """Command-line entry point exposing the pipeline.
 
-Subcommands: parse, split, mix, decode, tune, eval, gradcheck, demo.
-Exit codes: 0 success, 1 validation error, 2 I/O error, 130 interrupted.
-Logs go to standard error; every subcommand is deterministic given its seed.
+``build_parser`` holds what ``--help`` tells a user (the subcommands, exit
+codes and LITERATI_THREADS); these notes are on how the subcommands run.
 ``decode`` streams the indices of its maps through forked worker processes
-(literati.shards), each of which loads the map it decodes and encodes
-that map's entries of the detections file, so only an index and a map's
-meta, count of detections and entries cross a pipe, no process holds every
-map, and the parent only joins the entries. ``demo`` writes the maps it
-plants and decodes those files the same way, so its detections are those
-of ``decode``; it scores the detections file it wrote as ``eval`` does,
-through ``eval_harness.match_detections_file``, so its table is
-``eval``'s on that file. ``parse`` streams chunks of report lines the same
-way and writes each chunk's expressions as it comes back, in input order. The
-LITERATI_THREADS environment variable caps how many workers, and outputs
-do not depend on it. ``tune`` loads its maps as ``decode``'s workers do,
-one at a time once its output is open, keeps each only prepared, and
-scores trials in this process: a memoised trial costs less than a round
-trip to a worker. ``eval`` runs serially.
+(literati.shards), one index per worker at a time; each worker loads the
+map it decodes and encodes that map's entries of the detections file, so
+only an index and a map's meta, count of detections and entries cross a
+pipe, no process holds every map, and the parent only joins the entries.
+``demo`` writes the maps it plants and decodes those files the same way,
+so its detections are those of ``decode``; it scores the detections file
+it wrote as ``eval`` does, through ``eval_harness.match_detections_file``,
+so its table is ``eval``'s on that file. ``parse`` streams chunks of report
+lines the same way and writes each chunk's expressions as it comes back,
+in input order. ``tune`` loads its maps as ``decode``'s workers do, one at
+a time once its output is open, keeps each only prepared, and scores
+trials in this process: a memoised trial costs less than a round trip to
+a worker. ``eval`` runs serially. Logs go to standard error.
 
 Each subcommand imports the library modules it runs, and only when it
 runs, so that a short job does not pay for the others' imports:
@@ -104,7 +102,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _at_least(low: int):
     """An integer flag value >= ``low``: a --seed, since the seeded generators
-    take integers >= 0 only, or a --n-images, since demo needs an image."""
+    take integers >= 0 only, a --n-images, since demo needs an image, or a
+    --budget, since tune needs a trial."""
     def parse(text: str) -> int:
         if not text.isdigit() or int(text) < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
@@ -118,11 +117,20 @@ def _version_string() -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _ArgumentParser(prog="literati", description=__doc__)
+    p = _ArgumentParser(
+        prog="literati", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Weakly supervised disease detection from radiology reports: parse\n"
+                    "reports into referring expressions, decode class logit maps into\n"
+                    "boxes, tune the decoder by TPE search and score detections against\n"
+                    "ground truth by IOU. Every subcommand is deterministic given its seed.",
+        epilog="exit codes: 0 success, 1 invalid arguments or input, 2 I/O error,\n"
+               "130 interrupted.\n"
+               "LITERATI_THREADS: how many worker processes parse, decode and demo\n"
+               "use (default: the CPUs available); outputs do not depend on it.")
     p.add_argument("--version", action="version", version=_version_string())
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("parse", parents=[], help="reports JSONL -> expressions JSONL")
+    sp = sub.add_parser("parse", help="reports JSONL -> expressions JSONL")
     sp.add_argument("--reports", required=True)
     sp.add_argument("--lexicon", default=None, help="lexicon JSON (default: bundled)")
     sp.add_argument("--level", required=True, choices=parser_mod.LEVELS)
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--maps", required=True)
     sp.add_argument("--ann", required=True, help="COCO JSON with ground truth")
     sp.add_argument("--space", default=None, help="space JSON (default: built-in d/tau/alpha)")
-    sp.add_argument("--budget", type=int, default=40)
+    sp.add_argument("--budget", type=_at_least(1), default=40)
     sp.add_argument("--seed", type=_at_least(0), default=0)
     sp.add_argument("--iou", type=float, default=0.1)
     sp.add_argument("--mode", choices=harness.MATCH_MODES, default="top1")

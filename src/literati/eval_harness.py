@@ -222,8 +222,9 @@ def render_table(table: EvalTable, format: str = "csv") -> str:
 
 def load_table_fixture(path) -> EvalTable:
     """A published accuracy table; it must be given at ``IOU_THRESHOLDS``."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = store.read_json(path, dict)
+    if "rows" not in doc:
+        raise ValueError(f"{path}: a table needs 'rows'")
     thresholds = tuple(doc.get("thresholds", IOU_THRESHOLDS))
     if thresholds != IOU_THRESHOLDS:
         raise ValueError(f"{path}: thresholds must be {list(IOU_THRESHOLDS)}, "

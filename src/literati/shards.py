@@ -2,15 +2,16 @@
 
 ``ordered_map(fn, chunks)`` yields ``fn(chunk)`` for each chunk of an
 iterable, in input order, while the chunks are worked on by
-``n = min(worker_count(), number of chunks)`` forked workers. It reads the
-input lazily and keeps at most ``2 * n`` chunks in flight, so memory stays
-flat however long the input is. Chunk ``i`` goes to worker ``i % n``; each
-worker drains its pipe on a reader thread, so neither side blocks sending a
-large chunk while the other blocks sending a large result. The chunks and
-the results are pickled, while ``fn``, and whatever it reads that was
-loaded before the first chunk was sent, reaches the workers through
-``fork`` (copy-on-write): a chunk can be an index into data the parent
-already holds.
+``n = min(worker_count(), number of chunks)`` forked workers. Chunk ``i``
+goes to worker ``i % n``, and only once the parent has read that worker's
+answer to chunk ``i - n``: each worker holds at most one chunk, so the
+input is read lazily, memory stays flat however long the input is, and
+every send goes to a worker that is waiting to read it, so neither side
+blocks the other however large a chunk or a result. The chunks and the
+results are pickled, while ``fn``, and whatever it reads that was loaded
+before the first chunk was sent, reaches the workers through ``fork``
+(copy-on-write): a chunk can be an index into data the parent already
+holds.
 
 A failure re-raises the exception of the first failing chunk in input
 order, as the inline run would; with one worker (or one chunk) nothing is
@@ -22,14 +23,10 @@ from __future__ import annotations
 
 import os
 import signal
-from collections import deque
 from contextlib import suppress
 from itertools import chain, islice
 
 ENV_WORKERS = "LITERATI_THREADS"
-
-# Chunks a stream keeps in flight per worker: one being worked on, one queued.
-IN_FLIGHT_PER_WORKER = 2
 
 
 class WorkerLostError(RuntimeError):
@@ -123,20 +120,24 @@ def ordered_map(fn, chunks):
         yield from map(fn, chain(head, chunks))
         return
     workers = _fork(fn, n)
-    # the worker of each chunk sent and not yet answered, in chunk order; a
-    # chunk counts from before its send, so a send cut short kills the workers
-    pending = deque()
+    # a chunk counts as sent from before its send, so a send cut short kills
+    # the workers, and as answered once its answer is read
+    sent = answered = 0
     try:
-        for i, chunk in enumerate(chain(head, chunks)):
-            pending.append(workers[i % n])
-            _send(pending[-1], chunk)
-            if len(pending) == IN_FLIGHT_PER_WORKER * n:
-                yield _result(_receive(pending.popleft()))
-        while pending:
-            yield _result(_receive(pending.popleft()))
+        for worker, chunk in zip(workers, head):
+            sent += 1
+            _send(worker, chunk)
+        while answered < sent:
+            worker = workers[answered % n]  # it holds chunk `answered`, the oldest
+            reply = _receive(worker)
+            answered += 1
+            # the next chunk, if any, goes to it before the caller takes the answer
+            for chunk in islice(chunks, 1):
+                sent += 1
+                _send(worker, chunk)
+            yield _result(reply)
     finally:
-        _stop(workers, idle=not pending)
-
+        _stop(workers, idle=answered == sent)
 
 def _result(reply):
     ok, value = reply
@@ -148,26 +149,10 @@ def _result(reply):
 def _serve(fn, conn) -> None:
     # the parent takes an interrupt and stops the workers
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    import queue
-    import threading
-
-    # The reader thread keeps the pipe drained, so the parent never blocks
-    # sending a chunk while this worker blocks sending it a result.
-    inbox = queue.SimpleQueue()
-
-    def read() -> None:
-        try:
-            while (chunk := conn.recv()) is not None:  # None: the stream is closing
-                inbox.put(chunk)
-        except (EOFError, OSError):
-            pass  # the parent is gone
-        finally:
-            inbox.put(None)
-
-    threading.Thread(target=read, daemon=True).start()
-    while (chunk := inbox.get()) is not None:
-        try:
-            reply = (True, fn(chunk))
-        except Exception as e:
-            reply = (False, e)
-        conn.send(reply)
+    with suppress(EOFError, OSError):  # the parent is gone
+        while (chunk := conn.recv()) is not None:  # None: the stream is closing
+            try:
+                reply = (True, fn(chunk))
+            except Exception as e:
+                reply = (False, e)
+            conn.send(reply)

@@ -144,6 +144,18 @@ def test_version(capsys):
     assert "formats:" in out
 
 
+def test_help_describes_the_tool_not_its_implementation(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: literati [-h] [--version]")
+    assert "Weakly supervised disease detection" in out
+    assert "exit codes: 0 success, 1 invalid arguments or input, 2 I/O error" in out
+    assert "LITERATI_THREADS" in out
+    for note in ("pipe", "fork", "import", "numpy"):
+        assert note not in out
+    assert len(out.splitlines()) < 30
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run(["split", "--ids", str(tmp_path / "nope.txt"),
                 "--out", str(tmp_path / "o.json")]) == 2
@@ -1392,6 +1404,22 @@ def test_tune_checks_its_arguments_before_loading_a_map(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_tune_refuses_a_bad_budget_before_loading_a_map(tmp_path, monkeypatch, capsys, budget):
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=3)
+    out = tmp_path / "trials.json"
+    loads = []
+    real = map_decoder.load_map
+    monkeypatch.setattr(map_decoder, "load_map", lambda path: loads.append(path) or real(path))
+    assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path),
+                "--budget", budget, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"literati: error: argument --budget: must be an integer >= 1, not '{budget}'"]
+    assert loads == []
+    assert not out.exists()
+
+
 # --- gradcheck / demo -------------------------------------------------------------------
 
 def test_gradcheck_passes(capsys):
@@ -2256,9 +2284,19 @@ def test_stream_reads_its_input_lazily_and_boundedly(monkeypatch, workers):
 
     got = []
     for result in ordered_map(lambda chunk: chunk, chunks()):
-        assert pulled - len(got) <= 2 * workers + 1
+        assert pulled - len(got) <= workers + 1
         got.append(result)
     assert got == list(range(40))
+    _no_child_left()
+
+
+def test_stream_workers_run_fn_on_their_only_thread(monkeypatch):
+    # a worker holds one chunk at a time, so it needs no thread to read ahead
+    monkeypatch.setenv("LITERATI_THREADS", "2")
+    results = list(ordered_map(lambda chunk: (os.getpid(), threading.active_count()),
+                               range(5)))
+    assert os.getpid() not in {pid for pid, _ in results}
+    assert [count for _, count in results] == [1] * 5
     _no_child_left()
 
 

@@ -291,6 +291,20 @@ def test_load_table_fixture_refuses_other_thresholds(tmp_path):
                             f"not [0.1, 0.2]")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff{}", "not UTF-8"),
+    (b"[]", "top level must be a JSON object, not list"),
+    (b'{"thresholds": [0.1, 0.2, 0.3, 0.4, 0.5]}', "a table needs 'rows'"),
+], ids=["not-utf8", "array", "no-rows"])
+def test_load_table_fixture_refuses_a_malformed_file_naming_it(tmp_path, content, message):
+    path = tmp_path / "table.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as e:
+        load_table_fixture(path)
+    assert str(e.value).startswith(f"{path}: ")
+    assert message in str(e.value) and "\n" not in str(e.value)
+
+
 def test_micro_recall():
     left = Box(2, 10, 8, 6, "map")
     right = Box(20, 10, 8, 6, "map")

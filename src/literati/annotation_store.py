@@ -138,7 +138,9 @@ def _coco_records(doc: dict) -> tuple[list[ImageRecord], list[Annotation]]:
 
     categories = {}
     for i, cat in enumerate(doc["categories"]):
-        cat_id = _category_id(_required(cat, "categories", i, "id"), f"categories[{i}] 'id'")
+        cat_id = str(_category_id(_required(cat, "categories", i, "id"), f"categories[{i}] 'id'"))
+        if cat_id in categories:
+            raise CocoValidationError(f"categories[{i}] repeats category id {cat_id!r}")
         categories[cat_id] = str(cat.get("name", ""))
 
     images: dict[str, ImageRecord] = {}
@@ -153,6 +155,8 @@ def _coco_records(doc: dict) -> tuple[list[ImageRecord], list[Annotation]]:
             raise CocoValidationError(
                 f"image {image_id}: non-positive dimensions {width}x{height}"
             )
+        if image_id in images:
+            raise CocoValidationError(f"images[{i}] repeats image id {image_id!r}")
         images[image_id] = ImageRecord(image_id, int(width), int(height))
 
     grouped: dict[tuple[str, str], list[Box]] = {}
@@ -172,7 +176,7 @@ def _coco_records(doc: dict) -> tuple[list[ImageRecord], list[Annotation]]:
             raise CocoValidationError(
                 f"annotation on image {image_id}: non-positive bbox dims {w}x{h}"
             )
-        cat_id = _category_id(ann.get("category_id"), f"annotations[{i}] 'category_id'")
+        cat_id = str(_category_id(ann.get("category_id"), f"annotations[{i}] 'category_id'"))
         for key in ("caption", "phrase"):
             if not isinstance(ann.get(key), (str, type(None))):
                 raise CocoParseError(f"annotations[{i}] {key!r} must be a string or null, "

@@ -105,7 +105,7 @@ def _at_least(low: int):
     take integers >= 0 only, a --n-images, since demo needs an image, or a
     --budget, since tune needs a trial."""
     def parse(text: str) -> int:
-        if not text.isdigit() or int(text) < low:
+        if not (text.isascii() and text.isdigit()) or int(text) < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
         return int(text)
     return parse

@@ -173,6 +173,8 @@ class EvalTable:
 
     def __post_init__(self):
         for method, accs in self.rows.items():
+            if any(c in method for c in ",|\r\n"):
+                raise ValueError(f"row label {method!r} holds ',', '|' or a line break")
             if len(accs) != len(IOU_THRESHOLDS):
                 raise ValueError(f"row {method!r} has {len(accs)} values")
             if any(a < 0 or a > 1 for a in accs):

@@ -507,6 +507,8 @@ def load_map(npy_path) -> LoadedMap:
         raise ValueError(f"{sidecar}: 'image_id' must be a non-empty string, not {image_id!r}")
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise ValueError(f"{sidecar}: 'classes' must be a list of strings, not {classes!r}")
+    if "" in classes:
+        raise ValueError(f"{sidecar}: class names must be non-empty, not {classes!r}")
     if space != MAP_SPACE:
         raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
     try:

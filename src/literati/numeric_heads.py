@@ -1,33 +1,19 @@
 """Desk-scale network head operations with analytic gradients.
 
-Forward passes and vector-Jacobian products for the five differentiable
-head operations (transposed convolution, layer norm, global average
-pooling, cross entropy, layer-selecting 1-D convolution), plus the
-broadcast language-spatial fusion and a central-difference gradient
-checker. Everything runs in float64: this module exists for numerical
-verification, not throughput.
+Forward passes for the five differentiable head operations (transposed
+convolution, layer norm, global average pooling, cross entropy,
+layer-selecting 1-D convolution), the broadcast language-spatial fusion
+and a central-difference gradient checker. One table, ``_OPS``, gives each
+checked op its forward pass, vector-Jacobian product (private to the
+checker), inputs and error bound. Everything runs in float64: this module
+exists for numerical verification, not throughput.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
-
-GRAD_CHECK_OPS = (
-    "deconv2d",
-    "layer_norm",
-    "global_average_pool",
-    "cross_entropy",
-    "conv1d_layer_select",
-)
-
-# max |analytic - numeric| / max(1, |numeric|) allowed at h = 1e-6
-GRAD_CHECK_BOUNDS = {
-    "deconv2d": 1e-9,             # linear: central differences are exact
-    "global_average_pool": 1e-9,  # linear
-    "conv1d_layer_select": 1e-9,  # linear in each argument
-    "layer_norm": 1e-6,
-    "cross_entropy": 1e-6,
-}
 
 
 def _as64(a) -> np.ndarray:
@@ -69,10 +55,7 @@ def deconv2d(x, kernel, stride: int = 1) -> np.ndarray:
     return out
 
 
-def deconv2d_vjp(x, kernel, stride, grad_out):
-    x = _as64(x)
-    kernel = _as64(kernel)
-    grad_out = _as64(grad_out)
+def _deconv2d_vjp(x, kernel, stride, grad_out):
     _, H, W = x.shape
     _, _, k, _ = kernel.shape
     # gathered[cout, a, b, i, j] = grad_out[cout, i*stride + a, j*stride + b]
@@ -104,10 +87,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
     return xhat * gamma + beta
 
 
-def layer_norm_vjp(x, gamma, beta, eps, grad_out):
-    x = _as64(x)
-    gamma = _as64(gamma)
-    grad_out = _as64(grad_out)
+def _layer_norm_vjp(x, gamma, beta, eps, grad_out):
     D = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -134,9 +114,7 @@ def global_average_pool(x) -> np.ndarray:
     return x.mean(axis=(1, 2))
 
 
-def global_average_pool_vjp(x, grad_out):
-    x = _as64(x)
-    grad_out = _as64(grad_out)
+def _global_average_pool_vjp(x, grad_out):
     _, H, W = x.shape
     return (np.broadcast_to(grad_out[:, None, None] / (H * W), x.shape).copy(),)
 
@@ -182,10 +160,7 @@ def conv1d_layer_select(stack, kernel, stride: int = 1) -> np.ndarray:
     return positions.mean(axis=0)
 
 
-def conv1d_layer_select_vjp(stack, kernel, stride, grad_out):
-    stack = _as64(stack)
-    kernel = _as64(kernel)
-    grad_out = _as64(grad_out)
+def _conv1d_layer_select_vjp(stack, kernel, stride, grad_out):
     L = stack.shape[0]
     Lk = kernel.shape[0]
     P = (L - Lk) // stride + 1
@@ -218,48 +193,49 @@ def fuse_language_spatial(spatial, lang) -> np.ndarray:
 # gradient checking
 
 
-# array-valued op -> (forward, VJP, differentiated inputs); both functions
-# take the op's inputs by the names make_grad_check_inputs gives them, and
-# the VJP returns one gradient per differentiated input, in that order
-_ARRAY_OPS = {
-    "deconv2d": (deconv2d, deconv2d_vjp, ("x", "kernel")),
-    "layer_norm": (layer_norm, layer_norm_vjp, ("x", "gamma", "beta")),
-    "global_average_pool": (global_average_pool, global_average_pool_vjp, ("x",)),
-    "conv1d_layer_select": (conv1d_layer_select, conv1d_layer_select_vjp, ("stack", "kernel")),
+# forward, VJP, differentiated inputs, error bound and input maker of one op.
+# The VJP takes the op's inputs and grad_out and returns one gradient per
+# differentiated input; None means the forward pass returns (loss, gradient).
+# bound: max |analytic - numeric| / max(1, |numeric|) allowed at h = 1e-6
+_Op = namedtuple("_Op", "forward vjp diff bound make")
+
+_OPS = {
+    "deconv2d": _Op(
+        deconv2d, _deconv2d_vjp, ("x", "kernel"),
+        1e-9,  # linear: central differences are exact
+        # half scale keeps the projected loss small, so central-difference
+        # roundoff stays well under the linear-op bound
+        lambda rng: {"x": 0.5 * rng.standard_normal((2, 3, 3)),
+                     "kernel": 0.5 * rng.standard_normal((2, 3, 2, 2)),
+                     "stride": int(rng.integers(1, 3))}),
+    "layer_norm": _Op(
+        layer_norm, _layer_norm_vjp, ("x", "gamma", "beta"), 1e-6,
+        lambda rng: {"x": rng.standard_normal((4, 6)),
+                     "gamma": 1.0 + 0.2 * rng.standard_normal(6),
+                     "beta": 0.2 * rng.standard_normal(6), "eps": 1e-5}),
+    "global_average_pool": _Op(
+        global_average_pool, _global_average_pool_vjp, ("x",), 1e-9,  # linear
+        lambda rng: {"x": rng.standard_normal((3, 4, 5))}),
+    "cross_entropy": _Op(
+        cross_entropy, None, ("logits",), 1e-6,
+        lambda rng: {"logits": rng.standard_normal(7), "label": int(rng.integers(0, 7))}),
+    "conv1d_layer_select": _Op(
+        conv1d_layer_select, _conv1d_layer_select_vjp, ("stack", "kernel"),
+        1e-9,  # linear in each argument
+        lambda rng: {"stack": 0.7 * rng.standard_normal((6, 5)),
+                     "kernel": 0.7 * rng.standard_normal(3),
+                     "stride": int(rng.integers(1, 3))}),
 }
+
+GRAD_CHECK_OPS = tuple(_OPS)
+GRAD_CHECK_BOUNDS = {name: op.bound for name, op in _OPS.items()}
 
 
 def make_grad_check_inputs(op_tag: str, rng: np.random.Generator) -> dict:
     """Random, well-conditioned inputs for one op's gradient check."""
-    if op_tag == "deconv2d":
-        # half scale keeps the projected loss small, so central-difference
-        # roundoff stays well under the linear-op bound
-        return {
-            "x": 0.5 * rng.standard_normal((2, 3, 3)),
-            "kernel": 0.5 * rng.standard_normal((2, 3, 2, 2)),
-            "stride": int(rng.integers(1, 3)),
-        }
-    if op_tag == "layer_norm":
-        return {
-            "x": rng.standard_normal((4, 6)),
-            "gamma": 1.0 + 0.2 * rng.standard_normal(6),
-            "beta": 0.2 * rng.standard_normal(6),
-            "eps": 1e-5,
-        }
-    if op_tag == "global_average_pool":
-        return {"x": rng.standard_normal((3, 4, 5))}
-    if op_tag == "cross_entropy":
-        return {
-            "logits": rng.standard_normal(7),
-            "label": int(rng.integers(0, 7)),
-        }
-    if op_tag == "conv1d_layer_select":
-        return {
-            "stack": 0.7 * rng.standard_normal((6, 5)),
-            "kernel": 0.7 * rng.standard_normal(3),
-            "stride": int(rng.integers(1, 3)),
-        }
-    raise ValueError(f"unknown op {op_tag!r}")
+    if op_tag not in GRAD_CHECK_OPS:
+        raise ValueError(f"unknown op {op_tag!r}")
+    return _OPS[op_tag].make(rng)
 
 
 def grad_check(op_tag: str, inputs: dict, h: float = 1e-6, projection_seed: int = 0) -> float:
@@ -273,29 +249,27 @@ def grad_check(op_tag: str, inputs: dict, h: float = 1e-6, projection_seed: int 
         raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
     if op_tag not in GRAD_CHECK_OPS:
         raise ValueError(f"unknown op {op_tag!r}")
-
-    work = {k: (np.array(v, dtype=np.float64) if isinstance(v, np.ndarray) else v)
+    op = _OPS[op_tag]
+    work = {k: (np.array(v, dtype=np.float64) if k in op.diff else v)
             for k, v in inputs.items()}
 
-    if op_tag == "cross_entropy":
+    if op.vjp is None:
         def loss():
-            return cross_entropy(work["logits"], work["label"])[0]
-        analytic = {"logits": cross_entropy(work["logits"], work["label"])[1]}
-        diff_names = ("logits",)
+            return op.forward(**work)[0]
+        analytic = dict(zip(op.diff, op.forward(**work)[1:]))
     else:
-        forward, vjp, diff_names = _ARRAY_OPS[op_tag]
-        out = forward(**work)
+        # the forward call checks the copies in work before the VJP sees them
+        out = op.forward(**work)
         proj_rng = np.random.default_rng(projection_seed)
         projection = proj_rng.standard_normal(out.shape) / np.sqrt(out.size)
 
         def loss():
-            return float((forward(**work) * projection).sum())
-        analytic = dict(zip(diff_names, vjp(**work, grad_out=projection)))
+            return float((op.forward(**work) * projection).sum())
+        analytic = dict(zip(op.diff, op.vjp(**work, grad_out=projection)))
 
     max_err = 0.0
-    for name in diff_names:
-        arr = work[name]
-        flat = arr.ravel()
+    for name in op.diff:
+        flat = work[name].ravel()
         a_flat = analytic[name].ravel()
         for i in range(flat.size):
             orig = flat[i]

@@ -68,6 +68,13 @@ def test_load_missing_arrays():
         load_coco({"images": [], "annotations": []})
 
 
+def test_category_ids_match_after_str():
+    doc = _minimal_doc()
+    doc["annotations"][0].update(caption=None, category_id="1")
+    _, annotations = load_coco(doc)
+    assert [a.phrase for a in annotations] == ["Pneumonia"]
+
+
 def test_multi_instance_grouping():
     doc = _minimal_doc()
     doc["annotations"].append({

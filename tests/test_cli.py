@@ -118,7 +118,8 @@ def test_abbreviated_flag_exits_1(tmp_path, monkeypatch, capsys, argv, message):
 
 
 @pytest.mark.parametrize("command", ["tune", "demo", "split", "mix", "gradcheck"])
-@pytest.mark.parametrize("seed", ["-1", "1.5"])
+# an Arabic-Indic one and a superscript two pass str.isdigit but are not ASCII
+@pytest.mark.parametrize("seed", ["-1", "1.5", "\u0661", "\u00b2"])
 def test_bad_seed_exits_1_naming_the_flag(tmp_path, capsys, command, seed):
     # refused while parsing the flags, before any input is read
     out = tmp_path / "out"
@@ -192,6 +193,8 @@ _SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's wid
     ({"image_id": ""}, "{sidecar}: 'image_id' must be a non-empty string, not ''"),
     ({"classes": "ab"}, "{sidecar}: 'classes' must be a list of strings, not 'ab'"),
     ({"classes": ["background", 1]}, "{sidecar}: 'classes' must be a list of strings"),
+    ({"classes": ["background", ""]},
+     "{sidecar}: class names must be non-empty, not ['background', '']"),
     ({"map_to_net_scale": "x"}, _SCALE + "not 'x'"),
     ({"map_to_net_scale": -1}, _SCALE + "not -1"),
     ({"map_to_net_scale": 0}, _SCALE + "not 0"),
@@ -202,7 +205,7 @@ _SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's wid
     ({"space": "net416"}, "{sidecar}: 'space' must be 'map', not 'net416'"),
     (b'{"image_id": "\xff"}', "{sidecar}: not UTF-8 (invalid start byte at byte 14)"),
 ], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
-        "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
+        "empty-class", "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
         "unit-scale", "number-space", "net416-space", "not-utf-8"])
 def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     maps_dir, _, planted = _write_maps(tmp_path, n=1)
@@ -432,6 +435,28 @@ def test_coco_unhashable_category_id_exits_1(tmp_path, caplog, array, key, value
     assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
                 "--out", str(tmp_path / "t.csv")]) == 1
     _one_line_error(caplog, f"{array}[0] {key!r} must be a string or a number, not {value!r}")
+
+
+@pytest.mark.parametrize("array, repeat, message", [
+    ("images", {"id": "a", "width": 50, "height": 50}, "images[1] repeats image id 'a'"),
+    ("categories", {"id": "1", "name": "pneumothorax"}, "categories[1] repeats category id '1'"),
+], ids=["image", "category"])
+def test_coco_repeated_id_exits_1(tmp_path, caplog, array, repeat, message):
+    # ids are compared after str(), so the category id "1" repeats 1
+    doc = {"images": [{"id": "a", "width": 100, "height": 100}],
+           "categories": [{"id": 1, "name": "pneumonia"}],
+           "annotations": [{"id": 1, "image_id": "a", "bbox": [10, 10, 20, 20],
+                            "category_id": 1}]}
+    doc[array].append(repeat)
+    ann_path = tmp_path / "ann.json"
+    ann_path.write_text(json.dumps(doc))
+    det = tmp_path / "det.json"
+    det.write_text("[]")
+    out = tmp_path / "t.csv"
+    assert run(["eval", "--detections", str(det), "--ann", str(ann_path),
+                "--out", str(out)]) == 1
+    _one_line_error(caplog, f"{ann_path}: {message}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -995,6 +1020,19 @@ def test_eval_diagnostics_digest_is_pinned(tmp_path, capsys, mode):
     assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path), "--mode", mode,
                 "--out", str(tmp_path / "t.csv"), "--diagnostics", str(diag)]) == 0
     assert hashlib.sha256(diag.read_bytes()).hexdigest() == EVAL_DIAGNOSTICS_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("fmt, method", [
+    ("csv", "a,b"), ("csv", "x\ry"), ("markdown", "a|b"), ("markdown", "x\ny"),
+], ids=["csv-comma", "csv-return", "markdown-pipe", "markdown-newline"])
+def test_eval_row_label_that_splits_the_table_exits_1(tmp_path, caplog, capsys, fmt, method):
+    det_path, ann_path = _multi_detection_input(tmp_path)
+    out = tmp_path / "table"
+    assert run(["eval", "--detections", str(det_path), "--ann", str(ann_path),
+                "--format", fmt, "--method", method, "--out", str(out)]) == 1
+    _one_line_error(caplog, f"row label {method!r} holds ',', '|' or a line break")
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_space_mismatch_exits_1(tmp_path, capsys):

@@ -235,6 +235,16 @@ def test_layer_norm_grad_at_coarser_step():
     assert grad_check("layer_norm", inputs, h=1e-5) < 1e-6
 
 
+def test_unknown_op_is_refused_alike():
+    refusals = []
+    for check in (lambda: make_grad_check_inputs("softmax", np.random.default_rng(0)),
+                  lambda: grad_check("softmax", {})):
+        with pytest.raises(ValueError) as e:
+            check()
+        refusals.append(str(e.value))
+    assert refusals == ["unknown op 'softmax'"] * 2
+
+
 def test_grad_check_rejects_bad_h():
     inputs = make_grad_check_inputs("cross_entropy", np.random.default_rng(0))
     with pytest.raises(ValueError):

@@ -373,6 +373,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    harness.check_row_label(args.method)  # before any input is read or output opened
     if args.diagnostics and os.path.realpath(args.diagnostics) == os.path.realpath(args.out):
         raise ValueError(f"--out and --diagnostics name the same file: {args.out}")
     # an unwritable path fails before any detection is read

@@ -166,6 +166,12 @@ def match_detections_file(path, coco, mode: str) -> list[MatchResult]:
     return match_images(per_image, gts, IOU_THRESHOLDS, mode)
 
 
+def check_row_label(method: str) -> None:
+    """Refuse a row label that would split a csv or markdown table."""
+    if any(c in method for c in ",|\r\n"):
+        raise ValueError(f"row label {method!r} holds ',', '|' or a line break")
+
+
 @dataclass
 class EvalTable:
     """Accuracy rows at ``IOU_THRESHOLDS``, by method."""
@@ -173,8 +179,7 @@ class EvalTable:
 
     def __post_init__(self):
         for method, accs in self.rows.items():
-            if any(c in method for c in ",|\r\n"):
-                raise ValueError(f"row label {method!r} holds ',', '|' or a line break")
+            check_row_label(method)
             if len(accs) != len(IOU_THRESHOLDS):
                 raise ValueError(f"row {method!r} has {len(accs)} values")
             if any(a < 0 or a > 1 for a in accs):

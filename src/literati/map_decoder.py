@@ -40,19 +40,28 @@ gives the same component. Each channel keeps one entry per distinct first
 region asked for, sorted by ``least``, and a threshold in an entry's
 interval grows nothing. A threshold that falls between entries is grown
 inside the entry at the next lower threshold, when there is one: by the
-nesting, that entry's region holds the new one, so one labelling of that
-entry's box, over its mask and {p >= alpha * max}, finds it, with no
-crop to widen. An entry keeps the region's Detection too, built the first
-time ``top_detection`` reads the entry, so a repeated trial gets the same
-object back; ``decode`` builds its own, one per region. Regions are
-shared between calls, so their masks are read-only.
+nesting, that entry's region holds the new one, so one labelling of
+{p >= alpha * max} on that entry's box finds it, with no crop to widen.
+
+``top_detections`` reads the first detections of many maps at one set of
+params, as a tune trial does, and grows the first regions their memos
+miss together: each is one plane of a stack, padded with False, and one
+``ndimage.label`` call, whose structure joins cells within a plane only,
+labels them all. A region that reaches an inner crop edge goes on to the
+next call with its crop widened, so a trial makes one call per crop
+round, not one per map. ``decode`` and ``top_detection`` grow a first
+region by the same code, with one plane. An entry keeps the region's
+Detection too, built the first time ``top_detections`` reads the entry,
+so a repeated trial gets the same object back; ``decode`` builds its
+own, one per region. Regions are shared between calls, so their masks
+are read-only.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -157,7 +166,7 @@ def _window_winners(p: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.n
 class _FirstRegion:
     """A memoised first region, the same for every threshold in (below,
     least] (the channel keeps ``least`` in a sorted list of its own), and
-    its detection once ``top_detection`` has read it."""
+    its detection once ``top_detections`` has read it."""
 
     __slots__ = ("below", "region", "detection")
 
@@ -195,27 +204,13 @@ class _Channel:
 
     def first_region(self, alpha: float) -> _FirstRegion:
         """The memo entry holding the region of the maximum's first cell,
-        grown with nothing claimed.
+        grown with nothing claimed."""
+        return _first_regions([self], alpha)[0]
 
-        Entries are sorted by ``least`` and their intervals (below, least]
-        are disjoint, so only the first entry with least >= alpha * max can
-        hold the threshold. An entry before it was grown at a lower
-        threshold, so its region holds the one grown here.
-        """
-        lo = alpha * self.peak  # the threshold _grow compares with
-        i = bisect_left(self._least, lo)
-        if i < len(self._least) and self._first[i].below < lo:
-            return self._first[i]
-        r, c = self.peak_cell
-        if i:
-            outer = self._first[i - 1].region
-            row0, col0, row1, col1 = outer.bbox
-            labels, _ = ndimage.label(outer.mask & (self.p[row0:row1, col0:col1] >= lo),
-                                      structure=_EIGHT)
-            region = _peak_region(self.p, self.class_index, r, c, row0, col0,
-                                  labels == labels[r - row0, c - col0])
-        else:
-            region = _region(self.p, None, self.class_index, r, c, alpha)
+    def _settle(self, i: int, lo: float, region: PeakRegion) -> _FirstRegion:
+        """The memo entry of ``region``, grown at threshold ``lo`` where the
+        memo missed at index ``i``: the entry at i when it holds the same
+        region, else a new entry inserted there."""
         row0, col0, row1, col1 = region.bbox
         least = float(self.p[row0:row1, col0:col1][region.mask].min())
         # the box one cell wider holds every 8-neighbour of the region
@@ -230,13 +225,6 @@ class _Channel:
         self._least.insert(i, least)
         self._first.insert(i, entry)
         return entry
-
-    def first_detection(self, alpha: float) -> Detection:
-        """The detection of the first region, built once per memo entry."""
-        entry = self.first_region(alpha)
-        if entry.detection is None:
-            entry.detection = region_to_detection(entry.region)
-        return entry.detection
 
 
 class PreparedMap:
@@ -278,44 +266,52 @@ class PreparedMap:
 # far as the region on each side (or _GROW_RADIUS), and each side doubles
 # at most log2(map side / _GROW_RADIUS) times, so the cost follows region
 # size, not peaks x H x W. Peaks landing on claimed cells cost one lookup.
+# First regions, grown with nothing claimed, follow the same crop rule in
+# _first_regions, many channels to one labelling per round.
 
 _GROW_RADIUS = 16  # half-width of the first crop, in cells
 _EIGHT = np.ones((3, 3), dtype=bool)
+# a stack of planes: each cell joins its 8 neighbours in its own plane only
+_PLANES = np.zeros((3, 3, 3), dtype=bool)
+_PLANES[1] = True
 
 
-def _grow(p: np.ndarray, claimed: np.ndarray | None, r: int, c: int, alpha: float):
-    """Region of the peak at (r, c): (row0, col0, mask) of its crop.
-    ``claimed`` is None when no cell is claimed."""
-    H, W = p.shape
+def _crop(shape: tuple[int, int], r: int, c: int, reach: tuple[int, int, int, int]):
+    """(row0, row1, col0, col1), ends exclusive, of the crop of a map of
+    ``shape`` that reaches (up, down, left, right) cells past (r, c)."""
+    H, W = shape
+    up, down, left, right = reach
+    return max(0, r - up), min(H, r + down + 1), max(0, c - left), min(W, c + right + 1)
+
+
+def _widen(region: np.ndarray, shape: tuple[int, int], crop: tuple[int, int, int, int],
+           reach: tuple[int, int, int, int]):
+    """The reach with each side doubled where ``region``, a boolean array
+    of ``crop``, touches a crop edge inside the map; None when it touches
+    none, so the region is whole."""
+    r0, r1, c0, c1 = crop
+    H, W = shape
+    touches = (r0 > 0 and region[0].any(), r1 < H and region[-1].any(),
+               c0 > 0 and region[:, 0].any(), c1 < W and region[:, -1].any())
+    if not any(touches):
+        return None
+    return tuple(2 * side if touch else side for side, touch in zip(reach, touches))
+
+
+def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
+    """Region of the peak at (r, c) over the unclaimed cells: (row0, col0,
+    mask) of its crop."""
     peak = p[r, c]
     lo = alpha * peak
-    up = down = left = right = _GROW_RADIUS  # crop reach on each side of (r, c)
-    while True:
-        r0, r1 = max(0, r - up), min(H, r + down + 1)
-        c0, c1 = max(0, c - left), min(W, c + right + 1)
-        crop = p[r0:r1, c0:c1]
-        mask = (crop >= lo) & (crop <= peak)
-        if claimed is not None:
-            mask &= ~claimed[r0:r1, c0:c1]
+    reach = (_GROW_RADIUS,) * 4
+    while reach:
+        crop = r0, r1, c0, c1 = _crop(p.shape, r, c, reach)
+        window = p[r0:r1, c0:c1]
+        mask = (window >= lo) & (window <= peak) & ~claimed[r0:r1, c0:c1]
         labels, _ = ndimage.label(mask, structure=_EIGHT)
         region = labels == labels[r - r0, c - c0]
-        grown = False
-        if r0 > 0 and region[0].any():
-            up, grown = 2 * up, True
-        if r1 < H and region[-1].any():
-            down, grown = 2 * down, True
-        if c0 > 0 and region[:, 0].any():
-            left, grown = 2 * left, True
-        if c1 < W and region[:, -1].any():
-            right, grown = 2 * right, True
-        if not grown:
-            return r0, c0, region
-
-
-def _region(p: np.ndarray, claimed: np.ndarray | None, class_index: int, r: int, c: int,
-            alpha: float) -> PeakRegion:
-    """Grow the peak at (r, c) over the unclaimed cells."""
-    return _peak_region(p, class_index, r, c, *_grow(p, claimed, r, c, alpha))
+        reach = _widen(region, p.shape, crop, reach)
+    return r0, c0, region
 
 
 def _peak_region(p: np.ndarray, class_index: int, r: int, c: int, r0: int, c0: int,
@@ -343,6 +339,59 @@ def _claim(claimed: np.ndarray, region: PeakRegion) -> None:
     claimed[row0:row1, col0:col1] |= region.mask
 
 
+def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]:
+    """Each channel's ``first_region(alpha)``, with the regions that miss
+    the memos labelled together: one ``ndimage.label`` call per crop round,
+    over a stack of planes, one per missing channel.
+
+    A channel's entries are sorted by ``least`` and their intervals (below,
+    least] are disjoint, so only the first entry with least >= alpha * max
+    can hold the threshold. An entry before it was grown at a lower
+    threshold, so its region holds the one grown here, and the box of the
+    entry just before is the plane, labelled in one round: a cell of that
+    box which the new component reaches is in the entry's region too. With
+    no such entry the plane is a crop around the maximum, widened as
+    ``_grow`` widens it, and a region that touches an inner crop edge goes
+    to the next round. A channel that a batch repeats misses at the same
+    index with the same threshold, so its second region finds the first
+    one's entry.
+    """
+    entries: list[_FirstRegion | None] = [None] * len(channels)
+    pending = []  # (slot, channel, threshold, memo index, crop, reach or None)
+    for slot, ch in enumerate(channels):
+        lo = alpha * ch.peak  # the threshold _grow compares with
+        i = bisect_left(ch._least, lo)
+        if i < len(ch._least) and ch._first[i].below < lo:
+            entries[slot] = ch._first[i]
+        elif i:
+            row0, col0, row1, col1 = ch._first[i - 1].region.bbox
+            pending.append((slot, ch, lo, i, (row0, row1, col0, col1), None))
+        else:
+            reach = (_GROW_RADIUS,) * 4
+            pending.append((slot, ch, lo, i, _crop(ch.p.shape, *ch.peak_cell, reach), reach))
+    while pending:
+        height = max(r1 - r0 for *_, (r0, r1, _, _), _ in pending)
+        width = max(c1 - c0 for *_, (_, _, c0, c1), _ in pending)
+        stack = np.zeros((len(pending), height, width), dtype=bool)  # False pads each plane
+        for plane, (_, ch, lo, _, (r0, r1, c0, c1), _) in zip(stack, pending):
+            # nothing is claimed, and no cell is above the maximum
+            np.greater_equal(ch.p[r0:r1, c0:c1], lo, out=plane[:r1 - r0, :c1 - c0])
+        labels, _ = ndimage.label(stack, structure=_PLANES)
+        wider = []
+        for plane, (slot, ch, lo, i, crop, reach) in zip(labels, pending):
+            r0, r1, c0, c1 = crop
+            r, c = ch.peak_cell
+            plane = plane[:r1 - r0, :c1 - c0]
+            region = plane == plane[r - r0, c - c0]
+            if reach is not None and (grown := _widen(region, ch.p.shape, crop, reach)):
+                wider.append((slot, ch, lo, i, _crop(ch.p.shape, r, c, grown), grown))
+            else:
+                entries[slot] = ch._settle(
+                    i, lo, _peak_region(ch.p, ch.class_index, r, c, r0, c0, region))
+        pending = wider
+    return entries
+
+
 def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float) -> Iterator[PeakRegion]:
     """The channel's regions in decode's order, each grown as it is read.
 
@@ -357,7 +406,8 @@ def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float) -> Iterat
     _claim(claimed, first)
     for r, c in channel.peaks(d, tau)[1:]:  # the first peak is the maximum's cell
         if not claimed[r, c]:  # else merged into an earlier region
-            region = _region(channel.p, claimed, channel.class_index, r, c, alpha)
+            region = _peak_region(channel.p, channel.class_index, r, c,
+                                  *_grow(channel.p, claimed, r, c, alpha))
             _claim(claimed, region)
             yield region
 
@@ -451,13 +501,30 @@ def top_detection(prepared: PreparedMap, params: DecodeParams) -> Detection | No
     maximum, the first on equal centroids, as decode's stable sort keeps
     them.
     """
-    channel = prepared._top
-    if channel.peak < params.tau:
-        return None
-    if channel.unique:
-        return channel.first_detection(float(params.alpha))
-    regions = _iter_regions(channel, int(params.d), channel.peak, float(params.alpha))
-    return region_to_detection(min(regions, key=attrgetter("centroid")))
+    return top_detections([prepared], params)[0]
+
+
+def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[Detection | None]:
+    """``top_detection`` of each map, with the first regions that miss
+    the maps' memos grown together: one ``ndimage.label`` call per crop
+    round, not one per map."""
+    tau, alpha = params.tau, float(params.alpha)
+    channels = [m._top for m in maps]
+    entries = iter(_first_regions([ch for ch in channels if ch.peak >= tau], alpha))
+    tops = []
+    for ch in channels:
+        if ch.peak < tau:
+            tops.append(None)
+            continue
+        entry = next(entries)
+        if ch.unique:
+            if entry.detection is None:
+                entry.detection = region_to_detection(entry.region)
+            tops.append(entry.detection)
+        else:  # its regions start with the first, now memoised
+            regions = _iter_regions(ch, int(params.d), ch.peak, alpha)
+            tops.append(region_to_detection(min(regions, key=attrgetter("centroid"))))
+    return tops
 
 
 # ---------------------------------------------------------------------------

@@ -394,17 +394,20 @@ def tune_decoder(
     memos below a trial costs less than a round trip to a worker process
     would.
 
-    In ``top1`` mode a trial reads only each map's first detection
-    (``top_detection``), the one ``match_image`` matches: a region of the
-    map's top class, the first whose maximum is the highest, which the
-    map keeps, with window winners only where that maximum ties in its
-    class. Each class memoises its first regions by the interval of
-    ``alpha * maximum`` over which they stay the same, each with its
-    detection, so across trials a region is grown and its detection built
-    once, not once per trial; a threshold between two known regions is
-    grown inside the larger one. Each map also memoises the match outcome
-    of every first detection it has scored, so a trial that repeats one
-    neither rescales nor rematches it: on a repeat, a trial is a lookup.
+    In ``top1`` mode a trial reads only each map's first detection, the
+    one ``match_image`` matches, with one ``top_detections`` call for all
+    its maps: a region of the map's top class, the first whose maximum is
+    the highest, which the map keeps, with window winners only where that
+    maximum ties in its class. Each class memoises its first regions by
+    the interval of ``alpha * maximum`` over which they stay the same,
+    each with its detection, so across trials a region is grown and its
+    detection built once, not once per trial; a threshold between two
+    known regions is grown inside the larger one. The regions a trial
+    misses, which cluster in the trials that try a new alpha, are labelled
+    together, in one ``ndimage.label`` call per crop round. Each map also
+    memoises the match outcome of every first detection it has scored, so
+    a trial that repeats one neither rescales nor rematches it: on a
+    repeat, a trial is a lookup.
 
     In ``greedy_multi`` mode an image is a hit exactly when some detection
     reaches the threshold with some box, whatever the order: the first such
@@ -416,7 +419,7 @@ def tune_decoder(
     """
     from . import eval_harness as harness
     from .map_decoder import (DecodeParams, detection_to_net416, iter_regions,
-                              region_to_detection, top_detection)
+                              region_to_detection, top_detections)
 
     harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
@@ -447,10 +450,11 @@ def tune_decoder(
         return harness.match_image(dets, gts_net416[meta.image_id], iou_threshold,
                                    mode=mode, image_id=meta.image_id)
 
+    scored_maps = [prepared for _, prepared, _ in scored]
+
     def score_top1(params: DecodeParams) -> list:
         results = []
-        for meta, prepared, memo in scored:
-            top = top_detection(prepared, params)
+        for (meta, _, memo), top in zip(scored, top_detections(scored_maps, params)):
             result = memo.get(top)  # a hit hashes the detection once
             if result is None:
                 result = memo[top] = score(meta, [] if top is None else [top])

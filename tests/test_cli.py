@@ -1035,6 +1035,17 @@ def test_eval_row_label_that_splits_the_table_exits_1(tmp_path, caplog, capsys, 
     assert capsys.readouterr().out == ""
 
 
+def test_eval_refuses_a_row_label_before_reading_any_input(tmp_path, caplog, capsys):
+    # the label is refused first, so a missing input is never reached
+    out, diag = tmp_path / "table.csv", tmp_path / "diag.json"
+    assert run(["eval", "--detections", str(tmp_path / "missing.json"),
+                "--ann", str(tmp_path / "missing_ann.json"), "--method", "a,b",
+                "--out", str(out), "--diagnostics", str(diag)]) == 1
+    _one_line_error(caplog, "row label 'a,b' holds ',', '|' or a line break")
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_space_mismatch_exits_1(tmp_path, capsys):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     dets = tmp_path / "detections.json"
@@ -2252,11 +2263,13 @@ def test_interrupt_during_a_top1_tune_exits_130(tmp_path, monkeypatch, caplog, m
 
     def interrupted(*args):
         calls.append(args)
-        if len(calls) == 6:  # in the second trial: each map makes one call or more
+        if len(calls) == nth:  # in the second trial
             raise KeyboardInterrupt
         return real(*args)
 
-    name = "top_detection" if mode == "top1" else "iter_regions"
+    # a top-1 trial reads all its maps in one call, a greedy_multi trial
+    # makes one call per map or more
+    name, nth = ("top_detections", 2) if mode == "top1" else ("iter_regions", 6)
     real = getattr(map_decoder, name)
     monkeypatch.setattr(map_decoder, name, interrupted)
     monkeypatch.setenv("LITERATI_THREADS", str(workers))

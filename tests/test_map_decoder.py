@@ -24,6 +24,7 @@ from literati.map_decoder import (
     save_map,
     softmax_map,
     top_detection,
+    top_detections,
 )
 from literati.synthetic import make_planted_maps
 
@@ -481,15 +482,15 @@ def test_first_region_memo_edges(monkeypatch):
     logits = _rings(9, 12, (4, 5), [-0.3, -0.7, -1.2, -2.0, -3.0])
     prepared = PreparedMap(logits)
     channel = prepared._class(1)
-    grown = []  # the growths on this prepared map, not on the fresh ones
-    real_grow = map_decoder._grow
+    grown = []  # the first regions grown on this prepared map, not on the fresh ones
+    real_settle = map_decoder._Channel._settle
 
-    def counting_grow(p, *args):
-        if p is channel.p:
-            grown.append(args[-1])
-        return real_grow(p, *args)
+    def counting_settle(ch, i, lo, region):
+        if ch is channel:
+            grown.append(2 * lo)  # the maximum is 0.5, so this is alpha
+        return real_settle(ch, i, lo, region)
 
-    monkeypatch.setattr(map_decoder, "_grow", counting_grow)
+    monkeypatch.setattr(map_decoder._Channel, "_settle", counting_settle)
 
     _check_against_fresh(prepared, logits, DecodeParams(alpha=0.5))
     grown.clear()
@@ -534,28 +535,31 @@ def test_first_region_memo_keeps_one_entry_per_region():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
-    # a threshold between two memo entries labels the lower entry's box
-    # once, not a crop around the maximum, and gives the region a fresh
-    # decode gives
+    # a threshold between two memo entries labels one plane, the lower
+    # entry's box, not a crop around the maximum, and gives the region a
+    # fresh decode gives
     planted = make_planted_maps(1, seed, peaks_per_image=2, alpha=0.85)[0]
     prepared = PreparedMap(planted.logits)
     channel = prepared._class(1)
     for alpha in (0.3, 0.9):
         top_detection(prepared, DecodeParams(tau=0.05, alpha=alpha))
     [(_, _, lower), (least, _, upper)] = _memo(channel)
-    shapes = []
+    stacks = []
     real = ndimage.label
 
-    def label(mask, *args, **kwargs):
-        shapes.append(mask.shape)
-        return real(mask, *args, **kwargs)
+    def label(stack, *args, **kwargs):
+        stacks.append(stack.copy())
+        return real(stack, *args, **kwargs)
 
     monkeypatch.setattr(ndimage, "label", label)
     params = DecodeParams(tau=0.05, alpha=0.6)
     assert params.alpha * channel.peak < least  # below the upper entry's interval
     top = top_detection(prepared, params)
     row0, col0, row1, col1 = lower.bbox
-    assert shapes == [(row1 - row0, col1 - col0)]
+    [stack] = stacks
+    assert stack.shape == (1, row1 - row0, col1 - col0)
+    lo = params.alpha * channel.peak
+    npt.assert_array_equal(stack[0], channel.p[row0:row1, col0:col1] >= lo)
     assert len(channel._first) == 3
     assert lower.member_count > channel._first[1].region.member_count > upper.member_count
     monkeypatch.setattr(ndimage, "label", real)
@@ -596,6 +600,102 @@ def test_first_region_memo_equals_fresh_growth(data):
     for k in range(1, K):  # one entry per distinct region, as nested regions differ in least
         leasts = prepared._class(k)._least
         assert leasts == sorted(set(leasts))
+
+
+# --- top_detections: the first regions of many maps, grown together --------------
+
+def _batch_logits(shape, center, sigma, seed, tied, specks):
+    """Three channels: class 1 a bump of ``sigma`` at ``center`` in logit
+    levels 0.5 apart, so its rings are plateaus, plus ``specks`` random
+    cells a quarter level up; class 2 the same one level lower, so class 1
+    is the top class and cells of one value tie in it. Class 1's maximum is
+    at ``center``: alone there, or tied with the opposite corner's cell."""
+    H, W = shape
+    rng = np.random.default_rng(seed)
+    rows, cols = np.indices(shape)
+    bump = np.exp(-((rows - center[0]) ** 2 + (cols - center[1]) ** 2) / (2 * sigma ** 2))
+    disease = np.round(8 * bump) / 2 - 2
+    disease.flat[rng.choice(disease.size, specks, replace=False)] += 0.25
+    top = disease.max()
+    if tied:
+        disease[center] = disease[H - 1 - center[0], W - 1 - center[1]] = top
+    else:
+        disease[center] = top + 0.25
+    return np.stack([np.zeros(shape), disease, disease - 1])
+
+
+def _check_batches(logits, alphas, d=3, tau=0.05):
+    """Top detections of the maps, all in one ``top_detections`` call per
+    alpha, each call followed by one at the alpha that puts one map's
+    threshold (each map in turn) on the ``below`` of the entry it just
+    read. Each call must give what ``top_detection`` gives one map at a
+    time, on maps with memos of their own, and decode's first detection,
+    and leave the memos equal. Returns the memo branches the maps took."""
+    together = [PreparedMap(m) for m in logits]
+    alone = [PreparedMap(m) for m in logits]
+    branches = set()
+
+    def run(params):
+        before = [_memo(p._top) for p in together]
+        tops = top_detections(together, params)
+        assert tops == [top_detection(p, params) for p in alone], params
+        assert tops == [(decode(m, params) or [None])[0] for m in logits], params
+        for p, q, old in zip(together, alone, before):
+            channel, memo = p._top, _memo(p._top)
+            assert memo == _memo(q._top), params
+            if channel.peak < tau:
+                continue
+            lo = params.alpha * channel.peak
+            if memo == old:
+                branches.add("hit")
+            elif len(memo) == len(old):  # a region known already, to a lower threshold
+                branches.add("same region")
+            elif any(least < lo for least, _, _ in old):
+                branches.add("inner")
+            else:
+                [(_, _, region)] = [e for e in memo if e not in old]
+                row0, col0, row1, col1 = region.bbox
+                r, c = channel.peak_cell
+                reach = max(r - row0, row1 - 1 - r, c - col0, col1 - 1 - c)
+                branches.add("fresh, crop doubled" if reach > _GROW_RADIUS else "fresh")
+
+    for n, alpha in enumerate(alphas):
+        params = DecodeParams(d=d, tau=tau, alpha=alpha)
+        run(params)
+        channel = together[n % len(together)]._top
+        below = channel.first_region(alpha).below if channel.peak >= tau else 0
+        if below > 0:
+            edge = below / channel.peak
+            while edge * channel.peak > below:
+                edge = float(np.nextafter(edge, 0))
+            run(DecodeParams(d=d, tau=tau, alpha=edge))
+    return branches
+
+
+def test_top_detections_reach_every_memo_branch():
+    logits = [_batch_logits((64, 64), (30, 33), 9.0, 0, tied=False, specks=200),
+              _batch_logits((256, 96), (0, 40), 12.0, 1, tied=False, specks=400),
+              _batch_logits((64, 64), (20, 63), 3.0, 2, tied=True, specks=100),
+              _batch_logits((256, 96), (128, 48), 2.0, 3, tied=True, specks=0)]
+    branches = _check_batches(logits, [0.9, 0.3, 0.6, 0.6, 0.45, 0.2, 0.75])
+    assert branches == {"hit", "inner", "fresh", "fresh, crop doubled", "same region"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_top_detections_equal_one_map_at_a_time(data):
+    logits = []
+    for i in range(data.draw(st.integers(2, 4), label="maps")):
+        H, W = shape = data.draw(st.sampled_from([(64, 64), (256, 96)]), label="shape")
+        on_border = data.draw(st.booleans(), label="border")
+        r = data.draw(st.sampled_from([0, H - 1]) if on_border else st.integers(0, H - 1))
+        c = data.draw(st.integers(0, W - 1))
+        logits.append(_batch_logits(shape, (r, c), data.draw(st.floats(1.0, 14.0)),
+                                    seed=i, tied=data.draw(st.booleans(), label="tied"),
+                                    specks=data.draw(st.integers(0, 300), label="specks")))
+    alphas = data.draw(st.lists(st.floats(0.15, 1.0), min_size=1, max_size=6), label="alphas")
+    _check_batches(logits, alphas, d=data.draw(st.integers(1, 8), label="d"),
+                   tau=data.draw(st.sampled_from([0.05, 0.3, 0.6]), label="tau"))
 
 
 # --- map files ---------------------------------------------------------------------

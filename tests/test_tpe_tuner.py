@@ -459,19 +459,21 @@ def test_discrete_parzen_rejects_value_outside_universe():
 def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, space, mode):
     # some maps fail at low tau, each with its own message: a failed trial's
     # warning must name the first failing map in map order. The top-1
-    # objective reads only the top detections; greedy_multi reads each
-    # class's region stream up to the first hit.
+    # objective reads only the top detections, all of a trial's maps in one
+    # call, in map order; greedy_multi reads each class's region stream up
+    # to the first hit.
     import literati.map_decoder as map_decoder
 
-    scorer = "top_detection" if mode == "top1" else "iter_regions"
+    scorer = "top_detections" if mode == "top1" else "iter_regions"
     real = getattr(map_decoder, scorer)
 
-    def failing(prepared, *args):
+    def failing(maps, *args):
         params = args[-1]
-        peak = int(prepared.channel(1).argmax())
-        if params.tau < 0.3 and peak % 3:
-            raise ValueError(f"no decode below tau 0.3 at cell {peak}")
-        return real(prepared, *args)
+        for prepared in maps if mode == "top1" else [maps]:
+            peak = int(prepared.channel(1).argmax())
+            if params.tau < 0.3 and peak % 3:
+                raise ValueError(f"no decode below tau 0.3 at cell {peak}")
+        return real(maps, *args)
 
     monkeypatch.setattr(map_decoder, scorer, failing)
     maps, gts = _tune_fixture()
@@ -519,16 +521,16 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
     gts_with_empty = {**gts, "extra0": []}  # extra1 is not in the ground truth at all
     shapes = []
 
-    def recorded(name):
+    def recorded(name, batched):
         real = getattr(map_decoder, name)
 
-        def wrapper(prepared, *args):
-            shapes.append(prepared.shape)
-            return real(prepared, *args)
+        def wrapper(maps, *args):
+            shapes.extend(prepared.shape for prepared in (maps if batched else [maps]))
+            return real(maps, *args)
         monkeypatch.setattr(map_decoder, name, wrapper)
 
-    recorded("top_detection")
-    recorded("iter_regions")
+    recorded("top_detections", batched=True)  # a top-1 trial reads all its maps at once
+    recorded("iter_regions", batched=False)
     cfg = TpeConfig(seed=3)
     _, _, history = tune_decoder(_prepared(maps[:5] + unannotated + maps[5:]), gts_with_empty,
                                  budget=12, cfg=cfg, mode=mode)
@@ -698,3 +700,66 @@ def test_top1_tune_builds_each_first_detection_once(monkeypatch):
                 assert built == [r for k in range(1, q.shape[0])
                                  for r in map_decoder.maximal_filter_regions(q, k, par)]
                 assert dets == decode(m.logits, par)
+
+
+def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypatch):
+    # a top-1 trial grows every first region its maps' memos miss together:
+    # one ndimage.label call per crop round, with one plane per map still
+    # growing, where one map at a time makes one call per map and round
+    import literati.map_decoder as map_decoder
+
+    planted, gts = _two_peak_fixture()
+    # broad bumps, whose first regions at a low alpha outgrow the first crop
+    broad = make_planted_maps(4, 1, shape=(96, 128), sigma_range=(8, 10), id_prefix="broad")
+    planted += broad
+    gts.update({p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
+                                  for b in p.boxes] for p in broad})
+    labelled = []  # the stack of each ndimage.label call, in call order
+    starts = []  # per trial: its params and its first call's index
+    real_label, real_top = ndimage.label, map_decoder.top_detections
+
+    def label(stack, *args, **kwargs):
+        labelled.append(stack.copy())
+        return real_label(stack, *args, **kwargs)
+
+    def top_detections(maps, params):
+        starts.append((params, len(labelled)))
+        return real_top(maps, params)
+
+    monkeypatch.setattr(ndimage, "label", label)
+    monkeypatch.setattr(map_decoder, "top_detections", top_detections)
+    _, _, history = tune_decoder(_prepared(planted), gts, budget=30, cfg=TpeConfig(seed=4),
+                                 iou_threshold=0.7)
+    assert len(starts) == len(history)
+    ends = [start for _, start in starts[1:]] + [len(labelled)]
+    trials = [(params, labelled[start:end]) for (params, start), end in zip(starts, ends)]
+
+    # the same trials, one map at a time, on maps with memos of their own
+    alone = [PreparedMap(m.logits) for m in planted]
+    per_map_calls = inner_planes = 0
+    for params, stacks in trials:
+        rounds, inner = [], []  # label calls per map; the planes of inner misses
+        for p in alone:
+            channel = p._top
+            lo = params.alpha * channel.peak
+            # entries are sorted by least: the last under lo is the next lower one
+            lower = [e.region for least, e in zip(channel._least, channel._first) if least < lo]
+            start = len(labelled)
+            map_decoder.top_detection(p, params)
+            if len(labelled) > start and lower:  # an inner miss, the k-th miss of the trial
+                row0, col0, row1, col1 = lower[-1].bbox
+                inner.append((sum(n > 0 for n in rounds), channel.p[row0:row1, col0:col1] >= lo))
+            rounds.append(len(labelled) - start)
+        per_map_calls += sum(rounds)
+        inner_planes += len(inner)
+        # round k labels one plane per map that one map at a time labels k times
+        assert [len(stack) for stack in stacks] == [
+            sum(n >= k for n in rounds) for k in range(1, max(rounds) + 1)]
+        for k, plane in inner:  # the plane of an inner miss is the lower entry's box
+            h, w = plane.shape
+            np.testing.assert_array_equal(stacks[0][k, :h, :w], plane)
+            assert not stacks[0][k, h:].any() and not stacks[0][k, :, w:].any()
+    assert any(not stacks for _, stacks in trials)  # a trial that hits on every map
+    assert any(len(stacks) > 1 for _, stacks in trials)  # a trial of two crop rounds or more
+    assert inner_planes
+    assert sum(len(stacks) for _, stacks in trials) < per_map_calls

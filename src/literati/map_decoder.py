@@ -47,14 +47,19 @@ nesting, that entry's region holds the new one, so one labelling of
 params, as a tune trial does, and grows the first regions their memos
 miss together: each is one plane of a stack, padded with False, and one
 ``ndimage.label`` call, whose structure joins cells within a plane only,
-labels them all. A region that reaches an inner crop edge goes on to the
-next call with its crop widened, so a trial makes one call per crop
-round, not one per map. ``decode`` and ``top_detection`` grow a first
-region by the same code, with one plane. An entry keeps the region's
-Detection too, built the first time ``top_detections`` reads the entry,
-so a repeated trial gets the same object back; ``decode`` builds its
-own, one per region. Regions are shared between calls, so their masks
-are read-only.
+labels them all. Every plane's box, cell count, centroid and crop-edge
+touches are then read at once from the row and column counts of the
+stack's regions, so a round settles its regions with a fixed number of
+array calls, not a few per region; each region's own box then gives its
+least cell and ``below``. A region that reaches an inner crop edge goes
+on to the next call with its crop widened, so a trial makes one call per
+crop round, not one per map. ``decode`` and ``top_detection`` grow a
+first region by the same code, with one plane, and ``decode``'s later
+regions are read by the same counts, on a stack of one plane. An entry
+keeps the region's Detection too, built the first time
+``top_detections`` reads the entry, so a repeated trial gets the same
+object back; ``decode`` builds its own, one per region. Regions are
+shared between calls, so their masks are read-only.
 """
 
 from __future__ import annotations
@@ -212,10 +217,11 @@ class _Channel:
         memo missed at index ``i``: the entry at i when it holds the same
         region, else a new entry inserted there."""
         row0, col0, row1, col1 = region.bbox
-        least = float(self.p[row0:row1, col0:col1][region.mask].min())
+        least = float(np.minimum.reduce(self.p[row0:row1, col0:col1], axis=None,
+                                        where=region.mask, initial=np.inf))
         # the box one cell wider holds every 8-neighbour of the region
         near = self.p[max(0, row0 - 1):row1 + 1, max(0, col0 - 1):col1 + 1]
-        below = float(near[near < lo].max(initial=-np.inf))
+        below = float(np.maximum.reduce(near, axis=None, where=near < lo, initial=-np.inf))
         if i < len(self._least) and self._least[i] == least:
             # nested regions differ in their least cell, so this is the same
             # region, now known to hold down to a lower threshold
@@ -284,23 +290,23 @@ def _crop(shape: tuple[int, int], r: int, c: int, reach: tuple[int, int, int, in
     return max(0, r - up), min(H, r + down + 1), max(0, c - left), min(W, c + right + 1)
 
 
-def _widen(region: np.ndarray, shape: tuple[int, int], crop: tuple[int, int, int, int],
-           reach: tuple[int, int, int, int]):
-    """The reach with each side doubled where ``region``, a boolean array
-    of ``crop``, touches a crop edge inside the map; None when it touches
-    none, so the region is whole."""
+def _widen(touches: tuple[bool, bool, bool, bool], shape: tuple[int, int],
+           crop: tuple[int, int, int, int], reach: tuple[int, int, int, int]):
+    """The reach with each side doubled where the region touches a crop
+    edge inside the map, ``touches`` telling whether it reaches the crop's
+    (top, bottom, left, right) edge; None when it touches no inner edge,
+    so the region is whole."""
     r0, r1, c0, c1 = crop
     H, W = shape
-    touches = (r0 > 0 and region[0].any(), r1 < H and region[-1].any(),
-               c0 > 0 and region[:, 0].any(), c1 < W and region[:, -1].any())
-    if not any(touches):
-        return None
-    return tuple(2 * side if touch else side for side, touch in zip(reach, touches))
+    inner = (r0 > 0, r1 < H, c0 > 0, c1 < W)
+    grown = tuple(2 * side if touch and edge else side
+                  for side, touch, edge in zip(reach, touches, inner))
+    return None if grown == reach else grown
 
 
 def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
     """Region of the peak at (r, c) over the unclaimed cells: (row0, col0,
-    mask) of its crop."""
+    mask, stats) of its crop, ``stats`` as ``_region_stats`` gives them."""
     peak = p[r, c]
     lo = alpha * peak
     reach = (_GROW_RADIUS,) * 4
@@ -310,24 +316,43 @@ def _grow(p: np.ndarray, claimed: np.ndarray, r: int, c: int, alpha: float):
         mask = (window >= lo) & (window <= peak) & ~claimed[r0:r1, c0:c1]
         labels, _ = ndimage.label(mask, structure=_EIGHT)
         region = labels == labels[r - r0, c - c0]
-        reach = _widen(region, p.shape, crop, reach)
-    return r0, c0, region
+        # its edges tell whether to widen; the stats read the whole crop, so
+        # they are read once, on the last
+        touches = (region[0].any(), region[-1].any(), region[:, 0].any(), region[:, -1].any())
+        reach = _widen(touches, p.shape, crop, reach)
+    return r0, c0, region, _region_stats(region[None])[0]
+
+
+def _region_stats(regions: np.ndarray) -> list[tuple[int, ...]]:
+    """Per plane of a boolean stack [n, H, W], each plane holding a cell:
+    (top, bottom, left, right, count, row sum, col sum) of its cells, the
+    box's ends exclusive and the sums of their row and column indices,
+    read from per-plane row and column counts, the same few array calls
+    for any number of planes."""
+    _, H, W = regions.shape
+    # int32 counts (a row holds at most W cells) sum twice as fast as int64
+    rows = np.add.reduce(regions, axis=2, dtype=np.int32)  # [n, H]: cells per row
+    cols = np.add.reduce(regions, axis=1, dtype=np.int32)  # [n, W]: cells per column
+    any_row, any_col = rows > 0, cols > 0
+    return list(zip(
+        any_row.argmax(axis=1).tolist(), (H - any_row[:, ::-1].argmax(axis=1)).tolist(),
+        any_col.argmax(axis=1).tolist(), (W - any_col[:, ::-1].argmax(axis=1)).tolist(),
+        np.add.reduce(rows, axis=1, dtype=np.int64).tolist(),
+        (rows @ np.arange(H)).tolist(), (cols @ np.arange(W)).tolist()))
 
 
 def _peak_region(p: np.ndarray, class_index: int, r: int, c: int, r0: int, c0: int,
-                 region: np.ndarray) -> PeakRegion:
-    """The region of the peak at (r, c), given as a boolean crop at (r0, c0)."""
-    rr, cc = np.nonzero(region)  # row-major, so rr is sorted
-    n = rr.size
-    top, bottom = int(rr[0]), int(rr[-1]) + 1
-    left, right = int(cc.min()), int(cc.max()) + 1
+                 region: np.ndarray, stats: tuple[int, ...]) -> PeakRegion:
+    """The region of the peak at (r, c), given as a boolean crop at (r0, c0)
+    and its ``_region_stats``."""
+    top, bottom, left, right, n, row_sum, col_sum = stats
     mask = region[top:bottom, left:right].copy()
     mask.flags.writeable = False  # a memoised region is shared between calls
     return PeakRegion(
         class_index=class_index,
         bbox=(r0 + top, c0 + left, r0 + bottom, c0 + right),
         mask=mask,
-        centroid=((int(rr.sum()) + r0 * n) / n, (int(cc.sum()) + c0 * n) / n),
+        centroid=((row_sum + r0 * n) / n, (col_sum + c0 * n) / n),
         peak_prob=float(p[r, c]),
         member_count=n,
         peak=(r, c),
@@ -377,17 +402,22 @@ def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]
             # nothing is claimed, and no cell is above the maximum
             np.greater_equal(ch.p[r0:r1, c0:c1], lo, out=plane[:r1 - r0, :c1 - c0])
         labels, _ = ndimage.label(stack, structure=_PLANES)
+        # each plane's region is the component of its maximum's cell
+        seeds = np.array([labels[k, ch.peak_cell[0] - crop[0], ch.peak_cell[1] - crop[2]]
+                          for k, (_, ch, _, _, crop, _) in enumerate(pending)])
+        regions = labels == seeds[:, None, None]
         wider = []
-        for plane, (slot, ch, lo, i, crop, reach) in zip(labels, pending):
+        for region, stats, (slot, ch, lo, i, crop, reach) in zip(
+                regions, _region_stats(regions), pending):
             r0, r1, c0, c1 = crop
             r, c = ch.peak_cell
-            plane = plane[:r1 - r0, :c1 - c0]
-            region = plane == plane[r - r0, c - c0]
-            if reach is not None and (grown := _widen(region, ch.p.shape, crop, reach)):
+            top, bottom, left, right = stats[:4]
+            touches = (top == 0, bottom == r1 - r0, left == 0, right == c1 - c0)
+            if reach is not None and (grown := _widen(touches, ch.p.shape, crop, reach)):
                 wider.append((slot, ch, lo, i, _crop(ch.p.shape, r, c, grown), grown))
             else:
                 entries[slot] = ch._settle(
-                    i, lo, _peak_region(ch.p, ch.class_index, r, c, r0, c0, region))
+                    i, lo, _peak_region(ch.p, ch.class_index, r, c, r0, c0, region, stats))
         pending = wider
     return entries
 
@@ -576,6 +606,8 @@ def load_map(npy_path) -> LoadedMap:
         raise ValueError(f"{sidecar}: 'classes' must be a list of strings, not {classes!r}")
     if "" in classes:
         raise ValueError(f"{sidecar}: class names must be non-empty, not {classes!r}")
+    if len(set(classes)) != len(classes):  # detections name their class
+        raise ValueError(f"{sidecar}: class names must be unique, not {classes!r}")
     if space != MAP_SPACE:
         raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
     try:

@@ -268,16 +268,17 @@ def _sample_uniform(spec: ParamSpec, rng: np.random.Generator):
 # suggestion and optimization
 
 
-def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
-    """Next parameter point plus the internals that produced it."""
+def _suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
+    """Next parameter point, and for a TPE point its candidate values per
+    dimension, their log density ratios and the chosen candidate's index;
+    None in their place for a start-up point."""
     rng = np.random.default_rng([cfg.seed, len(history)])
     complete = [t for t in history if t.status == "complete"]
 
     n_good = math.ceil(GAMMA * len(complete))
     # a degenerate split leaves too few trials to model "bad"
     if len(complete) < cfg.n_startup or n_good >= len(complete):
-        params = {p.name: _sample_uniform(p, rng) for p in space.params}
-        return params, SuggestTrace(mode="startup")
+        return {p.name: _sample_uniform(p, rng) for p in space.params}, None
 
     ranked = sorted(range(len(complete)), key=lambda i: -complete[i].objective)
     good = [complete[i] for i in ranked[:n_good]]
@@ -293,11 +294,21 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
         log_ratios += np.log(l_density.pdf(cands)) - np.log(g_density.pdf(cands))
 
     chosen = int(np.argmax(log_ratios))
+    params = {name: vals[chosen] for name, vals in candidate_values.items()}
+    return params, (candidate_values, log_ratios, chosen)
+
+
+def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
+    """Next parameter point plus the internals that produced it."""
+    params, tpe = _suggest(history, space, cfg)
+    if tpe is None:
+        return params, SuggestTrace(mode="startup")
+    candidate_values, log_ratios, chosen = tpe
     candidates = tuple(
         {name: vals[j] for name, vals in candidate_values.items()}
         for j in range(N_CANDIDATES)
     )
-    return candidates[chosen], SuggestTrace(
+    return params, SuggestTrace(
         mode="tpe",
         candidates=candidates,
         log_ratios=tuple(float(v) for v in log_ratios),
@@ -306,8 +317,8 @@ def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeCon
 
 
 def suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig) -> dict:
-    params, _ = suggest_with_trace(history, space, cfg)
-    return params
+    """Next parameter point, as ``suggest_with_trace`` gives it, without the trace."""
+    return _suggest(history, space, cfg)[0]
 
 
 def optimize(
@@ -404,7 +415,9 @@ def tune_decoder(
     detection built once, not once per trial; a threshold between two
     known regions is grown inside the larger one. The regions a trial
     misses, which cluster in the trials that try a new alpha, are labelled
-    together, in one ``ndimage.label`` call per crop round. Each map also
+    together, in one ``ndimage.label`` call per crop round, and their boxes,
+    counts and centroids are read from that call's labelled stack at once,
+    with a fixed number of array calls per round. Each map also
     memoises the match outcome of every first detection it has scored, so
     a trial that repeats one neither rescales nor rematches it: on a
     repeat, a trial is a lookup.

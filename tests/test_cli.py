@@ -195,6 +195,8 @@ _SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's wid
     ({"classes": ["background", 1]}, "{sidecar}: 'classes' must be a list of strings"),
     ({"classes": ["background", ""]},
      "{sidecar}: class names must be non-empty, not ['background', '']"),
+    ({"classes": ["pneumonia", "pneumonia"]},
+     "{sidecar}: class names must be unique, not ['pneumonia', 'pneumonia']"),
     ({"map_to_net_scale": "x"}, _SCALE + "not 'x'"),
     ({"map_to_net_scale": -1}, _SCALE + "not -1"),
     ({"map_to_net_scale": 0}, _SCALE + "not 0"),
@@ -205,8 +207,8 @@ _SCALE = "{sidecar}: 'map_to_net_scale' must be 416 / 64 (416 over the map's wid
     ({"space": "net416"}, "{sidecar}: 'space' must be 'map', not 'net416'"),
     (b'{"image_id": "\xff"}', "{sidecar}: not UTF-8 (invalid start byte at byte 14)"),
 ], ids=["array", "invalid-json", "number-id", "empty-id", "string-classes", "number-class",
-        "empty-class", "string-scale", "negative-scale", "zero-scale", "nan-scale", "bool-scale",
-        "unit-scale", "number-space", "net416-space", "not-utf-8"])
+        "empty-class", "repeated-class", "string-scale", "negative-scale", "zero-scale",
+        "nan-scale", "bool-scale", "unit-scale", "number-space", "net416-space", "not-utf-8"])
 def test_sidecar_malformed_exits_1(tmp_path, caplog, edit, message):
     maps_dir, _, planted = _write_maps(tmp_path, n=1)
     sidecar = maps_dir / f"{planted[0].meta.image_id}.json"

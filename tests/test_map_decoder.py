@@ -681,9 +681,8 @@ def test_top_detections_reach_every_memo_branch():
     assert branches == {"hit", "inner", "fresh", "fresh, crop doubled", "same region"}
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_top_detections_equal_one_map_at_a_time(data):
+def _batch_maps(data):
+    """``_batch_logits`` maps as ``test_top_detections_equal_one_map_at_a_time`` draws them."""
     logits = []
     for i in range(data.draw(st.integers(2, 4), label="maps")):
         H, W = shape = data.draw(st.sampled_from([(64, 64), (256, 96)]), label="shape")
@@ -693,9 +692,100 @@ def test_top_detections_equal_one_map_at_a_time(data):
         logits.append(_batch_logits(shape, (r, c), data.draw(st.floats(1.0, 14.0)),
                                     seed=i, tied=data.draw(st.booleans(), label="tied"),
                                     specks=data.draw(st.integers(0, 300), label="specks")))
+    return logits
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_top_detections_equal_one_map_at_a_time(data):
+    logits = _batch_maps(data)
     alphas = data.draw(st.lists(st.floats(0.15, 1.0), min_size=1, max_size=6), label="alphas")
     _check_batches(logits, alphas, d=data.draw(st.integers(1, 8), label="d"),
                    tau=data.draw(st.sampled_from([0.05, 0.3, 0.6]), label="tau"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_first_region_memo_entries_hold_over_their_whole_interval(data):
+    # every memo entry, checked against its definition on the whole channel:
+    # least is the region's least cell, and the maximum's 8-connected
+    # component of {p >= t} is the region at t = least and at the least
+    # float above below, so at every threshold of (below, least]
+    maps = [PreparedMap(m) for m in _batch_maps(data)]
+    alphas = data.draw(st.lists(st.floats(0.15, 1.0), min_size=1, max_size=6), label="alphas")
+    for alpha in alphas + alphas[::2]:
+        top_detections(maps, DecodeParams(d=3, tau=0.05, alpha=alpha))
+    for prepared in maps:
+        channel = prepared._top
+        r, c = channel.peak_cell
+        for least, below, region in _memo(channel):
+            row0, col0, row1, col1 = region.bbox
+            expected = np.zeros(channel.p.shape, dtype=bool)
+            expected[row0:row1, col0:col1] = region.mask
+            assert least == channel.p[expected].min()
+            assert below < least
+            for t in (least, np.nextafter(below, np.inf)):
+                labels, _ = ndimage.label(channel.p >= t, structure=np.ones((3, 3), dtype=bool))
+                npt.assert_array_equal(labels == labels[r, c], expected)
+
+
+def _nonzero_stats(plane):
+    rr, cc = np.nonzero(plane)
+    return (rr.min(), rr.max() + 1, cc.min(), cc.max() + 1, rr.size, rr.sum(), cc.sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_region_stats_are_the_nonzero_box_count_and_index_sums(data):
+    planes = []
+    for _ in range(data.draw(st.integers(1, 5), label="planes")):
+        h, w = data.draw(st.integers(1, 12), label="h"), data.draw(st.integers(1, 12), label="w")
+        kind = data.draw(st.sampled_from(["random", "one cell", "every edge"]), label="kind")
+        if kind == "random":
+            cells = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+            plane = np.asarray(cells).reshape(h, w)
+            plane[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = True
+        else:
+            plane = np.zeros((h, w), dtype=bool)
+            if kind == "one cell":
+                plane[data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = True
+            else:
+                plane[[0, -1]] = plane[:, [0, -1]] = True
+        planes.append(plane)
+    # each plane padded with False to the stack's size, as a crop round pads them
+    stack = np.zeros((len(planes), max(q.shape[0] for q in planes),
+                      max(q.shape[1] for q in planes)), dtype=bool)
+    for padded, plane in zip(stack, planes):
+        padded[:plane.shape[0], :plane.shape[1]] = plane
+    stats = map_decoder._region_stats(stack)
+    assert stats == [_nonzero_stats(plane) for plane in planes]
+    assert all(type(v) is int for row in stats for v in row)
+
+
+def test_first_regions_read_each_crop_round_with_one_stats_call(monkeypatch):
+    # the box, count, centroid sums and edge touches of a round's regions come
+    # from one _region_stats call over the labelled stack, not one per plane
+    maps = [PreparedMap(_batch_logits((64, 64), (30, 33), 9.0, 0, tied=False, specks=200)),
+            PreparedMap(_batch_logits((256, 96), (0, 40), 12.0, 1, tied=False, specks=400)),
+            PreparedMap(_batch_logits((256, 96), (128, 48), 2.0, 3, tied=False, specks=0))]
+    calls = []
+    real_label, real_stats = ndimage.label, map_decoder._region_stats
+
+    def label(stack, *args, **kwargs):
+        calls.append(("label", len(stack)))
+        return real_label(stack, *args, **kwargs)
+
+    def region_stats(regions):
+        calls.append(("stats", len(regions)))
+        return real_stats(regions)
+
+    monkeypatch.setattr(ndimage, "label", label)
+    monkeypatch.setattr(map_decoder, "_region_stats", region_stats)
+    for alpha in (0.9, 0.2, 0.6):
+        top_detections(maps, DecodeParams(tau=0.05, alpha=alpha))
+    planes = [n for _, n in calls[::2]]
+    assert len(planes) > 3 and max(planes) > 1  # rounds of one plane and of many
+    assert calls == [call for n in planes for call in (("label", n), ("stats", n))]
 
 
 # --- map files ---------------------------------------------------------------------

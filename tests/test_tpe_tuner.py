@@ -60,6 +60,21 @@ def test_suggest_deterministic():
     assert suggest(history, _space_1d(), cfg) == suggest(history, _space_1d(), cfg)
 
 
+def test_suggest_is_the_traced_suggestion_without_its_trace():
+    # one core serves both: the same draws give the same point, start-up or TPE
+    cfg = TpeConfig(n_startup=4, seed=7)
+    history, modes = [], set()
+    for i in range(16):
+        params, trace = suggest_with_trace(history, _mixed_space(), cfg)
+        assert suggest(history, _mixed_space(), cfg) == params
+        if trace.mode == "tpe":
+            assert params == trace.candidates[trace.chosen]
+            assert len(trace.candidates) == len(trace.log_ratios)
+        modes.add(trace.mode)
+        history.append(_trial(params, -abs(params["x"] - 1.0) - params["d"] / 8))
+    assert modes == {"startup", "tpe"}
+
+
 def test_suggest_prefers_good_cluster():
     # top-gamma trials cluster in [2.0, 2.2]; the chosen candidate must
     # maximize l(x)/g(x) over the candidate set (checked via the trace and

@@ -8,6 +8,18 @@ the good density are ranked by the density ratio l(x)/g(x) and the best
 one is evaluated next. Objectives are maximized.
 
 Suggestions are a deterministic function of (seed, history).
+
+A suggestion fits, samples and scores all dimensions in a fixed number of
+array passes. Each continuous dimension is a row of one kernel array, its
+good kernels sorted, then its bad ones sorted; the row order, the bounds on
+the kernel axis (the log axis for ``log_uniform``) and each discrete value's
+index are built once per search space. One erf pass gives every kernel's
+cdf at both bounds, so its truncation mass, and each candidate's truncation
+interval is gathered from that pass. l and g are evaluated on one
+(dimension, candidate, kernel) array, each summing its own slice of the
+kernels; discrete counts come from ``np.bincount``. The draws, made per
+dimension in space order, and every float operation are those of one
+density per dimension and set, so trial logs are unchanged, byte for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +62,12 @@ class ParamSpec:
         if self.kind == "choice":
             if not self.choices:
                 raise ValueError(f"param {self.name!r}: choices must be non-empty")
+            first = {}  # the densities index each choice by equality
+            for i, c in enumerate(self.choices):
+                j = first.setdefault(c, i)
+                if j != i:
+                    raise ValueError(f"param {self.name!r}: choices {self.choices[j]!r} and "
+                                     f"{c!r} are equal")
         else:
             if self.low is None or self.high is None:
                 raise ValueError(f"param {self.name!r}: low and high required")
@@ -78,6 +97,10 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in search space")
+
+    @cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self.params)
 
     @classmethod
     def from_file(cls, path) -> "SearchSpace":
@@ -162,76 +185,6 @@ def _norm_ppf(u):
     return _SQRT2 * special.erfinv(2.0 * u - 1.0)
 
 
-class _ContinuousParzen:
-    """Mixture of truncated normal kernels at the observed points.
-
-    Per-point bandwidth is the larger of the gaps to the sorted neighbors,
-    floored at range / min(100, n). With ``log`` the kernels live on the
-    log axis, while ``pdf`` and ``sample`` take and return plain values.
-    """
-
-    def __init__(self, values: Sequence[float], low: float, high: float, log: bool = False):
-        values = np.asarray(values, dtype=np.float64)
-        if log:
-            values, low, high = np.log(values), math.log(low), math.log(high)
-        obs = np.sort(np.clip(values, low, high))
-        n = obs.size
-        span = high - low
-        floor = span / min(100, n)
-        bw = np.full(n, floor)
-        gaps = obs[1:] - obs[:-1]
-        np.maximum(bw[1:], gaps, out=bw[1:])    # each point's gap to its left neighbour
-        np.maximum(bw[:-1], gaps, out=bw[:-1])  # and to its right one
-        self.log = log
-        self.low = low
-        self.high = high
-        self.mu = obs
-        self.sigma = bw
-        # truncation mass per kernel
-        self.mass = _norm_cdf((high - obs) / bw) - _norm_cdf((low - obs) / bw)
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.log:
-            x = np.log(x)
-        z = (x[:, None] - self.mu[None, :]) / self.sigma[None, :]
-        dens = _norm_pdf(z) / self.sigma[None, :] / self.mass[None, :]
-        inside = (x >= self.low) & (x <= self.high)
-        return np.where(inside, dens.mean(axis=1), 0.0)
-
-    def sample(self, rng: np.random.Generator, n: int) -> list[float]:
-        comp = rng.integers(0, self.mu.size, size=n)
-        mu = self.mu[comp]
-        sigma = self.sigma[comp]
-        lo_u = _norm_cdf((self.low - mu) / sigma)
-        hi_u = _norm_cdf((self.high - mu) / sigma)
-        u = rng.uniform(lo_u, hi_u)
-        x = np.clip(mu + sigma * _norm_ppf(u), self.low, self.high)
-        return [float(np.exp(v)) for v in x] if self.log else [float(v) for v in x]
-
-
-class _DiscreteParzen:
-    """Add-one-smoothed category counts over a fixed universe."""
-
-    def __init__(self, values: Sequence, universe: Sequence):
-        self.universe = list(universe)
-        index = {v: i for i, v in enumerate(self.universe)}
-        counts = np.ones(len(self.universe), dtype=np.float64)
-        for v in values:
-            if v not in index:
-                raise ValueError(f"value {v!r} is not among {self.universe}")
-            counts[index[v]] += 1.0
-        self.probs = counts / counts.sum()
-        self._index = index
-
-    def pdf(self, values) -> np.ndarray:
-        return np.asarray([self.probs[self._index[v]] for v in values])
-
-    def sample(self, rng: np.random.Generator, n: int) -> list:
-        idx = rng.choice(len(self.universe), size=n, p=self.probs)
-        return [self.universe[i] for i in idx]
-
-
 def _universe(spec: ParamSpec) -> Sequence | None:
     """The values of a discrete dimension; None for a continuous one."""
     if spec.kind == "integer_uniform":
@@ -239,12 +192,28 @@ def _universe(spec: ParamSpec) -> Sequence | None:
     return spec.choices if spec.kind == "choice" else None
 
 
-def _fit(spec: ParamSpec, values: list):
-    """The dimension's Parzen density over the observed ``values``."""
-    universe = _universe(spec)
-    if universe is not None:
-        return _DiscreteParzen(values, universe)
-    return _ContinuousParzen(values, spec.low, spec.high, log=spec.kind == "log_uniform")
+class _Layout:
+    """A search space as the TPE densities read it: one row per dimension,
+    ``uniform``, then ``log_uniform``, then discrete ones, each in space
+    order, with its bounds and span on the kernel axis (the log axis for
+    ``log_uniform``), or its values and the index of each value."""
+
+    def __init__(self, params: Sequence[ParamSpec]):
+        plain = [p for p in params if p.kind == "uniform"]
+        log = [p for p in params if p.kind == "log_uniform"]
+        disc = [p for p in params if _universe(p) is not None]
+        self.names = [p.name for p in plain + log + disc]
+        self.order = [self.names.index(p.name) for p in params]  # rows in space order
+        self.n_cont = n = len(plain) + len(log)
+        self.logs = slice(len(plain), n)  # the log_uniform rows
+        lows = [p.low for p in plain] + [math.log(p.low) for p in log]
+        highs = [p.high for p in plain] + [math.log(p.high) for p in log]
+        # Python numbers, divided as scalars: an int span's floor stays exact
+        self.spans = [high - low for low, high in zip(lows, highs)]
+        self.bounds = np.array([lows, highs], dtype=np.float64).reshape(2, n, 1)
+        self.rows = np.arange(n).reshape(n, 1)
+        self.values = [list(_universe(p)) for p in disc]
+        self.index = [{v: i for i, v in enumerate(values)} for values in self.values]
 
 
 def _holds(spec: ParamSpec, value) -> bool:
@@ -280,20 +249,84 @@ def _suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
     if len(complete) < cfg.n_startup or n_good >= len(complete):
         return {p.name: _sample_uniform(p, rng) for p in space.params}, None
 
-    ranked = sorted(range(len(complete)), key=lambda i: -complete[i].objective)
-    good = [complete[i] for i in ranked[:n_good]]
-    bad = [complete[i] for i in ranked[n_good:]]
+    # best first, so the good set leads; the sort is stable, ties keep history order
+    ranked = [t.params for t in sorted(complete, key=lambda t: -t.objective)]
+    n_bad = len(ranked) - n_good
+    lay = space._layout
+    nc, logs, (low, high) = lay.n_cont, lay.logs, lay.bounds
+    columns = {p.name: [params[p.name] for params in ranked] for p in space.params}
 
-    candidate_values: dict[str, list] = {}
+    # continuous rows: the good kernels, sorted, then the bad ones, sorted
+    obs = np.array([columns[name] for name in lay.names[:nc]], dtype=np.float64)
+    obs = obs.reshape(nc, len(ranked))  # two axes even with no continuous row
+    obs[logs] = np.log(obs[logs])
+    obs = np.minimum(np.maximum(obs, low), high)
+    obs[:, :n_good].sort()
+    obs[:, n_good:].sort()
+    # bandwidth: the larger gap to a neighbour in the kernel's own set,
+    # floored at span / min(100, size of the set)
+    gaps = obs[:, 1:] - obs[:, :-1]
+    gaps[:, n_good - 1] = 0.0  # the last good kernel and the first bad one
+    floors = [[span / min(100, n_good), span / min(100, n_bad)] for span in lay.spans]
+    sigma = np.repeat(np.array(floors).reshape(nc, 2), (n_good, n_bad), axis=1)
+    np.maximum(sigma[:, 1:], gaps, out=sigma[:, 1:])
+    np.maximum(sigma[:, :-1], gaps, out=sigma[:, :-1])
+    cdf = _norm_cdf((lay.bounds - obs) / sigma)  # each kernel's cdf at low and at high
+    mass = cdf[1] - cdf[0]  # truncation mass per kernel
+
+    # discrete rows: add-one-smoothed counts of the good and the bad values
+    probs = []
+    for name, values, index in zip(lay.names[nc:], lay.values, lay.index):
+        idx = [index.get(v, -1) for v in columns[name]]  # found by equality: 3.0 is 3
+        if -1 in idx:
+            raise ValueError(f"value {columns[name][idx.index(-1)]!r} is not among {values}")
+        k = len(values)
+        counts = np.bincount(idx[:n_good] + [i + k for i in idx[n_good:]], minlength=2 * k)
+        counts = counts.reshape(2, k) + 1.0
+        counts[0] /= k + n_good
+        counts[1] /= k + n_bad
+        probs.append(counts)
+
+    # draws, in space order: per continuous dimension a good kernel and a
+    # point in its truncation interval, per discrete one a value from l
+    comp = np.empty((nc, N_CANDIDATES), dtype=np.intp)
+    u = np.empty((nc, N_CANDIDATES))
+    picks = []
+    for row in lay.order:
+        if row < nc:
+            comp[row] = rng.integers(0, n_good, size=N_CANDIDATES)
+            u[row] = rng.uniform(*cdf[:, row, comp[row]])
+        else:
+            p_l = probs[row - nc][0]
+            picks.append(rng.choice(len(p_l), size=N_CANDIDATES, p=p_l))
+    x = obs[lay.rows, comp] + sigma[lay.rows, comp] * _norm_ppf(u)
+    x = np.minimum(np.maximum(x, low), high)
+    cand = x.tolist()
+    # a log_uniform candidate is its value off the log axis; l and g read
+    # it back on the log axis, where it may fall just out of bounds
+    off_log = np.exp(x[logs])
+    cand[logs] = off_log.tolist()
+    x[logs] = np.log(off_log)
+
+    # l and g at every continuous candidate, in one pass over all kernels
+    z = (x[:, :, None] - obs[:, None, :]) / sigma[:, None, :]
+    dens = _norm_pdf(z) / sigma[:, None, :] / mass[:, None, :]
+    lg = np.empty((2, len(lay.names), N_CANDIDATES))
+    lg[0, :nc] = np.add.reduce(dens[..., :n_good], axis=-1) / n_good
+    lg[1, :nc] = np.add.reduce(dens[..., n_good:], axis=-1) / n_bad
+    lg[:, logs] = np.where((x[logs] >= low[logs]) & (x[logs] <= high[logs]), lg[:, logs], 0.0)
+    for row, (p, idx, values) in enumerate(zip(probs, picks, lay.values), nc):
+        lg[:, row] = p[:, idx]
+        cand.append([values[i] for i in idx.tolist()])
+    with np.errstate(divide="ignore"):  # g underflows to 0 far from every bad kernel
+        log_lg = np.log(lg)
+    diff = log_lg[0] - log_lg[1]
     log_ratios = np.zeros(N_CANDIDATES)
-    for spec in space.params:
-        l_density = _fit(spec, [t.params[spec.name] for t in good])
-        g_density = _fit(spec, [t.params[spec.name] for t in bad])
-        cands = l_density.sample(rng, N_CANDIDATES)
-        candidate_values[spec.name] = cands
-        log_ratios += np.log(l_density.pdf(cands)) - np.log(g_density.pdf(cands))
+    for row in lay.order:
+        log_ratios += diff[row]
 
-    chosen = int(np.argmax(log_ratios))
+    candidate_values = {lay.names[row]: cand[row] for row in lay.order}
+    chosen = int(log_ratios.argmax())
     params = {name: vals[chosen] for name, vals in candidate_values.items()}
     return params, (candidate_values, log_ratios, chosen)
 

@@ -1419,9 +1419,16 @@ _TAU = {"name": "tau", "kind": "uniform", "low": 0.1, "high": 0.9}
      "{path}: entry 0: param 'tau': high - low must be finite"),
     ([{"name": "d", "kind": "choice", "choices": [True, [1]]}],
      "{path}: entry 0: 'choices' must be an array of strings, numbers, booleans or nulls"),
+    ([_TAU, {"name": "d", "kind": "choice", "choices": [2, 2.0, 5]}],
+     "{path}: entry 1: param 'd': choices 2 and 2.0 are equal"),
+    ([{"name": "d", "kind": "choice", "choices": [1, True]}],
+     "{path}: entry 0: param 'd': choices 1 and True are equal"),
+    ([{"name": "d", "kind": "choice", "choices": ["a", "a"]}],
+     "{path}: entry 0: param 'd': choices 'a' and 'a' are equal"),
 ], ids=["top-level-object", "entry-string", "missing-name", "missing-kind",
         "string-bound", "number-choices", "number-name", "inverted-bounds", "unknown-name",
-        "huge-integer-range", "integer-beyond-float", "range-beyond-float", "array-choice"])
+        "huge-integer-range", "integer-beyond-float", "range-beyond-float", "array-choice",
+        "equal-int-float-choices", "equal-int-bool-choices", "equal-string-choices"])
 def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=2)
     path = tmp_path / "space.json"

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import re
+from typing import Sequence
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage, special
 
 from literati.annotation_store import NET_SIZE, rescale_box
 from literati.eval_harness import match_image
@@ -14,6 +18,8 @@ from literati.synthetic import make_planted_maps
 from literati.tpe_tuner import (
     GAMMA,
     MAX_INTEGER_VALUES,
+    N_CANDIDATES,
+    PARAM_KINDS,
     ParamSpec,
     SearchSpace,
     TpeConfig,
@@ -184,6 +190,256 @@ def test_integer_range_holds_at_most_max_integer_values():
         ParamSpec("d", "integer_uniform", 0, MAX_INTEGER_VALUES)
 
 
+# --- reference: the per-dimension Parzen densities that _suggest replaced ----------
+# Kept verbatim: the whole-array _suggest must give the same draws, the same
+# candidates and the same log ratios, bit for bit.
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _norm_pdf(z):
+    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+
+def _norm_cdf(z):
+    return 0.5 * (1.0 + special.erf(z / _SQRT2))
+
+
+def _norm_ppf(u):
+    return _SQRT2 * special.erfinv(2.0 * u - 1.0)
+
+
+class _ContinuousParzen:
+    """Mixture of truncated normal kernels at the observed points.
+
+    Per-point bandwidth is the larger of the gaps to the sorted neighbors,
+    floored at range / min(100, n). With ``log`` the kernels live on the
+    log axis, while ``pdf`` and ``sample`` take and return plain values.
+    """
+
+    def __init__(self, values: Sequence[float], low: float, high: float, log: bool = False):
+        values = np.asarray(values, dtype=np.float64)
+        if log:
+            values, low, high = np.log(values), math.log(low), math.log(high)
+        obs = np.sort(np.clip(values, low, high))
+        n = obs.size
+        span = high - low
+        floor = span / min(100, n)
+        bw = np.full(n, floor)
+        gaps = obs[1:] - obs[:-1]
+        np.maximum(bw[1:], gaps, out=bw[1:])    # each point's gap to its left neighbour
+        np.maximum(bw[:-1], gaps, out=bw[:-1])  # and to its right one
+        self.log = log
+        self.low = low
+        self.high = high
+        self.mu = obs
+        self.sigma = bw
+        # truncation mass per kernel
+        self.mass = _norm_cdf((high - obs) / bw) - _norm_cdf((low - obs) / bw)
+
+    def pdf(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if self.log:
+            x = np.log(x)
+        z = (x[:, None] - self.mu[None, :]) / self.sigma[None, :]
+        dens = _norm_pdf(z) / self.sigma[None, :] / self.mass[None, :]
+        inside = (x >= self.low) & (x <= self.high)
+        return np.where(inside, dens.mean(axis=1), 0.0)
+
+    def sample(self, rng: np.random.Generator, n: int) -> list[float]:
+        comp = rng.integers(0, self.mu.size, size=n)
+        mu = self.mu[comp]
+        sigma = self.sigma[comp]
+        lo_u = _norm_cdf((self.low - mu) / sigma)
+        hi_u = _norm_cdf((self.high - mu) / sigma)
+        u = rng.uniform(lo_u, hi_u)
+        x = np.clip(mu + sigma * _norm_ppf(u), self.low, self.high)
+        return [float(np.exp(v)) for v in x] if self.log else [float(v) for v in x]
+
+
+class _DiscreteParzen:
+    """Add-one-smoothed category counts over a fixed universe."""
+
+    def __init__(self, values: Sequence, universe: Sequence):
+        self.universe = list(universe)
+        index = {v: i for i, v in enumerate(self.universe)}
+        counts = np.ones(len(self.universe), dtype=np.float64)
+        for v in values:
+            if v not in index:
+                raise ValueError(f"value {v!r} is not among {self.universe}")
+            counts[index[v]] += 1.0
+        self.probs = counts / counts.sum()
+        self._index = index
+
+    def pdf(self, values) -> np.ndarray:
+        return np.asarray([self.probs[self._index[v]] for v in values])
+
+    def sample(self, rng: np.random.Generator, n: int) -> list:
+        idx = rng.choice(len(self.universe), size=n, p=self.probs)
+        return [self.universe[i] for i in idx]
+
+
+def _universe(spec: ParamSpec) -> Sequence | None:
+    """The values of a discrete dimension; None for a continuous one."""
+    if spec.kind == "integer_uniform":
+        return range(int(spec.low), int(spec.high) + 1)
+    return spec.choices if spec.kind == "choice" else None
+
+
+def _fit(spec: ParamSpec, values: list):
+    """The dimension's Parzen density over the observed ``values``."""
+    universe = _universe(spec)
+    if universe is not None:
+        return _DiscreteParzen(values, universe)
+    return _ContinuousParzen(values, spec.low, spec.high, log=spec.kind == "log_uniform")
+
+
+def _sample_uniform(spec: ParamSpec, rng: np.random.Generator):
+    universe = _universe(spec)
+    if universe is not None:
+        return universe[int(rng.integers(0, len(universe)))]
+    if spec.kind == "log_uniform":
+        return float(np.exp(rng.uniform(math.log(spec.low), math.log(spec.high))))
+    return float(rng.uniform(spec.low, spec.high))
+
+
+def _reference_suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
+    """Next parameter point, and for a TPE point its candidate values per
+    dimension, their log density ratios and the chosen candidate's index;
+    None in their place for a start-up point."""
+    rng = np.random.default_rng([cfg.seed, len(history)])
+    complete = [t for t in history if t.status == "complete"]
+
+    n_good = math.ceil(GAMMA * len(complete))
+    # a degenerate split leaves too few trials to model "bad"
+    if len(complete) < cfg.n_startup or n_good >= len(complete):
+        return {p.name: _sample_uniform(p, rng) for p in space.params}, None
+
+    ranked = sorted(range(len(complete)), key=lambda i: -complete[i].objective)
+    good = [complete[i] for i in ranked[:n_good]]
+    bad = [complete[i] for i in ranked[n_good:]]
+
+    candidate_values: dict[str, list] = {}
+    log_ratios = np.zeros(N_CANDIDATES)
+    for spec in space.params:
+        l_density = _fit(spec, [t.params[spec.name] for t in good])
+        g_density = _fit(spec, [t.params[spec.name] for t in bad])
+        cands = l_density.sample(rng, N_CANDIDATES)
+        candidate_values[spec.name] = cands
+        log_ratios += np.log(l_density.pdf(cands)) - np.log(g_density.pdf(cands))
+
+    chosen = int(np.argmax(log_ratios))
+    params = {name: vals[chosen] for name, vals in candidate_values.items()}
+    return params, (candidate_values, log_ratios, chosen)
+
+
+def _reference(history, space, cfg):
+    with np.errstate(divide="ignore"):
+        return _reference_suggest(history, space, cfg)
+
+
+_CHOICE_VALUES = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0), st.booleans(), st.none(),
+                           st.text("abc", max_size=2))
+
+
+@st.composite
+def _param_specs(draw, name):
+    kind = draw(st.sampled_from(PARAM_KINDS))
+    if kind == "uniform":  # bounds that are ints or floats
+        low = draw(st.integers(-50, 50) | st.floats(-50.0, 50.0))
+        return ParamSpec(name, kind, low, low + draw(st.integers(1, 100) | st.floats(0.01, 100.0)))
+    if kind == "log_uniform":
+        low = draw(st.floats(1e-6, 10.0))
+        return ParamSpec(name, kind, low, low * draw(st.floats(1.5, 1e6)))
+    if kind == "integer_uniform":
+        low = draw(st.integers(-5, 5))
+        return ParamSpec(name, kind, low, low + draw(st.integers(1, 12)))
+    choices = draw(st.lists(_CHOICE_VALUES, min_size=1, max_size=5, unique=True))
+    return ParamSpec(name, kind, choices=tuple(choices))
+
+
+def _values(spec):
+    """A trial's value of the dimension: bounds and midpoints repeat, so
+    kernels tie; an integer may be given as a float, found by equality; a
+    bound of 0 may be given as -0.0, which np.clip keeps and np.maximum
+    turns into 0.0."""
+    if spec.kind == "choice":
+        return st.sampled_from(spec.choices)
+    if spec.kind == "integer_uniform":
+        ints = st.integers(int(spec.low), int(spec.high))
+        return ints | ints.map(float)
+    mid = spec.low + (spec.high - spec.low) / 2
+    zero = [-0.0] if spec.low == 0 else []
+    return st.floats(spec.low, spec.high) | st.sampled_from([spec.low, spec.high, mid, *zero])
+
+
+@st.composite
+def _suggest_cases(draw):
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    space = SearchSpace(tuple(draw(_param_specs(name)) for name in names))
+    history = []
+    for _ in range(draw(st.integers(1, 80))):
+        params = {p.name: draw(_values(p)) for p in space.params}
+        if draw(st.integers(0, 5)) == 0:
+            history.append(Trial(params=params, objective=float("nan"), status="failed"))
+        else:  # objectives from a short list tie
+            objective = draw(st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10.0, 10.0))
+            history.append(_trial(params, objective))
+    cfg = TpeConfig(n_startup=draw(st.sampled_from([1, 3, 10])), seed=draw(st.integers(0, 2**32)))
+    return history, space, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_suggest_cases())
+def test_suggest_equals_the_per_dimension_reference_bit_for_bit(case):
+    history, space, cfg = case
+    params, trace = suggest_with_trace(history, space, cfg)
+    want_params, want = _reference(history, space, cfg)
+    assert repr(params) == repr(want_params)  # types and signs of zero too
+    if want is None:
+        assert trace.mode == "startup"
+        return
+    candidate_values, log_ratios, chosen = want
+    assert trace.mode == "tpe" and trace.chosen == chosen
+    assert repr(trace.candidates) == repr(tuple(
+        {name: vals[j] for name, vals in candidate_values.items()} for j in range(N_CANDIDATES)))
+    assert np.array(trace.log_ratios).tobytes() == log_ratios.tobytes()
+
+
+def test_suggest_far_from_every_bad_kernel_keeps_its_infinite_ratios():
+    # g underflows to 0 at a candidate about 38 bandwidths from every bad
+    # kernel: its log ratio is +inf, without a divide-by-zero warning, and
+    # the first such candidate is chosen, as before the warning was silenced
+    good = [_trial({"x": 9.86 + 0.005 * i}, 1.0 + i) for i in range(15)]
+    bad = [_trial({"x": i / 100}, -1.0 - i) for i in range(45)]
+    cfg = TpeConfig(seed=0)
+    params, trace = suggest_with_trace(good + bad, _space_1d(), cfg)
+    assert math.inf in trace.log_ratios
+    assert trace.chosen == trace.log_ratios.index(math.inf)
+    want_params, (_, log_ratios, chosen) = _reference(good + bad, _space_1d(), cfg)
+    assert params == want_params and trace.chosen == chosen
+    assert np.array(trace.log_ratios).tobytes() == log_ratios.tobytes()
+
+
+def test_suggest_rejects_value_outside_the_domain():
+    space = SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),))
+    history = [_trial({"d": d}, float(i)) for i, d in enumerate([1, 4, 8, 3])]
+    with pytest.raises(ValueError, match=re.escape("value 3 is not among [1, 4, 8]")):
+        suggest(history, space, TpeConfig(n_startup=2))
+
+
+@pytest.mark.parametrize("choices, message", [
+    ((2, 2.0, 5), "choices 2 and 2.0 are equal"),
+    ((1, True), "choices 1 and True are equal"),
+    (("a", "b", "a"), "choices 'a' and 'a' are equal"),
+], ids=["int-float", "int-bool", "strings"])
+def test_param_spec_refuses_equal_choices(choices, message):
+    # each choice is found by equality, so two equal ones would share a count
+    with pytest.raises(ValueError, match=re.escape(f"param 'd': {message}")):
+        ParamSpec("d", "choice", choices=choices)
+
+
 # --- optimize -------------------------------------------------------------------
 
 def test_optimize_budget_one():
@@ -285,17 +541,38 @@ OPTIMIZE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(OPTIMIZE_DIGESTS))
-def test_optimize_log_digest_is_pinned(tmp_path, seed):
+# the same at 140 trials, recorded before the densities were fitted as whole
+# arrays: with 105 bad trials the min(100, n) bandwidth floor is reached
+OPTIMIZE_DIGESTS_140 = {
+    0: "ed4a55c2ae68b274c5e3f5319ea4aff6540088c3e1c56a7eebc6cb21e58f62ce",
+    1: "06eb889a47a80d4bd185f5f24aa4cec52422c0bff7fc00c540160fc8786b9c82",
+    2: "c29e62cd446da0c2f10ad00df0e6c072b87895960a3cf3bd8b57b35115d35722",
+    3: "24a1779f0dc4c150604a23de8d9cbe5c41b7a9c91808f9a9b265cbcfcb8dcfe3",
+    4: "f7cbc034ab85bdfcba8ca277e868ff6b79321b13d132c9c98c881161a1ddf70e",
+    5: "c710c093b2121ded1fb96193632b02bc70dee314046f60f944f22f05ccc53e52",
+}
+
+
+def _pinned_log_digest(tmp_path, seed, budget):
     def objective(p):
         return (-(p["x"] - 1.5) ** 2 - (math.log10(p["lr"]) + 2.0) ** 2
                 - 0.3 * abs(p["d"] - 5) + {"a": 0.0, "b": 0.7, "c": 0.2}[p["mode"]])
 
-    _, history = optimize(objective, _mixed_space(), 40, TpeConfig(seed=seed))
-    assert len({t.objective for t in history}) == 40
+    _, history = optimize(objective, _mixed_space(), budget, TpeConfig(seed=seed))
+    assert len({t.objective for t in history}) == budget
     path = tmp_path / "trials.json"
     write_trials(path, history)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMIZE_DIGESTS[seed]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(OPTIMIZE_DIGESTS))
+def test_optimize_log_digest_is_pinned(tmp_path, seed):
+    assert _pinned_log_digest(tmp_path, seed, 40) == OPTIMIZE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(OPTIMIZE_DIGESTS_140))
+def test_optimize_log_digest_is_pinned_at_140_trials(tmp_path, seed):
+    assert _pinned_log_digest(tmp_path, seed, 140) == OPTIMIZE_DIGESTS_140[seed]
 
 
 # --- tune_decoder -----------------------------------------------------------------
@@ -456,13 +733,6 @@ def test_tune_decoder_tries_defaults_only_inside_the_space(space, holds):
     default = getattr(DecodeParams(), name)
     assert (history[0].params == {name: default}) == holds
     assert all(t.status == "complete" for t in history)
-
-
-def test_discrete_parzen_rejects_value_outside_universe():
-    from literati.tpe_tuner import _DiscreteParzen
-
-    with pytest.raises(ValueError, match="value 3 is not among"):
-        _DiscreteParzen([1, 3], [1, 4, 8])
 
 
 @pytest.mark.parametrize("space, mode", [

@@ -8,8 +8,9 @@ peaks; each peak grows an 8-connected region over unclaimed cells within
 detection box, with the region centroid kept as metadata.
 
 Peaks come from separable maximum filters over the whole channel, in
-O(H * W * d). Each region is labelled on a crop around its peak that
-widens only while the region reaches a crop edge inside the map, so
+O(H * W * d), with d capped at the radius whose window covers the whole
+map from every cell. Each region is labelled on a crop around its peak
+that widens only while the region reaches a crop edge inside the map, so
 region growth costs about the size of the regions found, not
 peaks x H x W. Regions are kept as a bounding box plus a boolean mask of
 that box, never as per-cell Python objects.
@@ -24,10 +25,10 @@ every d, grown with nothing claimed, so the first region needs only the
 channel's maximum. The window winners of a d are memoised per class,
 sorted by descending probability with no tau cut, and computed only when
 a caller reads past the first region; the peaks for a tau are a prefix of
-that order, found by one binary search. ``top_detection`` reads only
-decode's first detection. It comes from the top class, and unless that
-class's maximum ties within it, it is the detection of the memoised first
-region, read with no window winners.
+that order, found by one binary search. ``top_detections`` reads only
+decode's first detection of each map. It comes from the top class, and
+unless that class's maximum ties within it, it is the detection of the
+memoised first region, read with no window winners.
 
 The first region itself is memoised by threshold. It is the component of
 the maximum's cell in {p >= alpha * max}, and as that threshold falls
@@ -53,13 +54,13 @@ stack's regions, so a round settles its regions with a fixed number of
 array calls, not a few per region; each region's own box then gives its
 least cell and ``below``. A region that reaches an inner crop edge goes
 on to the next call with its crop widened, so a trial makes one call per
-crop round, not one per map. ``decode`` and ``top_detection`` grow a
-first region by the same code, with one plane, and ``decode``'s later
-regions are read by the same counts, on a stack of one plane. An entry
-keeps the region's Detection too, built the first time
-``top_detections`` reads the entry, so a repeated trial gets the same
-object back; ``decode`` builds its own, one per region. Regions are
-shared between calls, so their masks are read-only.
+crop round, not one per map. ``decode`` grows a first region by the
+same code, with one plane, and its later regions are read by the same
+counts, on a stack of one plane. An entry keeps the region's Detection
+too, built the first time ``top_detections`` reads the entry, so a
+repeated trial gets the same object back; ``decode`` builds its own, one
+per region. Regions are shared between calls, so their masks are
+read-only.
 """
 
 from __future__ import annotations
@@ -201,16 +202,14 @@ class _Channel:
 
     def peaks(self, d: int, tau: float) -> list[tuple[int, int]]:
         """Peak cells by descending probability, row-major on ties."""
+        # a window of this radius already covers the map from every cell,
+        # so a wider one finds the same peaks
+        d = min(d, max(1, max(self.p.shape) - 1))
         if d not in self._winners:
             self._winners[d] = _window_winners(self.p, d)
         rs, cs, neg = self._winners[d]
         n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
         return list(zip(rs[:n].tolist(), cs[:n].tolist()))
-
-    def first_region(self, alpha: float) -> _FirstRegion:
-        """The memo entry holding the region of the maximum's first cell,
-        grown with nothing claimed."""
-        return _first_regions([self], alpha)[0]
 
     def _settle(self, i: int, lo: float, region: PeakRegion) -> _FirstRegion:
         """The memo entry of ``region``, grown at threshold ``lo`` where the
@@ -365,8 +364,9 @@ def _claim(claimed: np.ndarray, region: PeakRegion) -> None:
 
 
 def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]:
-    """Each channel's ``first_region(alpha)``, with the regions that miss
-    the memos labelled together: one ``ndimage.label`` call per crop round,
+    """Each channel's memo entry holding the region of its maximum's
+    first cell, grown with nothing claimed, with the regions that miss the
+    memos labelled together: one ``ndimage.label`` call per crop round,
     over a stack of planes, one per missing channel.
 
     A channel's entries are sorted by ``least`` and their intervals (below,
@@ -430,7 +430,7 @@ def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float) -> Iterat
     """
     if channel.peak < tau:
         return
-    first = channel.first_region(alpha).region
+    first = _first_regions([channel], alpha)[0].region
     yield first
     claimed = np.zeros(channel.p.shape, dtype=bool)
     _claim(claimed, first)
@@ -520,10 +520,12 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
     return detections
 
 
-def top_detection(prepared: PreparedMap, params: DecodeParams) -> Detection | None:
-    """``decode(prepared, params)[0]``, or None when decode finds nothing.
+def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[Detection | None]:
+    """``decode(m, params)[0]`` of each map ``m``, or None where decode
+    finds nothing, with the first regions that miss the maps' memos grown
+    together: one ``ndimage.label`` call per crop round, not one per map.
 
-    That detection comes from the map's top class, the first whose maximum
+    Each detection comes from its map's top class, the first whose maximum
     is the highest, so no other class is read. Unless another cell of that
     class holds its maximum, it is the detection kept with the class's
     memoised first region, read without window winners. Otherwise it is
@@ -531,13 +533,6 @@ def top_detection(prepared: PreparedMap, params: DecodeParams) -> Detection | No
     maximum, the first on equal centroids, as decode's stable sort keeps
     them.
     """
-    return top_detections([prepared], params)[0]
-
-
-def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[Detection | None]:
-    """``top_detection`` of each map, with the first regions that miss
-    the maps' memos grown together: one ``ndimage.label`` call per crop
-    round, not one per map."""
     tau, alpha = params.tau, float(params.alpha)
     channels = [m._top for m in maps]
     entries = iter(_first_regions([ch for ch in channels if ch.peak >= tau], alpha))

@@ -28,7 +28,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -158,15 +158,6 @@ class Trial:
 
     def to_dict(self) -> dict:
         return {"params": self.params, "objective": self.objective, "status": self.status}
-
-
-@dataclass(frozen=True)
-class SuggestTrace:
-    """Internals of one suggestion, for inspection and testing."""
-    mode: str  # "startup" | "tpe"
-    candidates: tuple[dict, ...] = ()
-    log_ratios: tuple[float, ...] = ()
-    chosen: int = -1
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +322,9 @@ def _suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
     return params, (candidate_values, log_ratios, chosen)
 
 
-def suggest_with_trace(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig):
-    """Next parameter point plus the internals that produced it."""
-    params, tpe = _suggest(history, space, cfg)
-    if tpe is None:
-        return params, SuggestTrace(mode="startup")
-    candidate_values, log_ratios, chosen = tpe
-    candidates = tuple(
-        {name: vals[j] for name, vals in candidate_values.items()}
-        for j in range(N_CANDIDATES)
-    )
-    return params, SuggestTrace(
-        mode="tpe",
-        candidates=candidates,
-        log_ratios=tuple(float(v) for v in log_ratios),
-        chosen=chosen,
-    )
-
-
 def suggest(history: Sequence[Trial], space: SearchSpace, cfg: TpeConfig) -> dict:
-    """Next parameter point, as ``suggest_with_trace`` gives it, without the trace."""
+    """Next parameter point: drawn uniformly during start-up, else the
+    TPE candidate of highest log density ratio, as ``_suggest`` gives it."""
     return _suggest(history, space, cfg)[0]
 
 
@@ -406,6 +380,18 @@ def write_trials(dest, history: Sequence[Trial]) -> None:
 
 
 DECODER_PARAMS = ("d", "tau", "alpha")  # the DecodeParams fields a space may tune
+
+
+def _integer_fault(spec: ParamSpec) -> str | None:
+    """What lets ``spec`` give a value that is not an integer, or a bool;
+    None when every value it gives is one (an int, or a float such as 2.0)."""
+    if spec.kind in ("uniform", "log_uniform"):
+        return f"kind {spec.kind!r}"
+    for c in spec.choices if spec.kind == "choice" else ():
+        if isinstance(c, bool) or not (isinstance(c, int)
+                                       or isinstance(c, float) and c.is_integer()):
+            return f"choice {c!r}"
+    return None
 
 
 def default_decoder_space() -> SearchSpace:
@@ -473,6 +459,9 @@ def tune_decoder(
         if spec.name not in DECODER_PARAMS:
             raise ValueError(f"search space parameter {spec.name!r} is not a decoder "
                              f"parameter ({', '.join(DECODER_PARAMS)})")
+        if spec.name == "d" and (fault := _integer_fault(spec)):  # to_params takes int(d)
+            raise ValueError(f"search space parameter 'd' must be integer_uniform or a choice "
+                             f"of integers, not {fault}")
     # match_image marks a map without ground truth excluded, whatever it
     # decodes, and accuracy leaves it out. Each scored map keeps the outcome
     # of each first detection seen: within this call match_image depends on

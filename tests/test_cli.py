@@ -1100,6 +1100,19 @@ def test_decode_idempotent_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_decode_at_a_radius_past_the_map_equals_the_map_wide_radius(tmp_path, capsys):
+    # on 64 x 64 maps a window of radius 63 covers the map from every cell,
+    # so a radius of 10**9 finds the same peaks, at the same cost
+    assert run(["demo", "--seed", "3", "--n-images", "4", "--out", str(tmp_path / "demo")]) == 0
+    outs = []
+    for d in ("1000000000", "63"):
+        out = tmp_path / f"d{d}.json"
+        assert run(["decode", "--maps", str(tmp_path / "demo" / "maps"), "--d", d,
+                    "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def _pinned_decode_maps(tmp_path):
     """The noise maps, a map whose image id and class name need escaping in
     JSON, filed first but last by image id, and a map with no detections."""
@@ -1439,11 +1452,27 @@ def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
     _one_line_error(caplog, message.format(path=path))
 
 
+_NOT_INTEGER_D = ("search space parameter 'd' must be integer_uniform or a choice of "
+                  "integers, not ")
+
+
 @pytest.mark.parametrize("iou, space, message", [
     ("1.5", None, "IOU threshold must be in (0, 1], got 1.5"),
     ("0.1", [_TAU, {"name": "gamma", "kind": "uniform", "low": 0.1, "high": 0.9}],
      "search space parameter 'gamma' is not a decoder parameter"),
-], ids=["iou", "space-name"])
+    # the decoder takes d as an integer, so a d that can be anything else is refused
+    ("0.1", [_TAU, {"name": "d", "kind": "choice", "choices": [1.5, 2.5]}],
+     _NOT_INTEGER_D + "choice 1.5"),
+    ("0.1", [{"name": "d", "kind": "uniform", "low": 1, "high": 8}],
+     _NOT_INTEGER_D + "kind 'uniform'"),
+    ("0.1", [{"name": "d", "kind": "log_uniform", "low": 1, "high": 8}],
+     _NOT_INTEGER_D + "kind 'log_uniform'"),
+    ("0.1", [{"name": "d", "kind": "choice", "choices": [2, True]}],
+     _NOT_INTEGER_D + "choice True"),
+    ("0.1", [{"name": "d", "kind": "choice", "choices": [2, float("inf")]}],
+     _NOT_INTEGER_D + "choice inf"),
+], ids=["iou", "space-name", "d-fractional-choices", "d-uniform", "d-log-uniform",
+        "d-bool-choice", "d-infinite-choice"])
 def test_tune_checks_its_arguments_before_loading_a_map(tmp_path, monkeypatch, caplog, iou,
                                                          space, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=3)
@@ -1460,6 +1489,22 @@ def test_tune_checks_its_arguments_before_loading_a_map(tmp_path, monkeypatch, c
     _one_line_error(caplog, message)
     assert loads == []
     assert not out.exists()
+
+
+def test_tune_decodes_a_d_of_integral_floats_as_integers(tmp_path, capsys):
+    # 2.0 and 3.0 are integers: they are drawn and scored as 2 and 3 are
+    maps_dir, ann_path, _ = _write_maps(tmp_path, n=4)
+    logs = []
+    for choices in ([2.0, 3.0], [2, 3]):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps([{"name": "d", "kind": "choice", "choices": choices}, _TAU]),
+                         encoding="utf-8")
+        out = tmp_path / "trials.json"
+        assert run(["tune", "--maps", str(maps_dir), "--ann", str(ann_path), "--space",
+                    str(space), "--budget", "14", "--out", str(out)]) == 0
+        logs.append(json.loads(out.read_text(encoding="utf-8")))
+    assert {t["params"]["d"] for t in logs[0][1:]} == {2.0, 3.0}
+    assert logs[0] == logs[1]  # 2.0 == 2
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

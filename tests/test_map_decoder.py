@@ -23,7 +23,6 @@ from literati.map_decoder import (
     region_to_detection,
     save_map,
     softmax_map,
-    top_detection,
     top_detections,
 )
 from literati.synthetic import make_planted_maps
@@ -174,6 +173,30 @@ def test_oracle_equivalence_crop_growth():
             row0, col0, row1, col1 = region.bbox
             widest = max(widest, row1 - row0, col1 - col0)
     assert widest > 2 * _GROW_RADIUS + 1  # some region needed a wider crop
+
+
+@pytest.mark.parametrize("shape", [(9, 14), (14, 9), (1, 7)])
+def test_a_radius_past_the_map_filters_no_wider_than_the_map(monkeypatch, shape):
+    # a window of radius max(H, W) - 1 covers the map from every cell, so a
+    # wider one finds the same peaks: its filters stay that wide, whatever
+    # radius is asked for, and the regions stay the oracle's
+    H, W = shape
+    disease = np.random.default_rng(7).choice([0.1, 0.3, 0.5, 0.7], size=shape)  # ties
+    sizes = []
+    real = ndimage.maximum_filter1d
+
+    def spy(p, size, *args, **kwargs):
+        assert size <= 2 * max(H, W) - 1, size
+        sizes.append(size)
+        return real(p, size, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "maximum_filter1d", spy)
+    for d in (max(H, W) - 1, max(H, W), 10**9):
+        params = DecodeParams(d=d, tau=0.0, alpha=0.9)
+        got = maximal_filter_regions(_two_channel(disease), 1, params)
+        want = brute_force_regions(disease.tolist(), d, params.tau, params.alpha)
+        assert region_lists_equal(got, want), d
+    assert sizes == [2 * max(H, W) - 1] * 6
 
 
 def test_peak_dominance_property():
@@ -348,17 +371,17 @@ def test_prepared_map_has_no_background_channel():
         maximal_filter_regions(prepared, 3, DecodeParams())
 
 
-# --- top_detection ----------------------------------------------------------------
+# --- top_detections of one map ---------------------------------------------------
 
 def _first_tie_group(dets):
     return [det for det in dets if det.confidence == dets[0].confidence]
 
 
-def _check_top_detection(prepared, logits, params):
-    """top_detection is decode's first detection, and scores as decode does.
-    Returns decode's detections."""
+def _check_top(prepared, logits, params):
+    """top_detections of the map alone is decode's first detection, and
+    scores as decode does. Returns decode's detections."""
     full = decode(logits, params)
-    top = top_detection(prepared, params)
+    [top] = top_detections([prepared], params)
     assert top == (full or [None])[0], params
     _, H, W = logits.shape
     gts = [Box(0.0, 0.0, W / 2, H / 2, space="map"), Box(W / 3, H / 3, W / 2, H / 2, space="map")]
@@ -405,7 +428,7 @@ def test_top_detections_on_tied_maxima(case):
     prepared = PreparedMap(logits)
     for params, n_top in runs:
         # the case holds n_top detections at the highest confidence
-        full = _check_top_detection(prepared, logits, params)
+        full = _check_top(prepared, logits, params)
         assert len(_first_tie_group(full)) == n_top, params
 
 
@@ -426,7 +449,7 @@ def test_top_detection_is_the_first_detection_of_decode(data):
     params = st.builds(DecodeParams, d=st.integers(1, 5),
                        tau=st.floats(0, 0.99), alpha=st.floats(0.05, 1))
     for p in data.draw(st.lists(params, min_size=1, max_size=4), label="params"):
-        _check_top_detection(prepared, logits, p)
+        _check_top(prepared, logits, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,7 +475,7 @@ def test_top_detection_on_maxima_tied_within_and_across_classes(data):
     logits = np.stack([np.zeros((H, W)), *[base.reshape(H, W) + o for o in offsets]])
     p = data.draw(st.builds(DecodeParams, d=st.integers(1, 5), tau=st.floats(0, 0.2),
                             alpha=st.floats(0.05, 1)), label="params")
-    assert top_detection(PreparedMap(logits), p) == (decode(logits, p) or [None])[0]
+    assert top_detections([PreparedMap(logits)], p) == (decode(logits, p) or [None])[:1]
 
 
 # --- the first-region memo -----------------------------------------------------------
@@ -474,7 +497,7 @@ def _memo(channel):
 def _check_against_fresh(prepared, logits, params):
     fresh = PreparedMap(logits)
     assert decode(prepared, params) == decode(fresh, params), params
-    assert top_detection(prepared, params) == top_detection(fresh, params), params
+    assert top_detections([prepared], params) == top_detections([fresh], params), params
 
 
 def test_first_region_memo_edges(monkeypatch):
@@ -508,7 +531,7 @@ def test_first_region_memo_edges(monkeypatch):
     for alpha in [0.5, *alphas] * 2:
         params = DecodeParams(alpha=alpha)
         decode(prepared, params)
-        top_detection(prepared, params)
+        top_detections([prepared], params)
     assert grown == []
 
 
@@ -525,7 +548,7 @@ def test_first_region_memo_keeps_one_entry_per_region():
     tops = []
     for alpha in [0.7, 2 * isolated, 0.2]:
         _check_against_fresh(prepared, logits, DecodeParams(alpha=alpha))
-        tops.append(top_detection(prepared, DecodeParams(alpha=alpha)))
+        tops.extend(top_detections([prepared], DecodeParams(alpha=alpha)))
     [(_, below, region)] = _memo(prepared._class(1))
     assert region.member_count == 5
     assert below == prepared.channel(1)[3, 0]
@@ -542,7 +565,7 @@ def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
     prepared = PreparedMap(planted.logits)
     channel = prepared._class(1)
     for alpha in (0.3, 0.9):
-        top_detection(prepared, DecodeParams(tau=0.05, alpha=alpha))
+        top_detections([prepared], DecodeParams(tau=0.05, alpha=alpha))
     [(_, _, lower), (least, _, upper)] = _memo(channel)
     stacks = []
     real = ndimage.label
@@ -554,7 +577,7 @@ def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
     monkeypatch.setattr(ndimage, "label", label)
     params = DecodeParams(tau=0.05, alpha=0.6)
     assert params.alpha * channel.peak < least  # below the upper entry's interval
-    top = top_detection(prepared, params)
+    [top] = top_detections([prepared], params)
     row0, col0, row1, col1 = lower.bbox
     [stack] = stacks
     assert stack.shape == (1, row1 - row0, col1 - col0)
@@ -628,7 +651,7 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
     """Top detections of the maps, all in one ``top_detections`` call per
     alpha, each call followed by one at the alpha that puts one map's
     threshold (each map in turn) on the ``below`` of the entry it just
-    read. Each call must give what ``top_detection`` gives one map at a
+    read. Each call must give what ``top_detections`` gives one map at a
     time, on maps with memos of their own, and decode's first detection,
     and leave the memos equal. Returns the memo branches the maps took."""
     together = [PreparedMap(m) for m in logits]
@@ -638,7 +661,7 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
     def run(params):
         before = [_memo(p._top) for p in together]
         tops = top_detections(together, params)
-        assert tops == [top_detection(p, params) for p in alone], params
+        assert tops == [top_detections([p], params)[0] for p in alone], params
         assert tops == [(decode(m, params) or [None])[0] for m in logits], params
         for p, q, old in zip(together, alone, before):
             channel, memo = p._top, _memo(p._top)
@@ -663,7 +686,7 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
         params = DecodeParams(d=d, tau=tau, alpha=alpha)
         run(params)
         channel = together[n % len(together)]._top
-        below = channel.first_region(alpha).below if channel.peak >= tau else 0
+        below = map_decoder._first_regions([channel], alpha)[0].below if channel.peak >= tau else 0
         if below > 0:
             edge = below / channel.peak
             while edge * channel.peak > below:

@@ -24,10 +24,10 @@ from literati.tpe_tuner import (
     SearchSpace,
     TpeConfig,
     Trial,
+    _suggest,
     default_decoder_space,
     optimize,
     suggest,
-    suggest_with_trace,
     tune_decoder,
     write_trials,
 )
@@ -55,8 +55,8 @@ def _trial(params, objective):
 def test_startup_phase_draws_uniform():
     cfg = TpeConfig(n_startup=10, seed=5)
     history = [_trial({"x": 1.0}, -1.0)] * 3
-    params, trace = suggest_with_trace(history, _space_1d(), cfg)
-    assert trace.mode == "startup"
+    params, tpe = _suggest(history, _space_1d(), cfg)
+    assert tpe is None  # a start-up point
     assert 0.0 <= params["x"] <= 10.0
 
 
@@ -71,12 +71,13 @@ def test_suggest_is_the_traced_suggestion_without_its_trace():
     cfg = TpeConfig(n_startup=4, seed=7)
     history, modes = [], set()
     for i in range(16):
-        params, trace = suggest_with_trace(history, _mixed_space(), cfg)
+        params, tpe = _suggest(history, _mixed_space(), cfg)
         assert suggest(history, _mixed_space(), cfg) == params
-        if trace.mode == "tpe":
-            assert params == trace.candidates[trace.chosen]
-            assert len(trace.candidates) == len(trace.log_ratios)
-        modes.add(trace.mode)
+        if tpe is not None:
+            candidate_values, log_ratios, chosen = tpe
+            assert params == {name: vals[chosen] for name, vals in candidate_values.items()}
+            assert all(len(vals) == len(log_ratios) for vals in candidate_values.values())
+        modes.add("startup" if tpe is None else "tpe")
         history.append(_trial(params, -abs(params["x"] - 1.0) - params["d"] / 8))
     assert modes == {"startup", "tpe"}
 
@@ -94,11 +95,11 @@ def test_suggest_prefers_good_cluster():
         x = float(rng.uniform(0.0, 10.0))
         history.append(_trial({"x": x}, -abs(x - 2.1)))
     cfg = TpeConfig(n_startup=10, seed=0)
-    params, trace = suggest_with_trace(history, _space_1d(), cfg)
-    assert trace.mode == "tpe"
+    params, tpe = _suggest(history, _space_1d(), cfg)
+    assert tpe is not None  # a TPE point
+    candidate_values, log_ratios, chosen = tpe
     assert 0.0 <= params["x"] <= 10.0
-    chosen = trace.log_ratios[trace.chosen]
-    assert all(chosen >= r for r in trace.log_ratios)
+    assert all(log_ratios[chosen] >= r for r in log_ratios)
 
     # independent truncated-normal mixture evaluation on the candidate set
     complete = sorted(history, key=lambda t: -t.objective)
@@ -124,10 +125,9 @@ def test_suggest_prefers_good_cluster():
             total += pdf / mass
         return total / len(points)
 
-    ratios = [math.log(kde(good, c["x"])) - math.log(kde(bad, c["x"]))
-              for c in trace.candidates]
-    assert np.argmax(ratios) == trace.chosen
-    np.testing.assert_allclose(ratios, trace.log_ratios, rtol=1e-9)
+    ratios = [math.log(kde(good, x)) - math.log(kde(bad, x)) for x in candidate_values["x"]]
+    assert np.argmax(ratios) == chosen
+    np.testing.assert_allclose(ratios, log_ratios, rtol=1e-9)
 
 
 def test_suggest_bound_respect_1000():
@@ -162,8 +162,8 @@ def test_failed_trials_excluded_from_fit():
         _trial({"x": 8.0}, 0.0),
         Trial(params={"x": 9.0}, objective=float("nan"), status="failed"),
     ]
-    params, trace = suggest_with_trace(history, _space_1d(), cfg)
-    assert trace.mode == "tpe"
+    params, tpe = _suggest(history, _space_1d(), cfg)
+    assert tpe is not None  # a TPE point
     assert 0.0 <= params["x"] <= 10.0
 
 
@@ -394,17 +394,17 @@ def _suggest_cases(draw):
 @given(_suggest_cases())
 def test_suggest_equals_the_per_dimension_reference_bit_for_bit(case):
     history, space, cfg = case
-    params, trace = suggest_with_trace(history, space, cfg)
+    params, tpe = _suggest(history, space, cfg)
     want_params, want = _reference(history, space, cfg)
     assert repr(params) == repr(want_params)  # types and signs of zero too
     if want is None:
-        assert trace.mode == "startup"
+        assert tpe is None
         return
-    candidate_values, log_ratios, chosen = want
-    assert trace.mode == "tpe" and trace.chosen == chosen
-    assert repr(trace.candidates) == repr(tuple(
-        {name: vals[j] for name, vals in candidate_values.items()} for j in range(N_CANDIDATES)))
-    assert np.array(trace.log_ratios).tobytes() == log_ratios.tobytes()
+    candidate_values, log_ratios, chosen = tpe
+    want_values, want_ratios, want_chosen = want
+    assert chosen == want_chosen
+    assert repr(candidate_values) == repr(want_values)
+    assert log_ratios.tobytes() == want_ratios.tobytes()
 
 
 def test_suggest_far_from_every_bad_kernel_keeps_its_infinite_ratios():
@@ -414,12 +414,12 @@ def test_suggest_far_from_every_bad_kernel_keeps_its_infinite_ratios():
     good = [_trial({"x": 9.86 + 0.005 * i}, 1.0 + i) for i in range(15)]
     bad = [_trial({"x": i / 100}, -1.0 - i) for i in range(45)]
     cfg = TpeConfig(seed=0)
-    params, trace = suggest_with_trace(good + bad, _space_1d(), cfg)
-    assert math.inf in trace.log_ratios
-    assert trace.chosen == trace.log_ratios.index(math.inf)
-    want_params, (_, log_ratios, chosen) = _reference(good + bad, _space_1d(), cfg)
-    assert params == want_params and trace.chosen == chosen
-    assert np.array(trace.log_ratios).tobytes() == log_ratios.tobytes()
+    params, (_, log_ratios, chosen) = _suggest(good + bad, _space_1d(), cfg)
+    assert math.inf in log_ratios.tolist()
+    assert chosen == log_ratios.tolist().index(math.inf)
+    want_params, (_, want_ratios, want_chosen) = _reference(good + bad, _space_1d(), cfg)
+    assert params == want_params and chosen == want_chosen
+    assert log_ratios.tobytes() == want_ratios.tobytes()
 
 
 def test_suggest_rejects_value_outside_the_domain():
@@ -827,7 +827,7 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
 def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     import literati.eval_harness as harness
     import literati.tpe_tuner as tuner
-    from literati.map_decoder import top_detection
+    from literati.map_decoder import top_detections
 
     maps = make_planted_maps(6, seed=5)
     gts = {p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
@@ -838,7 +838,7 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
                 {"d": 1, "tau": 0.05, "alpha": 0.5 + 5e-10}, {"d": 3, "tau": 0.5, "alpha": 0.9}]
     for m in maps:
-        tops = [top_detection(PreparedMap(m.logits), DecodeParams(**raw))
+        tops = [top_detections([PreparedMap(m.logits)], DecodeParams(**raw))[0]
                 for raw in [{"d": 3, "tau": 0.5, "alpha": 0.5}, *scripted]]
         assert tops[0] is not None and tops[:4] == [tops[0]] * 4
 
@@ -967,10 +967,10 @@ def test_top1_tune_builds_each_first_detection_once(monkeypatch):
 
     # the same trial again builds nothing and returns the same objects
     params = [DecodeParams(**{"d": 3, "tau": 0.5, "alpha": 0.5, **t.params}) for t in history]
-    tops = [map_decoder.top_detection(p, params[-1]) for _, p in prepared]
+    tops = [map_decoder.top_detections([p], params[-1])[0] for _, p in prepared]
     built.clear()
-    assert [map_decoder.top_detection(p, params[-1]) for _, p in prepared] == tops
-    assert all(a is b for a, b in zip(tops, [map_decoder.top_detection(p, params[-1])
+    assert [map_decoder.top_detections([p], params[-1])[0] for _, p in prepared] == tops
+    assert all(a is b for a, b in zip(tops, [map_decoder.top_detections([p], params[-1])[0]
                                              for _, p in prepared]))
     assert built == []
 
@@ -1030,7 +1030,7 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
             # entries are sorted by least: the last under lo is the next lower one
             lower = [e.region for least, e in zip(channel._least, channel._first) if least < lo]
             start = len(labelled)
-            map_decoder.top_detection(p, params)
+            real_top([p], params)
             if len(labelled) > start and lower:  # an inner miss, the k-th miss of the trial
                 row0, col0, row1, col1 = lower[-1].bbox
                 inner.append((sum(n > 0 for n in rounds), channel.p[row0:row1, col0:col1] >= lo))

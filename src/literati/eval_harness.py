@@ -8,8 +8,11 @@ first detection alone, so an image is a hit when the highest-confidence
 detection overlaps any ground-truth box at the threshold. Tables report
 accuracy at the five fixed IOU thresholds. ``eval`` and ``demo`` score a
 detections file through ``match_detections_file`` (``demo`` the one it has
-just written), and the ``tune`` objective scores decoded maps; all of them
-run ``ground_truth`` -> ``match_image`` -> ``accuracy``.
+just written), and run ``ground_truth`` -> ``match_image`` -> ``accuracy``.
+The ``tune`` objective scores decoded maps with ``match_image`` over the
+images ``accuracy`` counts; in ``top1`` mode, a map whose first box is
+known only to lie between two boxes is scored by ``hit_between`` where
+the ``iou_bounds`` of the two decide it.
 """
 
 from __future__ import annotations
@@ -28,23 +31,81 @@ class SpaceMismatchError(ValueError):
     pass
 
 
+def _check_space(a: Box, *others: Box) -> None:
+    for b in others:
+        if a.space != b.space:
+            raise SpaceMismatchError(
+                f"cannot compare boxes across spaces: {a.space!r} vs {b.space!r}"
+            )
+
+
+def _intersection(a: Box, b: Box) -> float:
+    """Area of the overlap of two boxes, 0.0 when they do not overlap."""
+    iw = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    ih = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    return iw * ih if iw > 0 and ih > 0 else 0.0
+
+
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes in the same coordinate space."""
-    if a.space != b.space:
-        raise SpaceMismatchError(
-            f"cannot compare boxes across spaces: {a.space!r} vs {b.space!r}"
-        )
-    ix = max(a.x, b.x)
-    iy = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
-    iw = ix2 - ix
-    ih = iy2 - iy
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.w * a.h + b.w * b.h - inter
-    return inter / union
+    _check_space(a, b)
+    inter = _intersection(a, b)
+    return inter / (a.w * a.h + b.w * b.h - inter) if inter else 0.0
+
+
+def iou_bounds(inner: Box, outer: Box, gt: Box) -> tuple[float, float]:
+    """(low, high) bounds on ``iou(box, gt)`` over every box that holds
+    ``inner`` and lies in ``outer``.
+
+    Such a box meets ``gt`` in at least ``inner`` meets it and at most
+    ``outer`` does, and its union with ``gt`` lies between theirs, so its
+    IoU is at least |inner & gt| / |outer | gt| and at most
+    |outer & gt| / |inner | gt|. Each bound is computed with the operations
+    of ``iou``, so with ``inner`` and ``outer`` equal both are its value.
+    """
+    _check_space(gt, inner, outer)
+    gt_area = gt.w * gt.h
+    low, high = _intersection(inner, gt), _intersection(outer, gt)
+    return (low / (outer.w * outer.h + gt_area - high),
+            high / (inner.w * inner.h + gt_area - low))
+
+
+def _margin(inner: Box, outer: Box, gt: Box) -> float:
+    """Twice the most by which rounding can move an IoU or bound that
+    ``hit_between`` compares, 256u * (R / m + 1), as its docstring derives."""
+    reach = max(abs(outer.x), abs(outer.y), abs(outer.x + outer.w), abs(outer.y + outer.h),
+                abs(gt.x), abs(gt.y), abs(gt.x + gt.w), abs(gt.y + gt.h))
+    return 2.0 ** -45 * (reach / min(inner.w, inner.h, gt.w, gt.h) + 1)
+
+
+def hit_between(inner: Box, outer: Box, gts, threshold: float) -> bool | None:
+    """Whether a top-1 match of any one box between ``inner`` and ``outer``
+    hits one of ``gts`` at ``threshold``: True when every such box does,
+    False when none does, None when the bounds leave it open.
+
+    The boxes are taken to be rescaled from whole cells, as
+    ``detection_to_net416`` rescales a map box: each edge that ``iou``
+    reads, x, y, x + w and y + h, is then within e = 3u * R of an exact
+    edge, u = 2**-53 and R the largest edge magnitude of ``outer`` and the
+    ground-truth box, and the exact boxes nest. Moving one edge of a box by
+    e moves its IoU with another by at most 2e over the box's extent along
+    the move, and no extent is shorter than m, the least side of ``inner``
+    and the ground-truth box; ``iou`` reads each area as w * h, not from the
+    edges, which moves it by as much again; and the float operations of
+    ``iou`` and ``iou_bounds`` move it by at most 13u. So each IoU and bound
+    is computed within eta = 16e / m + 16u of its exact value, and a bound
+    that clears the threshold by 2 * eta decides every box between. The
+    margin, 256u * (R / m + 1), exceeds 2 * eta = 96u * R / m + 32u with
+    room for second-order terms.
+    """
+    undecided = False
+    for gt in gts:
+        low, high = iou_bounds(inner, outer, gt)
+        margin = _margin(inner, outer, gt)
+        if low >= threshold + margin:
+            return True
+        undecided = undecided or high >= threshold - margin
+    return None if undecided else False
 
 
 @dataclass(frozen=True)

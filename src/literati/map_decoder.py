@@ -44,6 +44,16 @@ inside the entry at the next lower threshold, when there is one: by the
 nesting, that entry's region holds the new one, so one labelling of
 {p >= alpha * max} on that entry's box finds it, with no crop to widen.
 
+When the threshold falls strictly between two entries, the region it
+would grow also holds the region of the entry at the next higher
+threshold, the inner one, and lies in the outer one's, so its box holds
+inner's box and lies in outer's. ``top_brackets`` reads those two
+detections, found by the same index test as the memo lookup
+(``_Channel._find``), and grows nothing. The tuner scores such a map from
+the two boxes when the IoU bounds of ``eval_harness.hit_between`` clear
+its threshold by a margin that covers the rounding of the rescaled boxes
+and of ``iou``, and grows the region only when they do not.
+
 ``top_detections`` reads the first detections of many maps at one set of
 params, as a tune trial does, and grows the first regions their memos
 miss together: each is one plane of a stack, padded with False, and one
@@ -211,6 +221,24 @@ class _Channel:
         n = int(np.searchsorted(neg, -tau, side="right"))  # -p <= -tau
         return list(zip(rs[:n].tolist(), cs[:n].tolist()))
 
+    def _find(self, lo: float) -> tuple[int, bool]:
+        """The memo index of threshold ``lo``, the first entry with least
+        >= lo, and whether that entry holds lo. The entries are sorted by
+        least and their intervals (below, least] are disjoint, so no other
+        entry can hold it."""
+        i = bisect_left(self._least, lo)
+        return i, i < len(self._least) and self._first[i].below < lo
+
+    def bracket(self, lo: float) -> tuple[_FirstRegion, _FirstRegion] | None:
+        """The entries (inner, outer) around threshold ``lo`` when the memo
+        misses it strictly between two entries, else None; grows nothing
+        and changes no entry. Inner, at the next higher threshold, holds
+        the first region at lo, and outer, at the next lower one, holds it."""
+        i, held = self._find(lo)
+        if held or not 0 < i < len(self._first):
+            return None
+        return self._first[i], self._first[i - 1]
+
     def _settle(self, i: int, lo: float, region: PeakRegion) -> _FirstRegion:
         """The memo entry of ``region``, grown at threshold ``lo`` where the
         memo missed at index ``i``: the entry at i when it holds the same
@@ -369,9 +397,8 @@ def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]
     memos labelled together: one ``ndimage.label`` call per crop round,
     over a stack of planes, one per missing channel.
 
-    A channel's entries are sorted by ``least`` and their intervals (below,
-    least] are disjoint, so only the first entry with least >= alpha * max
-    can hold the threshold. An entry before it was grown at a lower
+    Only the first entry with least >= alpha * max can hold the threshold
+    (``_Channel._find``). An entry before it was grown at a lower
     threshold, so its region holds the one grown here, and the box of the
     entry just before is the plane, labelled in one round: a cell of that
     box which the new component reaches is in the entry's region too. With
@@ -385,8 +412,8 @@ def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]
     pending = []  # (slot, channel, threshold, memo index, crop, reach or None)
     for slot, ch in enumerate(channels):
         lo = alpha * ch.peak  # the threshold _grow compares with
-        i = bisect_left(ch._least, lo)
-        if i < len(ch._least) and ch._first[i].below < lo:
+        i, held = ch._find(lo)
+        if held:
             entries[slot] = ch._first[i]
         elif i:
             row0, col0, row1, col1 = ch._first[i - 1].region.bbox
@@ -520,6 +547,31 @@ def decode(logits: np.ndarray | PreparedMap, params: DecodeParams) -> list[Detec
     return detections
 
 
+def _detection(entry: _FirstRegion) -> Detection:
+    """The detection of a memo entry's region, built the first time it is read."""
+    if entry.detection is None:
+        entry.detection = region_to_detection(entry.region)
+    return entry.detection
+
+
+def top_brackets(maps: Sequence[PreparedMap],
+                 params: DecodeParams) -> list[tuple[Detection, Detection] | None]:
+    """Per map, the detections (inner, outer) of the two memo entries
+    around the first region that ``top_detections`` would grow for it, when
+    it would grow one strictly between two entries (``_Channel.bracket``);
+    else None. Only a map whose top class holds its maximum at one cell,
+    at least tau, has a pair: its first detection is then that region's.
+    The region holds inner's and lies in outer's, so its box does too.
+    No region is grown."""
+    tau, alpha = params.tau, float(params.alpha)
+    pairs = []
+    for m in maps:
+        ch = m._top
+        pair = ch.bracket(alpha * ch.peak) if ch.unique and ch.peak >= tau else None
+        pairs.append(pair and (_detection(pair[0]), _detection(pair[1])))
+    return pairs
+
+
 def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[Detection | None]:
     """``decode(m, params)[0]`` of each map ``m``, or None where decode
     finds nothing, with the first regions that miss the maps' memos grown
@@ -543,9 +595,7 @@ def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[De
             continue
         entry = next(entries)
         if ch.unique:
-            if entry.detection is None:
-                entry.detection = region_to_detection(entry.region)
-            tops.append(entry.detection)
+            tops.append(_detection(entry))
         else:  # its regions start with the first, now memoised
             regions = _iter_regions(ch, int(params.d), ch.peak, alpha)
             tops.append(region_to_detection(min(regions, key=attrgetter("centroid"))))

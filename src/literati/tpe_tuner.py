@@ -382,15 +382,18 @@ def write_trials(dest, history: Sequence[Trial]) -> None:
 DECODER_PARAMS = ("d", "tau", "alpha")  # the DecodeParams fields a space may tune
 
 
-def _integer_fault(spec: ParamSpec) -> str | None:
-    """What lets ``spec`` give a value that is not an integer, or a bool;
-    None when every value it gives is one (an int, or a float such as 2.0)."""
-    if spec.kind in ("uniform", "log_uniform"):
-        return f"kind {spec.kind!r}"
-    for c in spec.choices if spec.kind == "choice" else ():
-        if isinstance(c, bool) or not (isinstance(c, int)
-                                       or isinstance(c, float) and c.is_integer()):
-            return f"choice {c!r}"
+def _decoder_fault(spec: ParamSpec, check: Callable) -> str | None:
+    """A value ``spec`` can give that ``check`` (DecodeParams, with that one
+    parameter set) refuses, with the reason; None when it refuses none. The
+    decoder's domains are intervals, so a range is checked at its two ends,
+    each of which a draw can return, and a choice at each value."""
+    for value in spec.choices if spec.kind == "choice" else (spec.low, spec.high):
+        if not is_finite_number(value):  # a bool, a string, null or an infinity
+            return f"{value!r}, which is not a number"
+        try:
+            check(**{spec.name: value})
+        except ValueError as e:
+            return f"{value!r}, which the decoder refuses: {e}"
     return None
 
 
@@ -417,29 +420,43 @@ def tune_decoder(
     arguments are checked; each map is prepared once and reused by every
     trial. ``gts_net416`` maps image ids to ground-truth boxes in net416
     space, and the objective scores every one of its images as ``eval``
-    does. When the space holds the decoder defaults, they are evaluated as
-    trial 0, so the returned best can never be worse than the baseline. A
-    map whose image has no ground truth is left out of every score, so it
-    is never decoded. Trials run in this process, in map order: with the
-    memos below a trial costs less than a round trip to a worker process
-    would.
+    does. A space that can give a value ``DecodeParams`` refuses is refused
+    before any map is read. When the space holds the decoder defaults,
+    they are evaluated as trial 0, so the returned best can never be worse
+    than the baseline. A map whose image has no ground truth is left out
+    of every score, so it is never decoded. Trials run in this process, in
+    map order: with the memos below a trial costs less than a round trip
+    to a worker process would.
 
     In ``top1`` mode a trial reads only each map's first detection, the
-    one ``match_image`` matches, with one ``top_detections`` call for all
-    its maps: a region of the map's top class, the first whose maximum is
-    the highest, which the map keeps, with window winners only where that
-    maximum ties in its class. Each class memoises its first regions by
-    the interval of ``alpha * maximum`` over which they stay the same,
-    each with its detection, so across trials a region is grown and its
-    detection built once, not once per trial; a threshold between two
-    known regions is grown inside the larger one. The regions a trial
-    misses, which cluster in the trials that try a new alpha, are labelled
-    together, in one ``ndimage.label`` call per crop round, and their boxes,
-    counts and centroids are read from that call's labelled stack at once,
-    with a fixed number of array calls per round. Each map also
-    memoises the match outcome of every first detection it has scored, so
-    a trial that repeats one neither rescales nor rematches it: on a
-    repeat, a trial is a lookup.
+    one ``match_image`` matches: a region of the map's top class, the first
+    whose maximum is the highest, which the map keeps, with window winners
+    only where that maximum ties in its class. Each class memoises its
+    first regions by the interval of ``alpha * maximum`` over which they
+    stay the same, each with its detection, so across trials a region is
+    grown and its detection built once, not once per trial; a threshold
+    between two known regions is grown inside the larger one. Such a
+    threshold often needs no region at all: first regions nest as the
+    threshold falls, so the one it would grow holds the inner known region
+    and lies in the outer one, and its box lies between their boxes.
+    ``top_brackets`` reads those two detections, and
+    ``harness.hit_between`` settles the map when, for some ground-truth
+    box, the least IoU of any box between them reaches the threshold, or,
+    for every ground-truth box, the greatest falls short of it, each by a
+    margin of 256u * (R / m + 1), u = 2**-53, R the largest edge magnitude
+    of the outer and the ground-truth box and m the least side of the inner
+    and the ground-truth box: more than twice what rounding of the rescaled
+    boxes and of ``iou`` can move an IoU or a bound. The maps left open go
+    to one ``top_detections`` call. The regions it misses, which cluster in
+    the trials that try a new alpha, are labelled together, in one
+    ``ndimage.label`` call per crop round, and their boxes, counts and
+    centroids are read from that call's labelled stack at once, with a
+    fixed number of array calls per round. Each map also memoises the hit
+    and the net416 box of every first detection it has scored, and the
+    verdict of every pair of known boxes, so a trial that repeats one
+    neither rescales nor rematches it: on a repeat, a trial is a lookup.
+    The objective is the hits over the images ``harness.accuracy`` counts:
+    the scored maps and the annotated images without a map, each a miss.
 
     In ``greedy_multi`` mode an image is a hit exactly when some detection
     reaches the threshold with some box, whatever the order: the first such
@@ -451,7 +468,7 @@ def tune_decoder(
     """
     from . import eval_harness as harness
     from .map_decoder import (DecodeParams, detection_to_net416, iter_regions,
-                              region_to_detection, top_detections)
+                              region_to_detection, top_brackets, top_detections)
 
     harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
@@ -459,13 +476,15 @@ def tune_decoder(
         if spec.name not in DECODER_PARAMS:
             raise ValueError(f"search space parameter {spec.name!r} is not a decoder "
                              f"parameter ({', '.join(DECODER_PARAMS)})")
-        if spec.name == "d" and (fault := _integer_fault(spec)):  # to_params takes int(d)
+        if spec.name == "d" and spec.kind in ("uniform", "log_uniform"):  # to_params: int(d)
             raise ValueError(f"search space parameter 'd' must be integer_uniform or a choice "
-                             f"of integers, not {fault}")
+                             f"of integers, not kind {spec.kind!r}")
+        if fault := _decoder_fault(spec, DecodeParams):  # a trial there could only fail
+            raise ValueError(f"search space parameter {spec.name!r} reaches {fault}")
     # match_image marks a map without ground truth excluded, whatever it
-    # decodes, and accuracy leaves it out. Each scored map keeps the outcome
-    # of each first detection seen: within this call match_image depends on
-    # nothing else, and Detections hash by value.
+    # decodes, and accuracy leaves it out. Each scored map keeps the hit and
+    # the net416 box of each first detection seen: within this call
+    # match_image depends on nothing else, and Detections hash by value.
     scored, mapped = [], set()
     for meta, prepared in maps:  # one pass: maps may be a stream
         mapped.add(meta.image_id)
@@ -480,37 +499,58 @@ def tune_decoder(
         return DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
                             alpha=float(merged["alpha"]))
 
-    def score(meta, dets):
-        dets = [detection_to_net416(det, meta) for det in dets]
-        return harness.match_image(dets, gts_net416[meta.image_id], iou_threshold,
-                                   mode=mode, image_id=meta.image_id)
+    def hit(meta, dets) -> bool:
+        """Whether the net416 detections ``dets`` hit, as match_image scores them."""
+        return harness.match_image(dets, gts_net416[meta.image_id], iou_threshold, mode=mode,
+                                   image_id=meta.image_id).outcomes[iou_threshold].hit
+
+    def outcome(meta, memo, top) -> tuple:
+        """(hit, net416 box) of a map's first detection ``top`` (None for
+        none), kept in the map's ``memo``."""
+        got = memo.get(top)  # a hit hashes the detection once
+        if got is None:
+            dets = [] if top is None else [detection_to_net416(top, meta)]
+            got = memo[top] = (hit(meta, dets), dets[0].box if dets else None)
+        return got
 
     scored_maps = [prepared for _, prepared, _ in scored]
 
-    def score_top1(params: DecodeParams) -> list:
-        results = []
-        for (meta, _, memo), top in zip(scored, top_detections(scored_maps, params)):
-            result = memo.get(top)  # a hit hashes the detection once
-            if result is None:
-                result = memo[top] = score(meta, [] if top is None else [top])
-            results.append(result)
-        return results
+    def between(meta, memo, pair) -> bool | None:
+        """``hit_between`` of the net416 boxes of a ``top_brackets`` pair,
+        kept in the map's ``memo`` (as a 1-tuple, since None is a verdict)."""
+        got = memo.get(pair)
+        if got is None:
+            inner, outer = (outcome(meta, memo, det)[1] for det in pair)
+            got = memo[pair] = (harness.hit_between(inner, outer, gts_net416[meta.image_id],
+                                                    iou_threshold),)
+        return got[0]
 
-    def first_hit(meta, prepared, params: DecodeParams):
-        # the objective reads only `hit`, which any one hitting region settles
+    def score_top1(params: DecodeParams) -> list[bool]:
+        # a first region between two memoised ones has a box between theirs:
+        # where their boxes decide the hit, the region is not grown
+        hits = [pair and between(meta, memo, pair)
+                for (meta, _, memo), pair in zip(scored, top_brackets(scored_maps, params))]
+        left = [k for k, h in enumerate(hits) if h is None]
+        for k, top in zip(left, top_detections([scored_maps[k] for k in left], params)):
+            meta, _, memo = scored[k]
+            hits[k] = outcome(meta, memo, top)[0]
+        return hits
+
+    def first_hit(meta, prepared, params: DecodeParams) -> bool:
+        # any one hitting region settles the map's hit
         for k in range(1, prepared.shape[0]):
             for region in iter_regions(prepared, k, params):
-                result = score(meta, [region_to_detection(region)])
-                if result.outcomes[iou_threshold].hit:
-                    return result
-        return score(meta, [])
+                if hit(meta, [detection_to_net416(region_to_detection(region), meta)]):
+                    return True
+        return False
 
-    def score_greedy_multi(params: DecodeParams) -> list:
+    def score_greedy_multi(params: DecodeParams) -> list[bool]:
         return [first_hit(meta, prepared, params) for meta, prepared, _ in scored]
 
-    # as in eval, an annotated image without a map is a miss in every trial
-    unmapped = harness.match_images(
-        {}, {i: boxes for i, boxes in gts_net416.items() if i not in mapped}, iou_threshold, mode)
+    # as accuracy counts them: an annotated image without a map is a miss in
+    # every trial, as in eval, and an image without boxes is left out
+    n_images = len(scored) + sum(1 for i, boxes in gts_net416.items()
+                                 if boxes and i not in mapped)
 
     # the defaults go first only where the space can hold them: a value
     # outside a dimension's domain would break that dimension's density fit
@@ -521,7 +561,7 @@ def tune_decoder(
     score_maps = score_top1 if mode == "top1" else score_greedy_multi
 
     def objective(raw: dict) -> float:
-        return harness.accuracy(score_maps(to_params(raw)) + unmapped, iou_threshold)
+        return sum(score_maps(to_params(raw))) / n_images
 
     best, history = optimize(objective, space, budget, cfg,
                              initial_params=[trial0] if held else [])

@@ -1454,6 +1454,7 @@ def test_tune_bad_space_exits_1(tmp_path, caplog, space, message):
 
 _NOT_INTEGER_D = ("search space parameter 'd' must be integer_uniform or a choice of "
                   "integers, not ")
+_REFUSED = "search space parameter '{}' reaches {}, which the decoder refuses: {}"
 
 
 @pytest.mark.parametrize("iou, space, message", [
@@ -1462,17 +1463,42 @@ _NOT_INTEGER_D = ("search space parameter 'd' must be integer_uniform or a choic
      "search space parameter 'gamma' is not a decoder parameter"),
     # the decoder takes d as an integer, so a d that can be anything else is refused
     ("0.1", [_TAU, {"name": "d", "kind": "choice", "choices": [1.5, 2.5]}],
-     _NOT_INTEGER_D + "choice 1.5"),
+     _REFUSED.format("d", "1.5", "d must be an integer >= 1, got 1.5")),
     ("0.1", [{"name": "d", "kind": "uniform", "low": 1, "high": 8}],
      _NOT_INTEGER_D + "kind 'uniform'"),
     ("0.1", [{"name": "d", "kind": "log_uniform", "low": 1, "high": 8}],
      _NOT_INTEGER_D + "kind 'log_uniform'"),
     ("0.1", [{"name": "d", "kind": "choice", "choices": [2, True]}],
-     _NOT_INTEGER_D + "choice True"),
+     "search space parameter 'd' reaches True, which is not a number"),
     ("0.1", [{"name": "d", "kind": "choice", "choices": [2, float("inf")]}],
-     _NOT_INTEGER_D + "choice inf"),
+     "search space parameter 'd' reaches inf, which is not a number"),
+    # a value the decoder refuses could only fail its trial: each end of a
+    # range can be drawn, and each choice
+    ("0.1", [{"name": "tau", "kind": "uniform", "low": 0.5, "high": 1.5},
+             {"name": "d", "kind": "integer_uniform", "low": -3, "high": 2}],
+     _REFUSED.format("tau", "1.5", "tau must be in [0, 1), got 1.5")),
+    ("0.1", [{"name": "d", "kind": "integer_uniform", "low": -3, "high": 2}],
+     _REFUSED.format("d", "-3", "d must be an integer >= 1, got -3")),
+    ("0.1", [{"name": "d", "kind": "choice", "choices": [2, 0]}],
+     _REFUSED.format("d", "0", "d must be an integer >= 1, got 0")),
+    ("0.1", [{"name": "tau", "kind": "uniform", "low": 0.5, "high": 1}],
+     _REFUSED.format("tau", "1", "tau must be in [0, 1), got 1")),
+    ("0.1", [{"name": "tau", "kind": "uniform", "low": -0.1, "high": 0.5}],
+     _REFUSED.format("tau", "-0.1", "tau must be in [0, 1), got -0.1")),
+    ("0.1", [{"name": "tau", "kind": "choice", "choices": [0.2, 1.0]}],
+     _REFUSED.format("tau", "1.0", "tau must be in [0, 1), got 1.0")),
+    ("0.1", [{"name": "alpha", "kind": "uniform", "low": 0, "high": 0.9}],
+     _REFUSED.format("alpha", "0", "alpha must be in (0, 1], got 0")),
+    ("0.1", [{"name": "alpha", "kind": "log_uniform", "low": 0.5, "high": 2}],
+     _REFUSED.format("alpha", "2", "alpha must be in (0, 1], got 2")),
+    ("0.1", [{"name": "tau", "kind": "choice", "choices": [0.2, True]}],
+     "search space parameter 'tau' reaches True, which is not a number"),
+    ("0.1", [{"name": "alpha", "kind": "choice", "choices": [0.5, "0.7"]}],
+     "search space parameter 'alpha' reaches '0.7', which is not a number"),
 ], ids=["iou", "space-name", "d-fractional-choices", "d-uniform", "d-log-uniform",
-        "d-bool-choice", "d-infinite-choice"])
+        "d-bool-choice", "d-infinite-choice", "tau-above-one-and-d-negative", "d-negative",
+        "d-zero-choice", "tau-range-to-one", "tau-negative", "tau-choice-one", "alpha-zero",
+        "alpha-above-one", "tau-bool-choice", "alpha-string-choice"])
 def test_tune_checks_its_arguments_before_loading_a_map(tmp_path, monkeypatch, caplog, iou,
                                                          space, message):
     maps_dir, ann_path, _ = _write_maps(tmp_path, n=3)

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from literati.annotation_store import Box, rescale_box
+from literati.annotation_store import NET_SIZE, Box, rescale_box
 from literati.eval_harness import (
     EvalTable,
     IOU_THRESHOLDS,
     SpaceMismatchError,
+    _margin,
     accuracy,
     accuracy_table,
     diagnostics_json,
     ground_truth,
+    hit_between,
     iou,
+    iou_bounds,
     load_table_fixture,
     match_image,
     match_images,
@@ -74,6 +77,66 @@ def test_iou_scale_invariance():
         a2 = rescale_box(a, dims, target)
         b2 = rescale_box(b, dims, target)
         npt.assert_allclose(iou(a2, b2), iou(a, b), atol=1e-9)
+
+
+def test_iou_bounds_of_equal_boxes_are_the_iou():
+    a, g = Box(1, 2, 6, 4, "net416"), Box(3, 1, 5, 5, "net416")
+    assert iou_bounds(a, a, g) == (iou(a, g), iou(a, g))
+    with pytest.raises(SpaceMismatchError):
+        iou_bounds(a, a, Box(3, 1, 5, 5, "map"))
+
+
+@st.composite
+def _nested_boxes(draw):
+    """Map boxes A within B within C on whole cells of a W x H map, each
+    rescaled to net416 as ``detection_to_net416`` rescales a map box, and
+    1-3 ground-truth boxes: on whole cells too, where IoUs tie and sit on
+    the threshold, or anywhere near the map."""
+    size = draw(st.integers(1, 500)), draw(st.integers(1, 500))
+
+    def cells(within):  # (start, end) of a run of cells within (lo, hi)
+        lo, hi = within
+        start = draw(st.integers(lo, hi - 1))
+        return start, draw(st.integers(start + 1, hi))
+
+    def net416(xs, ys):
+        box = Box(xs[0], ys[0], xs[1] - xs[0], ys[1] - ys[0], "map")
+        return rescale_box(box, size, (NET_SIZE, NET_SIZE), "net416")
+
+    xs, ys = [(0, size[0])], [(0, size[1])]
+    for _ in range(3):  # C, B, A
+        xs.append(cells(xs[-1]))
+        ys.append(cells(ys[-1]))
+    outer, box, inner = (net416(x, y) for x, y in zip(xs[1:], ys[1:]))
+    coordinate = st.floats(-50, NET_SIZE + 50)
+    side = st.floats(1e-3, NET_SIZE + 100)
+    gts = draw(st.lists(st.one_of(
+        st.builds(net416, st.just(None).map(lambda _: cells((0, size[0]))),
+                  st.just(None).map(lambda _: cells((0, size[1])))),
+        st.builds(Box, coordinate, coordinate, side, side, st.just("net416"))),
+        min_size=1, max_size=3))
+    return inner, box, outer, gts
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_nested_boxes(), pick=st.integers(0, 2), above=st.booleans())
+def test_iou_bounds_hold_and_decide_as_match_image(case, pick, above):
+    inner, box, outer, gts = case
+    for gt in gts:
+        # the rescaled boxes nest up to rounding, which half the margin covers
+        low, high = iou_bounds(inner, outer, gt)
+        slack = _margin(inner, outer, gt) / 2
+        assert low - slack <= iou(box, gt) <= high + slack
+    # a threshold the sample reaches, or the next float above it: the
+    # hardest place for rounding to flip a hit
+    t = iou(box, gts[pick % len(gts)])
+    if above:
+        t = float(np.nextafter(t, 2.0))
+    if not 0 < t <= 1:
+        return
+    det = Detection(1, box, 1.0, (0.0, 0.0))
+    verdict = hit_between(inner, outer, gts, t)
+    assert verdict in (None, match_image([det], gts, t).outcomes[t].hit)
 
 
 # --- match_image --------------------------------------------------------------------

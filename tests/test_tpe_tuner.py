@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage, special
 
 from literati.annotation_store import NET_SIZE, rescale_box
-from literati.eval_harness import match_image
+from literati.eval_harness import accuracy, match_images
 from literati.map_decoder import (DecodeParams, LoadedMap, MapMeta, PreparedMap, decode,
                                   detection_to_net416)
 from literati.synthetic import make_planted_maps
@@ -676,38 +676,70 @@ _D_CHOICE = SearchSpace((ParamSpec("d", "choice", choices=(1, 4, 8)),
                          ParamSpec("alpha", "uniform", 0.2, 0.95)))
 
 
+def _with_edge_cases(maps, gts):
+    """``maps`` and ``gts`` plus a map whose top class holds its maximum at
+    several cells, a second box on the first image, an annotated image
+    without a map and an unannotated image without a map."""
+    rng = np.random.default_rng(62)
+    logits = rng.choice([-1.0, 0.0, 0.5], size=(3, 12, 16))
+    logits[:, 3, 4] = logits[:, 8, 11] = (-1.0, 1.5, -1.0)  # class 1's maximum, twice
+    meta = MapMeta("tied", ("background", "pneumonia", "pneumothorax"), size=(16, 12))
+    assert not PreparedMap(logits)._top.unique
+    first = maps[0]
+    second = decode(first.logits, DecodeParams(d=2, tau=0.05, alpha=0.9))[0]
+    return [*maps, LoadedMap(meta, logits)], {
+        **gts,
+        first.meta.image_id: [*gts[first.meta.image_id],
+                              detection_to_net416(second, first.meta).box],
+        "tied": [detection_to_net416(decode(logits, DecodeParams(d=2, tau=0.05))[0], meta).box],
+        "no-map": gts[first.meta.image_id][:1],
+        "no-map-no-boxes": [],
+    }
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("space", [None, _D_CHOICE], ids=["default", "d-choice"])
 @pytest.mark.parametrize("fixture", ["planted", "noise"])
 def test_tune_decoder_log_equals_fresh_decode_loop(monkeypatch, fixture, space, workers):
-    # the tuner reads each map prepared once, and only its top detections; a
-    # loop that decodes the raw logits in full in every trial must log the
-    # same trials
-    maps, gts = _noise_fixture() if fixture == "noise" else _tune_fixture()
-    iou_threshold = 0.5 if fixture == "noise" else 0.1
+    # the tuner reads each map prepared once, and only its top detections,
+    # and settles a map from the boxes of two memoised first regions where
+    # they decide it; a loop that decodes the raw logits in full in every
+    # trial and scores every image as eval does must log the same trials
+    import literati.eval_harness as harness
+    import literati.map_decoder as map_decoder
+
+    maps, gts = _with_edge_cases(*(_noise_fixture() if fixture == "noise" else _tune_fixture()))
     monkeypatch.setenv("LITERATI_THREADS", str(workers))
+    verdicts, grown = [], []  # hit_between's answers; the first regions grown
+    real_between, real_settle = harness.hit_between, map_decoder._Channel._settle
+    monkeypatch.setattr(harness, "hit_between",
+                        lambda *args: verdicts.append(real_between(*args)) or verdicts[-1])
+    monkeypatch.setattr(map_decoder._Channel, "_settle",
+                        lambda *args: grown.append(args) or real_settle(*args))
     cfg = TpeConfig(seed=3)
-    _, _, history = tune_decoder(_prepared(maps), gts, space=space, budget=16, cfg=cfg,
-                                 iou_threshold=iou_threshold)
+    for iou_threshold in (0.1, 0.5, 0.7):
+        verdicts.clear()
+        grown.clear()
+        _, _, history = tune_decoder(_prepared(maps), gts, space=space, budget=40, cfg=cfg,
+                                     iou_threshold=iou_threshold)
 
-    def objective(raw):
-        merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **raw}
-        params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
-                              alpha=float(merged["alpha"]))
-        results = [match_image([detection_to_net416(det, m.meta)
-                                for det in decode(m.logits, params)],
-                               gts[m.meta.image_id], iou_threshold, mode="top1",
-                               image_id=m.meta.image_id)
-                   for m in maps]
-        included = [r for r in results if not r.excluded]
-        return sum(r.outcomes[iou_threshold].hit for r in included) / len(included)
+        def objective(raw):
+            merged = {"d": 3, "tau": 0.5, "alpha": 0.5, **raw}
+            params = DecodeParams(d=int(merged["d"]), tau=float(merged["tau"]),
+                                  alpha=float(merged["alpha"]))
+            per_image = {m.meta.image_id: [detection_to_net416(det, m.meta)
+                                           for det in decode(m.logits, params)]
+                         for m in maps}
+            return accuracy(match_images(per_image, gts, iou_threshold, "top1"), iou_threshold)
 
-    # the tuner tries the defaults first only where the space holds d=3
-    trial0 = [] if space else [{"d": 3, "tau": 0.5, "alpha": 0.5}]
-    _, want = optimize(objective, space or default_decoder_space(), 16, cfg,
-                       initial_params=trial0)
-    assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
-    assert len({t.objective for t in history}) > 1
+        # the tuner tries the defaults first only where the space holds d=3
+        trial0 = [] if space else [{"d": 3, "tau": 0.5, "alpha": 0.5}]
+        _, want = optimize(objective, space or default_decoder_space(), 40, cfg,
+                           initial_params=trial0)
+        assert [t.to_dict() for t in history] == [t.to_dict() for t in want]
+        assert len({t.objective for t in history}) > 1
+        # some maps were settled from two boxes, and some first regions grown
+        assert any(v is not None for v in verdicts) and grown
 
 
 def test_tune_decoder_rejects_unknown_param():
@@ -1000,7 +1032,7 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
     gts.update({p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
                                   for b in p.boxes] for p in broad})
     labelled = []  # the stack of each ndimage.label call, in call order
-    starts = []  # per trial: its params and its first call's index
+    starts = []  # per trial: its params, the maps it grows from and its first call's index
     real_label, real_top = ndimage.label, map_decoder.top_detections
 
     def label(stack, *args, **kwargs):
@@ -1008,23 +1040,27 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
         return real_label(stack, *args, **kwargs)
 
     def top_detections(maps, params):
-        starts.append((params, len(labelled)))
+        starts.append((params, list(maps), len(labelled)))
         return real_top(maps, params)
 
     monkeypatch.setattr(ndimage, "label", label)
     monkeypatch.setattr(map_decoder, "top_detections", top_detections)
-    _, _, history = tune_decoder(_prepared(planted), gts, budget=30, cfg=TpeConfig(seed=4),
+    prepared = _prepared(planted)
+    _, _, history = tune_decoder(prepared, gts, budget=30, cfg=TpeConfig(seed=4),
                                  iou_threshold=0.7)
     assert len(starts) == len(history)
-    ends = [start for _, start in starts[1:]] + [len(labelled)]
-    trials = [(params, labelled[start:end]) for (params, start), end in zip(starts, ends)]
+    ends = [start for *_, start in starts[1:]] + [len(labelled)]
+    trials = [(params, maps, labelled[start:end])
+              for (params, maps, start), end in zip(starts, ends)]
 
-    # the same trials, one map at a time, on maps with memos of their own
-    alone = [PreparedMap(m.logits) for m in planted]
+    # the same calls, one map at a time, on maps with memos of their own: a
+    # trial grows only the maps it passes to top_detections, so each fresh
+    # map's memo follows the tuned one's
+    alone = {id(p): PreparedMap(m.logits) for (_, p), m in zip(prepared, planted)}
     per_map_calls = inner_planes = 0
-    for params, stacks in trials:
+    for params, maps, stacks in trials:
         rounds, inner = [], []  # label calls per map; the planes of inner misses
-        for p in alone:
+        for p in (alone[id(m)] for m in maps):
             channel = p._top
             lo = params.alpha * channel.peak
             # entries are sorted by least: the last under lo is the next lower one
@@ -1044,7 +1080,7 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
             h, w = plane.shape
             np.testing.assert_array_equal(stacks[0][k, :h, :w], plane)
             assert not stacks[0][k, h:].any() and not stacks[0][k, :, w:].any()
-    assert any(not stacks for _, stacks in trials)  # a trial that hits on every map
-    assert any(len(stacks) > 1 for _, stacks in trials)  # a trial of two crop rounds or more
+    assert any(not stacks for *_, stacks in trials)  # a trial that hits on every map
+    assert any(len(stacks) > 1 for *_, stacks in trials)  # a trial of two crop rounds or more
     assert inner_planes
-    assert sum(len(stacks) for _, stacks in trials) < per_map_calls
+    assert sum(len(stacks) for *_, stacks in trials) < per_map_calls

@@ -151,6 +151,8 @@ def _coco_records(doc: dict) -> tuple[list[ImageRecord], list[Annotation]]:
         for key, value in (("width", width), ("height", height)):
             if not is_finite_number(value):
                 raise CocoParseError(f"images[{i}] {key!r} is not a finite number: {value!r}")
+            if value != int(value):  # stored as a whole number of pixels
+                raise CocoValidationError(f"images[{i}] {key!r} is not a whole number: {value!r}")
         if width <= 0 or height <= 0:
             raise CocoValidationError(
                 f"image {image_id}: non-positive dimensions {width}x{height}"

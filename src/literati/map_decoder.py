@@ -47,26 +47,26 @@ nesting, that entry's region holds the new one, so one labelling of
 When the threshold falls strictly between two entries, the region it
 would grow also holds the region of the entry at the next higher
 threshold, the inner one, and lies in the outer one's, so its box holds
-inner's box and lies in outer's. ``top_brackets`` reads those two
-detections, found by the same index test as the memo lookup
-(``_Channel._find``), and grows nothing. The tuner scores such a map from
-the two boxes when the IoU bounds of ``eval_harness.hit_between`` clear
-its threshold by a margin that covers the rounding of the rescaled boxes
-and of ``iou``, and grows the region only when they do not.
+inner's box and lies in outer's. ``top_detections`` finds those two
+entries by the one memo search it makes per map (``_Channel._find``) and
+asks its caller whether their detections will do. The tuner takes them
+when the IoU bounds of ``eval_harness.hit_between`` clear its threshold
+by a margin that covers the rounding of the rescaled boxes and of
+``iou``, and then the region is not grown.
 
 ``top_detections`` reads the first detections of many maps at one set of
 params, as a tune trial does, and grows the first regions their memos
-miss together: each is one plane of a stack, padded with False, and one
-``ndimage.label`` call, whose structure joins cells within a plane only,
-labels them all. Every plane's box, cell count, centroid and crop-edge
-touches are then read at once from the row and column counts of the
-stack's regions, so a round settles its regions with a fixed number of
-array calls, not a few per region; each region's own box then gives its
-least cell and ``below``. A region that reaches an inner crop edge goes
-on to the next call with its crop widened, so a trial makes one call per
-crop round, not one per map. ``decode`` grows a first region by the
-same code, with one plane, and its later regions are read by the same
-counts, on a stack of one plane. An entry keeps the region's Detection
+miss, and their caller leaves open, together: each is one plane of a
+stack, padded with False, and one ``ndimage.label`` call, whose
+structure joins cells within a plane only, labels them all. Every
+plane's box, cell count, centroid and crop-edge touches are then read at
+once from the row and column counts of the stack's regions, so a round
+settles its regions with a fixed number of array calls, not a few per
+region; each region's own box then gives its least cell and ``below``. A
+region that reaches an inner crop edge goes on to the next call with its
+crop widened, so a trial makes one call per crop round, not one per map.
+``decode`` grows a first region by the same code, with one plane, and its
+later regions are read by the same counts, on a stack of one plane. An entry keeps the region's Detection
 too, built the first time ``top_detections`` reads the entry, so a
 repeated trial gets the same object back; ``decode`` builds its own, one
 per region. Regions are shared between calls, so their masks are
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -229,16 +229,6 @@ class _Channel:
         i = bisect_left(self._least, lo)
         return i, i < len(self._least) and self._first[i].below < lo
 
-    def bracket(self, lo: float) -> tuple[_FirstRegion, _FirstRegion] | None:
-        """The entries (inner, outer) around threshold ``lo`` when the memo
-        misses it strictly between two entries, else None; grows nothing
-        and changes no entry. Inner, at the next higher threshold, holds
-        the first region at lo, and outer, at the next lower one, holds it."""
-        i, held = self._find(lo)
-        if held or not 0 < i < len(self._first):
-            return None
-        return self._first[i], self._first[i - 1]
-
     def _settle(self, i: int, lo: float, region: PeakRegion) -> _FirstRegion:
         """The memo entry of ``region``, grown at threshold ``lo`` where the
         memo missed at index ``i``: the entry at i when it holds the same
@@ -283,10 +273,6 @@ class PreparedMap:
                 f"class index {class_index} out of range for classes 1..{self.shape[0] - 1}"
             )
         return self._channels[class_index - 1]
-
-    def channel(self, class_index: int) -> np.ndarray:
-        """Read-only probabilities of class channel ``class_index`` (1..K-1)."""
-        return self._class(class_index).p
 
 
 # ---------------------------------------------------------------------------
@@ -554,51 +540,53 @@ def _detection(entry: _FirstRegion) -> Detection:
     return entry.detection
 
 
-def top_brackets(maps: Sequence[PreparedMap],
-                 params: DecodeParams) -> list[tuple[Detection, Detection] | None]:
-    """Per map, the detections (inner, outer) of the two memo entries
-    around the first region that ``top_detections`` would grow for it, when
-    it would grow one strictly between two entries (``_Channel.bracket``);
-    else None. Only a map whose top class holds its maximum at one cell,
-    at least tau, has a pair: its first detection is then that region's.
-    The region holds inner's and lies in outer's, so its box does too.
-    No region is grown."""
-    tau, alpha = params.tau, float(params.alpha)
-    pairs = []
-    for m in maps:
-        ch = m._top
-        pair = ch.bracket(alpha * ch.peak) if ch.unique and ch.peak >= tau else None
-        pairs.append(pair and (_detection(pair[0]), _detection(pair[1])))
-    return pairs
+def top_detections(maps: Sequence[PreparedMap], params: DecodeParams,
+                   decides: Callable[[int, Detection, Detection], bool],
+                   ) -> list[tuple[Detection, Detection] | tuple[None, None]]:
+    """Per map ``m``, detections (inner, outer) whose boxes bound that of
+    ``decode(m, params)[0]``, read with one search of the map's memo:
+    the first detection itself, twice, when it is known, and (None, None)
+    where decode finds nothing.
 
-
-def top_detections(maps: Sequence[PreparedMap], params: DecodeParams) -> list[Detection | None]:
-    """``decode(m, params)[0]`` of each map ``m``, or None where decode
-    finds nothing, with the first regions that miss the maps' memos grown
-    together: one ``ndimage.label`` call per crop round, not one per map.
-
-    Each detection comes from its map's top class, the first whose maximum
-    is the highest, so no other class is read. Unless another cell of that
-    class holds its maximum, it is the detection kept with the class's
-    memoised first region, read without window winners. Otherwise it is
-    the region of least centroid among those of the class's peaks at that
-    maximum, the first on equal centroids, as decode's stable sort keeps
-    them.
+    Each first detection comes from its map's top class, the first whose
+    maximum is the highest, so no other class is read. Unless another cell
+    of that class holds its maximum, it is the detection kept with the
+    class's memoised first region, read without window winners. When the
+    memo misses the threshold strictly between two entries, the region
+    holds inner's, the entry at the next higher threshold, and lies in
+    outer's, so its box does too; ``decides(k, inner, outer)`` tells
+    whether that pair will do for ``maps[k]``, and then no region is grown.
+    The other misses are grown together: one ``ndimage.label`` call per
+    crop round, not one per map. Where another cell holds the maximum,
+    the first detection is the region of least centroid among those of
+    the class's peaks at that maximum, the first on equal centroids, as
+    decode's stable sort keeps them.
     """
     tau, alpha = params.tau, float(params.alpha)
-    channels = [m._top for m in maps]
-    entries = iter(_first_regions([ch for ch in channels if ch.peak >= tau], alpha))
-    tops = []
-    for ch in channels:
+    tops: list = [(None, None)] * len(maps)
+    entries, missed = {}, []  # map index -> its memo entry; the maps whose region is grown
+    for k, m in enumerate(maps):
+        ch = m._top
         if ch.peak < tau:
-            tops.append(None)
             continue
-        entry = next(entries)
+        i, held = ch._find(alpha * ch.peak)
+        if held:
+            entries[k] = ch._first[i]
+            continue
+        if ch.unique and 0 < i < len(ch._first):
+            tops[k] = _detection(ch._first[i]), _detection(ch._first[i - 1])
+            if decides(k, *tops[k]):
+                continue
+        missed.append(k)
+    entries.update(zip(missed, _first_regions([maps[k]._top for k in missed], alpha)))
+    for k, entry in entries.items():
+        ch = maps[k]._top
         if ch.unique:
-            tops.append(_detection(entry))
+            top = _detection(entry)
         else:  # its regions start with the first, now memoised
             regions = _iter_regions(ch, int(params.d), ch.peak, alpha)
-            tops.append(region_to_detection(min(regions, key=attrgetter("centroid"))))
+            top = region_to_detection(min(regions, key=attrgetter("centroid")))
+        tops[k] = top, top
     return tops
 
 

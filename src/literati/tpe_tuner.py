@@ -428,35 +428,32 @@ def tune_decoder(
     map order: with the memos below a trial costs less than a round trip
     to a worker process would.
 
-    In ``top1`` mode a trial reads only each map's first detection, the
-    one ``match_image`` matches: a region of the map's top class, the first
+    In ``top1`` mode a trial is one ``top_detections`` call over the scored
+    maps, which reads only each map's first detection, the one
+    ``match_image`` matches: a region of the map's top class, the first
     whose maximum is the highest, which the map keeps, with window winners
     only where that maximum ties in its class. Each class memoises its
     first regions by the interval of ``alpha * maximum`` over which they
     stay the same, each with its detection, so across trials a region is
-    grown and its detection built once, not once per trial; a threshold
-    between two known regions is grown inside the larger one. Such a
-    threshold often needs no region at all: first regions nest as the
-    threshold falls, so the one it would grow holds the inner known region
-    and lies in the outer one, and its box lies between their boxes.
-    ``top_brackets`` reads those two detections, and
-    ``harness.hit_between`` settles the map when, for some ground-truth
-    box, the least IoU of any box between them reaches the threshold, or,
-    for every ground-truth box, the greatest falls short of it, each by a
-    margin of 256u * (R / m + 1), u = 2**-53, R the largest edge magnitude
-    of the outer and the ground-truth box and m the least side of the inner
-    and the ground-truth box: more than twice what rounding of the rescaled
-    boxes and of ``iou`` can move an IoU or a bound. The maps left open go
-    to one ``top_detections`` call. The regions it misses, which cluster in
-    the trials that try a new alpha, are labelled together, in one
-    ``ndimage.label`` call per crop round, and their boxes, counts and
-    centroids are read from that call's labelled stack at once, with a
-    fixed number of array calls per round. Each map also memoises the hit
-    and the net416 box of every first detection it has scored, and the
-    verdict of every pair of known boxes, so a trial that repeats one
-    neither rescales nor rematches it: on a repeat, a trial is a lookup.
-    The objective is the hits over the images ``harness.accuracy`` counts:
-    the scored maps and the annotated images without a map, each a miss.
+    grown and its detection built once, not once per trial. A threshold
+    strictly between two known regions often needs no region at all: first
+    regions nest as the threshold falls, so the one it would grow holds the
+    inner known region and lies in the outer one, and so does its box.
+    ``top_detections`` finds the two in the same memo search that finds a
+    known region, and asks ``decides``, which settles the map by
+    ``harness.hit_between`` when, for some ground-truth box, the least IoU
+    of any box between them reaches the threshold, or, for every
+    ground-truth box, the greatest falls short of it, each by a margin
+    that covers the rounding of the rescaled boxes and of ``iou``. The
+    regions left to grow are labelled together, in one ``ndimage.label``
+    call per crop round, and their boxes, counts and centroids are read
+    from that call's labelled stack at once.
+    Each map also memoises, by map box, the hit and the net416 box of every
+    first detection it has scored, and the verdict of every pair of boxes,
+    so a trial that repeats one neither rescales nor rematches it: on a
+    repeat, a trial is a lookup. The objective is the hits over the images
+    ``harness.accuracy`` counts: the scored maps and the annotated images
+    without a map, each a miss.
 
     In ``greedy_multi`` mode an image is a hit exactly when some detection
     reaches the threshold with some box, whatever the order: the first such
@@ -468,7 +465,7 @@ def tune_decoder(
     """
     from . import eval_harness as harness
     from .map_decoder import (DecodeParams, detection_to_net416, iter_regions,
-                              region_to_detection, top_brackets, top_detections)
+                              region_to_detection, top_detections)
 
     harness.check_iou_threshold(iou_threshold)
     space = space or default_decoder_space()
@@ -482,9 +479,9 @@ def tune_decoder(
         if fault := _decoder_fault(spec, DecodeParams):  # a trial there could only fail
             raise ValueError(f"search space parameter {spec.name!r} reaches {fault}")
     # match_image marks a map without ground truth excluded, whatever it
-    # decodes, and accuracy leaves it out. Each scored map keeps the hit and
-    # the net416 box of each first detection seen: within this call
-    # match_image depends on nothing else, and Detections hash by value.
+    # decodes, and accuracy leaves it out. Each scored map keeps, by map
+    # box, the hit and the net416 box of each first detection seen: within
+    # this call a top-1 match reads nothing else of a detection.
     scored, mapped = [], set()
     for meta, prepared in maps:  # one pass: maps may be a stream
         mapped.add(meta.image_id)
@@ -507,34 +504,39 @@ def tune_decoder(
     def outcome(meta, memo, top) -> tuple:
         """(hit, net416 box) of a map's first detection ``top`` (None for
         none), kept in the map's ``memo``."""
-        got = memo.get(top)  # a hit hashes the detection once
+        key = None if top is None else top.box
+        got = memo.get(key)
         if got is None:
             dets = [] if top is None else [detection_to_net416(top, meta)]
-            got = memo[top] = (hit(meta, dets), dets[0].box if dets else None)
+            got = memo[key] = (hit(meta, dets), dets[0].box if dets else None)
         return got
+
+    def verdict(meta, memo, inner, outer) -> bool | None:
+        """Whether a map's first detection, whose box lies between those of
+        ``inner`` and ``outer``, hits: when they are one detection its hit,
+        else ``hit_between`` of their net416 boxes, kept in the map's
+        ``memo`` (as a 1-tuple, since None is a verdict)."""
+        if inner is outer:
+            return outcome(meta, memo, inner)[0]
+        key = inner.box, outer.box
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (harness.hit_between(
+                outcome(meta, memo, inner)[1], outcome(meta, memo, outer)[1],
+                gts_net416[meta.image_id], iou_threshold),)
+        return got[0]
+
+    def decides(k: int, inner, outer) -> bool:
+        # a first region between two memoised ones has a box between theirs:
+        # where their boxes decide the hit, the region is not grown
+        meta, _, memo = scored[k]
+        return verdict(meta, memo, inner, outer) is not None
 
     scored_maps = [prepared for _, prepared, _ in scored]
 
-    def between(meta, memo, pair) -> bool | None:
-        """``hit_between`` of the net416 boxes of a ``top_brackets`` pair,
-        kept in the map's ``memo`` (as a 1-tuple, since None is a verdict)."""
-        got = memo.get(pair)
-        if got is None:
-            inner, outer = (outcome(meta, memo, det)[1] for det in pair)
-            got = memo[pair] = (harness.hit_between(inner, outer, gts_net416[meta.image_id],
-                                                    iou_threshold),)
-        return got[0]
-
     def score_top1(params: DecodeParams) -> list[bool]:
-        # a first region between two memoised ones has a box between theirs:
-        # where their boxes decide the hit, the region is not grown
-        hits = [pair and between(meta, memo, pair)
-                for (meta, _, memo), pair in zip(scored, top_brackets(scored_maps, params))]
-        left = [k for k, h in enumerate(hits) if h is None]
-        for k, top in zip(left, top_detections([scored_maps[k] for k in left], params)):
-            meta, _, memo = scored[k]
-            hits[k] = outcome(meta, memo, top)[0]
-        return hits
+        return [verdict(meta, memo, inner, outer) for (meta, _, memo), (inner, outer)
+                in zip(scored, top_detections(scored_maps, params, decides))]
 
     def first_hit(meta, prepared, params: DecodeParams) -> bool:
         # any one hitting region settles the map's hit

@@ -55,6 +55,24 @@ def test_load_non_positive_bbox():
         load_coco(doc)
 
 
+@pytest.mark.parametrize("key, value", [("width", 0.5), ("height", 100.9), ("width", -2.5)])
+def test_load_refuses_a_fractional_dimension(key, value):
+    # dimensions are whole pixels: truncating one would rescale every box
+    doc = _minimal_doc()
+    doc["images"][0][key] = value
+    with pytest.raises(CocoValidationError) as e:
+        load_coco(doc)
+    assert str(e.value) == f"images[0] {key!r} is not a whole number: {value!r}"
+
+
+def test_load_keeps_an_integral_float_dimension():
+    doc = _minimal_doc()
+    doc["images"][0].update(width=64.0, height=200.0)
+    images, _ = load_coco(doc)
+    assert images == [ImageRecord("im1", 64, 200)]
+    assert type(images[0].width) is int
+
+
 def test_load_malformed_json_reports_offset(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"images": [}', encoding="utf-8")

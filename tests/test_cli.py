@@ -375,7 +375,10 @@ def test_coco_missing_id_exits_1(tmp_path, caplog, array, key):
     ("width", None, "images[0] 'width' is not a finite number: None"),
     ("height", 0, "non-positive dimensions"),
     ("width", 10 ** 400, f"images[0] 'width' is not a finite number: {10 ** 400}"),
-], ids=["str-width", "bool-height", "null-width", "zero-height", "huge-width"])
+    ("width", 0.5, "images[0] 'width' is not a whole number: 0.5"),
+    ("height", 100.9, "images[0] 'height' is not a whole number: 100.9"),
+], ids=["str-width", "bool-height", "null-width", "zero-height", "huge-width",
+        "fractional-width", "fractional-height"])
 def test_coco_bad_dimension_exits_1(tmp_path, caplog, key, value, message):
     _, ann_path, _ = _write_maps(tmp_path, n=2)
     det = tmp_path / "det.json"

@@ -373,6 +373,18 @@ def test_prepared_map_has_no_background_channel():
 
 # --- top_detections of one map ---------------------------------------------------
 
+def _never(k, inner, outer):
+    """A ``decides`` that takes no pair of boxes, so every missed first region is grown."""
+    return False
+
+
+def _tops(maps, params):
+    """The first detections that ``top_detections`` reads, with every map's
+    detection known: each pair is one detection twice, or (None, None)."""
+    pairs = top_detections(maps, params, _never)
+    assert all(inner is outer for inner, outer in pairs)
+    return [inner for inner, _ in pairs]
+
 def _first_tie_group(dets):
     return [det for det in dets if det.confidence == dets[0].confidence]
 
@@ -381,7 +393,7 @@ def _check_top(prepared, logits, params):
     """top_detections of the map alone is decode's first detection, and
     scores as decode does. Returns decode's detections."""
     full = decode(logits, params)
-    [top] = top_detections([prepared], params)
+    [top] = _tops([prepared], params)
     assert top == (full or [None])[0], params
     _, H, W = logits.shape
     gts = [Box(0.0, 0.0, W / 2, H / 2, space="map"), Box(W / 3, H / 3, W / 2, H / 2, space="map")]
@@ -475,7 +487,7 @@ def test_top_detection_on_maxima_tied_within_and_across_classes(data):
     logits = np.stack([np.zeros((H, W)), *[base.reshape(H, W) + o for o in offsets]])
     p = data.draw(st.builds(DecodeParams, d=st.integers(1, 5), tau=st.floats(0, 0.2),
                             alpha=st.floats(0.05, 1)), label="params")
-    assert top_detections([PreparedMap(logits)], p) == (decode(logits, p) or [None])[:1]
+    assert _tops([PreparedMap(logits)], p) == (decode(logits, p) or [None])[:1]
 
 
 # --- the first-region memo -----------------------------------------------------------
@@ -497,7 +509,7 @@ def _memo(channel):
 def _check_against_fresh(prepared, logits, params):
     fresh = PreparedMap(logits)
     assert decode(prepared, params) == decode(fresh, params), params
-    assert top_detections([prepared], params) == top_detections([fresh], params), params
+    assert _tops([prepared], params) == _tops([fresh], params), params
 
 
 def test_first_region_memo_edges(monkeypatch):
@@ -531,7 +543,7 @@ def test_first_region_memo_edges(monkeypatch):
     for alpha in [0.5, *alphas] * 2:
         params = DecodeParams(alpha=alpha)
         decode(prepared, params)
-        top_detections([prepared], params)
+        _tops([prepared], params)
     assert grown == []
 
 
@@ -543,15 +555,15 @@ def test_first_region_memo_keeps_one_entry_per_region():
     disease[0, 0], disease[2, 2] = 0.0, -1.0
     logits = np.stack([np.zeros((5, 5)), disease])
     prepared = PreparedMap(logits)
-    isolated = prepared.channel(1)[2, 2]
+    isolated = softmax_map(logits)[1][2, 2]
     # the threshold on the isolated cell is below the first entry's interval
     tops = []
     for alpha in [0.7, 2 * isolated, 0.2]:
         _check_against_fresh(prepared, logits, DecodeParams(alpha=alpha))
-        tops.extend(top_detections([prepared], DecodeParams(alpha=alpha)))
+        tops.extend(_tops([prepared], DecodeParams(alpha=alpha)))
     [(_, below, region)] = _memo(prepared._class(1))
     assert region.member_count == 5
-    assert below == prepared.channel(1)[3, 0]
+    assert below == softmax_map(logits)[1][3, 0]
     # the entry keeps its detection as its interval grows
     assert tops[0] is tops[1] is tops[2]
 
@@ -565,7 +577,7 @@ def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
     prepared = PreparedMap(planted.logits)
     channel = prepared._class(1)
     for alpha in (0.3, 0.9):
-        top_detections([prepared], DecodeParams(tau=0.05, alpha=alpha))
+        _tops([prepared], DecodeParams(tau=0.05, alpha=alpha))
     [(_, _, lower), (least, _, upper)] = _memo(channel)
     stacks = []
     real = ndimage.label
@@ -577,7 +589,7 @@ def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
     monkeypatch.setattr(ndimage, "label", label)
     params = DecodeParams(tau=0.05, alpha=0.6)
     assert params.alpha * channel.peak < least  # below the upper entry's interval
-    [top] = top_detections([prepared], params)
+    [top] = _tops([prepared], params)
     row0, col0, row1, col1 = lower.bbox
     [stack] = stacks
     assert stack.shape == (1, row1 - row0, col1 - col0)
@@ -588,6 +600,47 @@ def test_first_region_regrows_inside_the_next_lower_entry(monkeypatch, seed):
     monkeypatch.setattr(ndimage, "label", real)
     _check_against_fresh(prepared, planted.logits, params)
     assert top == decode(planted.logits, params)[0]
+
+
+def test_top_detections_ask_about_a_miss_between_two_entries(monkeypatch):
+    # a threshold strictly between two memo entries: the caller is asked
+    # about the two entries' detections, and a pair it takes is returned
+    # with nothing grown; one it leaves is grown, and its box lies between.
+    # A map whose top class ties at its maximum, or lies under tau, is
+    # never asked about.
+    planted = make_planted_maps(1, 1, peaks_per_image=2, alpha=0.85)[0]
+    prepared = PreparedMap(planted.logits)
+    tied = PreparedMap(_batch_logits((64, 64), (20, 40), 3.0, 2, tied=True, specks=0))
+    below_tau = PreparedMap(np.stack([np.zeros((8, 8)), np.full((8, 8), -10.0)]))
+    for alpha in (0.3, 0.9):
+        _tops([prepared, tied], DecodeParams(tau=0.05, alpha=alpha))
+    params = DecodeParams(tau=0.05, alpha=0.6)
+    for channel in (prepared._top, tied._top):  # each misses between two entries
+        i, held = channel._find(params.alpha * channel.peak)
+        assert not held and 0 < i < len(channel._first)
+    inner, outer = (region_to_detection(e.region) for e in prepared._top._first[::-1])
+    asked, grown = [], []
+    real = map_decoder._first_regions
+
+    def first_regions(channels, alpha):
+        grown.extend(channels)
+        return real(channels, alpha)
+
+    def taking(*question):
+        asked.append(question)
+        return True
+
+    monkeypatch.setattr(map_decoder, "_first_regions", first_regions)
+    pairs = top_detections([tied, prepared, below_tau], params, taking)
+    assert asked == [(1, inner, outer)] and pairs[1:] == [(inner, outer), (None, None)]
+    assert prepared._top not in grown and pairs[0][0] is pairs[0][1]
+    assert pairs[0][0] == decode(tied, params)[0]
+    grown.clear()
+    [(top, same)] = top_detections([prepared], params, _never)
+    assert grown == [prepared._top]
+    assert top is same and top == decode(planted.logits, params)[0]
+    for a, b in ((inner.box, top.box), (top.box, outer.box)):  # a lies in b
+        assert b.x <= a.x and b.y <= a.y and a.x + a.w <= b.x + b.w and a.y + a.h <= b.y + b.h
 
 
 @settings(max_examples=150, deadline=None)
@@ -606,7 +659,7 @@ def test_first_region_memo_equals_fresh_growth(data):
     # alphas that put alpha * max on a cell value, or one step to either side
     edges = set()
     for k in range(1, K):
-        p = prepared.channel(k)
+        p = softmax_map(logits)[k]
         for q in np.unique(p / p.max()):
             edges |= {float(q), float(np.nextafter(q, 0)), float(np.nextafter(q, 2))}
     pool = sorted(a for a in edges if 0 < a <= 1)
@@ -660,8 +713,8 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
 
     def run(params):
         before = [_memo(p._top) for p in together]
-        tops = top_detections(together, params)
-        assert tops == [top_detections([p], params)[0] for p in alone], params
+        tops = _tops(together, params)
+        assert tops == [_tops([p], params)[0] for p in alone], params
         assert tops == [(decode(m, params) or [None])[0] for m in logits], params
         for p, q, old in zip(together, alone, before):
             channel, memo = p._top, _memo(p._top)
@@ -737,7 +790,7 @@ def test_first_region_memo_entries_hold_over_their_whole_interval(data):
     maps = [PreparedMap(m) for m in _batch_maps(data)]
     alphas = data.draw(st.lists(st.floats(0.15, 1.0), min_size=1, max_size=6), label="alphas")
     for alpha in alphas + alphas[::2]:
-        top_detections(maps, DecodeParams(d=3, tau=0.05, alpha=alpha))
+        _tops(maps, DecodeParams(d=3, tau=0.05, alpha=alpha))
     for prepared in maps:
         channel = prepared._top
         r, c = channel.peak_cell
@@ -805,7 +858,7 @@ def test_first_regions_read_each_crop_round_with_one_stats_call(monkeypatch):
     monkeypatch.setattr(ndimage, "label", label)
     monkeypatch.setattr(map_decoder, "_region_stats", region_stats)
     for alpha in (0.9, 0.2, 0.6):
-        top_detections(maps, DecodeParams(tau=0.05, alpha=alpha))
+        _tops(maps, DecodeParams(tau=0.05, alpha=alpha))
     planes = [n for _, n in calls[::2]]
     assert len(planes) > 3 and max(planes) > 1  # rounds of one plane and of many
     assert calls == [call for n in planes for call in (("label", n), ("stats", n))]

@@ -582,6 +582,11 @@ def _prepared(maps):
     return [(m.meta, PreparedMap(m.logits)) for m in maps]
 
 
+def _never(k, inner, outer):
+    """A ``top_detections`` ``decides`` that takes no pair of boxes."""
+    return False
+
+
 def _tune_fixture():
     # bumps whose peak probability sits just under the default tau, so the
     # default parameters find nothing and tuning must lower tau
@@ -785,9 +790,9 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
     real = getattr(map_decoder, scorer)
 
     def failing(maps, *args):
-        params = args[-1]
+        params = args[0] if mode == "top1" else args[-1]  # (params, decides) or (k, params)
         for prepared in maps if mode == "top1" else [maps]:
-            peak = int(prepared.channel(1).argmax())
+            peak = int(prepared._class(1).p.argmax())
             if params.tau < 0.3 and peak % 3:
                 raise ValueError(f"no decode below tau 0.3 at cell {peak}")
         return real(maps, *args)
@@ -870,7 +875,7 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
                 {"d": 1, "tau": 0.05, "alpha": 0.5 + 5e-10}, {"d": 3, "tau": 0.5, "alpha": 0.9}]
     for m in maps:
-        tops = [top_detections([PreparedMap(m.logits)], DecodeParams(**raw))[0]
+        tops = [top_detections([PreparedMap(m.logits)], DecodeParams(**raw), _never)[0][0]
                 for raw in [{"d": 3, "tau": 0.5, "alpha": 0.5}, *scripted]]
         assert tops[0] is not None and tops[:4] == [tops[0]] * 4
 
@@ -999,11 +1004,13 @@ def test_top1_tune_builds_each_first_detection_once(monkeypatch):
 
     # the same trial again builds nothing and returns the same objects
     params = [DecodeParams(**{"d": 3, "tau": 0.5, "alpha": 0.5, **t.params}) for t in history]
-    tops = [map_decoder.top_detections([p], params[-1])[0] for _, p in prepared]
+    def first(p):
+        return map_decoder.top_detections([p], params[-1], _never)[0][0]
+
+    tops = [first(p) for _, p in prepared]
     built.clear()
-    assert [map_decoder.top_detections([p], params[-1])[0] for _, p in prepared] == tops
-    assert all(a is b for a, b in zip(tops, [map_decoder.top_detections([p], params[-1])[0]
-                                             for _, p in prepared]))
+    assert [first(p) for _, p in prepared] == tops
+    assert all(a is b for a, b in zip(tops, [first(p) for _, p in prepared]))
     assert built == []
 
     # decode builds one detection per region, on a map the tune has read
@@ -1032,16 +1039,23 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
     gts.update({p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
                                   for b in p.boxes] for p in broad})
     labelled = []  # the stack of each ndimage.label call, in call order
-    starts = []  # per trial: its params, the maps it grows from and its first call's index
+    # per trial: its params, its maps, whether it took each pair of boxes
+    # it was asked about (by map id), and its first call's index
+    starts = []
     real_label, real_top = ndimage.label, map_decoder.top_detections
 
     def label(stack, *args, **kwargs):
         labelled.append(stack.copy())
         return real_label(stack, *args, **kwargs)
 
-    def top_detections(maps, params):
-        starts.append((params, list(maps), len(labelled)))
-        return real_top(maps, params)
+    def top_detections(maps, params, decides):
+        taken = {}
+
+        def recorded(k, inner, outer):
+            taken[id(maps[k])] = decides(k, inner, outer)
+            return taken[id(maps[k])]
+        starts.append((params, list(maps), taken, len(labelled)))
+        return real_top(maps, params, recorded)
 
     monkeypatch.setattr(ndimage, "label", label)
     monkeypatch.setattr(map_decoder, "top_detections", top_detections)
@@ -1050,23 +1064,24 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
                                  iou_threshold=0.7)
     assert len(starts) == len(history)
     ends = [start for *_, start in starts[1:]] + [len(labelled)]
-    trials = [(params, maps, labelled[start:end])
-              for (params, maps, start), end in zip(starts, ends)]
+    trials = [(params, maps, taken, labelled[start:end])
+              for (params, maps, taken, start), end in zip(starts, ends)]
 
-    # the same calls, one map at a time, on maps with memos of their own: a
-    # trial grows only the maps it passes to top_detections, so each fresh
-    # map's memo follows the tuned one's
+    # the same calls, one map at a time, on maps with memos of their own,
+    # each taking the pairs of boxes the trial took: a trial grows only the
+    # maps it leaves open, so each fresh map's memo follows the tuned one's
     alone = {id(p): PreparedMap(m.logits) for (_, p), m in zip(prepared, planted)}
     per_map_calls = inner_planes = 0
-    for params, maps, stacks in trials:
+    for params, maps, taken, stacks in trials:
         rounds, inner = [], []  # label calls per map; the planes of inner misses
-        for p in (alone[id(m)] for m in maps):
+        for m in maps:
+            p = alone[id(m)]
             channel = p._top
             lo = params.alpha * channel.peak
             # entries are sorted by least: the last under lo is the next lower one
             lower = [e.region for least, e in zip(channel._least, channel._first) if least < lo]
             start = len(labelled)
-            real_top([p], params)
+            real_top([p], params, lambda k, inner, outer: taken[id(m)])
             if len(labelled) > start and lower:  # an inner miss, the k-th miss of the trial
                 row0, col0, row1, col1 = lower[-1].bbox
                 inner.append((sum(n > 0 for n in rounds), channel.p[row0:row1, col0:col1] >= lo))
@@ -1084,3 +1099,60 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
     assert any(len(stacks) > 1 for *_, stacks in trials)  # a trial of two crop rounds or more
     assert inner_planes
     assert sum(len(stacks) for *_, stacks in trials) < per_map_calls
+
+
+def test_top1_trial_searches_each_memo_once(monkeypatch):
+    # a top-1 trial is one top_detections call over every scored map. It
+    # searches the first-region memo of each map whose maximum reaches tau
+    # once, plus once per channel it passes to _first_regions (a missed
+    # region, or a tied maximum's regions read in full), and asks about a
+    # pair of boxes only for a map whose top class holds its maximum at
+    # one cell, at least tau
+    import literati.map_decoder as map_decoder
+
+    maps, gts = _with_edge_cases(*_two_peak_fixture())
+    # peaks just under the default tau, as in _tune_fixture
+    weak = make_planted_maps(2, seed=40, amplitude_range=(2.35, 2.45), baseline=2.5,
+                             sigma_range=(2.8, 3.2), id_prefix="weak")
+    maps += weak
+    gts.update({p.meta.image_id: [rescale_box(b, p.meta.size, (NET_SIZE, NET_SIZE), "net416")
+                                  for b in p.boxes] for p in weak})
+    prepared = _prepared(maps)
+    searches, grown, calls, asked = [], [], [], []
+    real_find, real_first = map_decoder._Channel._find, map_decoder._first_regions
+    real_top = map_decoder.top_detections
+
+    def find(channel, lo):
+        searches.append(channel)
+        return real_find(channel, lo)
+
+    def first_regions(channels, alpha):
+        grown.extend(channels)
+        return real_first(channels, alpha)
+
+    def top_detections(maps, params, decides):
+        before = len(searches), len(grown)
+
+        def asking(k, inner, outer):
+            asked.append((maps[k]._top, params))
+            return decides(k, inner, outer)
+        tops = real_top(maps, params, asking)
+        calls.append((params, list(maps), len(searches) - before[0], len(grown) - before[1]))
+        return tops
+
+    monkeypatch.setattr(map_decoder._Channel, "_find", find)
+    monkeypatch.setattr(map_decoder, "_first_regions", first_regions)
+    monkeypatch.setattr(map_decoder, "top_detections", top_detections)
+    _, _, history = tune_decoder(prepared, gts, budget=30, cfg=TpeConfig(seed=4),
+                                 iou_threshold=0.7)
+    assert len({t.objective for t in history}) > 1
+    assert len(calls) == len(history)
+    assert len(searches) == sum(n for _, _, n, _ in calls)  # none outside a trial's call
+    for params, called, n_searches, n_grown in calls:
+        assert called == [p for _, p in prepared]
+        assert n_searches == sum(p._top.peak >= params.tau for p in called) + n_grown
+    assert asked and all(ch.unique and ch.peak >= params.tau for ch, params in asked)
+    # the maps hold a top class that ties at its maximum, and maxima that
+    # some trials' tau leaves out
+    assert any(not p._top.unique for _, p in prepared)
+    assert any(p._top.peak < params.tau for params, called, *_ in calls for p in called)

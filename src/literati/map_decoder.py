@@ -18,17 +18,16 @@ that box, never as per-cell Python objects.
 Work that no parameter touches is done once per map: a PreparedMap
 validates and softmaxes the logits once and keeps the class channels, each
 with its maximum, the maximum's first row-major cell and whether another
-cell holds it, and the map's top class: the first whose maximum is the
-highest. Each class yields its regions lazily, in decode's order
+cell holds it. Each class yields its regions lazily, in decode's order
 (``iter_regions``). Its first peak is its first row-major maximum at
 every d, grown with nothing claimed, so the first region needs only the
 channel's maximum. The window winners of a d are memoised per class,
 sorted by descending probability with no tau cut, and computed only when
 a caller reads past the first region; the peaks for a tau are a prefix of
 that order, found by one binary search. ``top_detections`` reads only
-decode's first detection of each map. It comes from the top class, and
-unless that class's maximum ties within it, it is the detection of the
-memoised first region, read with no window winners.
+the first detection of the one class its caller names in each map. Unless
+that class's maximum ties within it, it is the detection of the memoised
+first region, read with no window winners.
 
 The first region itself is memoised by threshold. It is the component of
 the maximum's cell in {p >= alpha * max}, and as that threshold falls
@@ -48,11 +47,12 @@ When the threshold falls strictly between two entries, the region it
 would grow also holds the region of the entry at the next higher
 threshold, the inner one, and lies in the outer one's, so its box holds
 inner's box and lies in outer's. ``top_detections`` finds those two
-entries by the one memo search it makes per map (``_Channel._find``) and
-asks its caller whether their detections will do. The tuner takes them
-when the IoU bounds of ``eval_harness.hit_between`` clear its threshold
-by a margin that covers the rounding of the rescaled boxes and of
-``iou``, and then the region is not grown.
+entries by the one memo search it makes per query (``_Channel._find``)
+and asks its caller whether their detections will do. The tuner takes
+them when the IoU bounds of ``eval_harness.hit_between`` clear its
+threshold by a margin that covers the rounding of the rescaled boxes and
+of ``iou``, and then the region is not grown. Otherwise the search's
+index goes on to growth, which searches nothing again.
 
 ``top_detections`` reads the first detections of many maps at one set of
 params, as a tune trial does, and grows the first regions their memos
@@ -76,6 +76,8 @@ read-only.
 from __future__ import annotations
 
 import json
+import math
+import os
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -83,6 +85,7 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 from scipy import ndimage
 
 from .annotation_store import NET_SIZE, Box, is_finite_number, read_json, rescale_box
@@ -131,15 +134,20 @@ class PeakRegion:
         ) and np.array_equal(self.mask, other.mask)
 
 
+def _check_shape(shape: tuple[int, ...]) -> None:
+    """Refuse a logit map shape other than [K, H, W] with K >= 2 and at least one cell."""
+    if len(shape) != 3:
+        raise ValueError(f"logit map must be [K, H, W], got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("logit map needs at least 2 channels (background + class)")
+    if min(shape) < 1:  # an NPY header may declare a negative dimension
+        raise ValueError(f"no cells (shape {shape})")
+
+
 def validate_logit_map(logits: np.ndarray) -> np.ndarray:
     """``logits`` as float64 [K, H, W]: K >= 2, at least one cell, all finite."""
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"logit map must be [K, H, W], got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValueError("logit map needs at least 2 channels (background + class)")
-    if arr.size == 0:
-        raise ValueError(f"no cells (shape {arr.shape})")
+    _check_shape(arr.shape)
     if not np.all(np.isfinite(arr)):
         k, r, c = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"non-finite logit at channel {k}, cell ({r}, {c})")
@@ -255,8 +263,7 @@ class PreparedMap:
 
     Keeps the class channels 1..K-1 of the softmax (channel 0, the
     background, is never decoded), each with its memoised maximum and
-    window winners, and the top class: the first whose maximum is the
-    highest. ``shape`` is the (K, H, W) of the logit map.
+    window winners. ``shape`` is the (K, H, W) of the logit map.
     """
 
     def __init__(self, logits: np.ndarray):
@@ -265,7 +272,6 @@ class PreparedMap:
         class_probs = probs[1:].copy()
         class_probs.flags.writeable = False  # the memos depend on it
         self._channels = [_Channel(p, k) for k, p in enumerate(class_probs, 1)]
-        self._top = max(self._channels, key=attrgetter("peak"))  # the first on ties
 
     def _class(self, class_index: int) -> _Channel:
         if not 1 <= class_index < self.shape[0]:
@@ -377,31 +383,27 @@ def _claim(claimed: np.ndarray, region: PeakRegion) -> None:
     claimed[row0:row1, col0:col1] |= region.mask
 
 
-def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]:
-    """Each channel's memo entry holding the region of its maximum's
-    first cell, grown with nothing claimed, with the regions that miss the
-    memos labelled together: one ``ndimage.label`` call per crop round,
-    over a stack of planes, one per missing channel.
+def _first_regions(misses: list[tuple[_Channel, int]], alpha: float) -> list[_FirstRegion]:
+    """Per (channel, memo index) where ``_Channel._find`` missed the
+    channel's threshold alpha * max, the memo entry of the region of its
+    maximum's first cell, grown with nothing claimed, with the regions
+    labelled together: one ``ndimage.label`` call per crop round, over a
+    stack of planes, one per miss.
 
-    Only the first entry with least >= alpha * max can hold the threshold
-    (``_Channel._find``). An entry before it was grown at a lower
-    threshold, so its region holds the one grown here, and the box of the
-    entry just before is the plane, labelled in one round: a cell of that
-    box which the new component reaches is in the entry's region too. With
-    no such entry the plane is a crop around the maximum, widened as
-    ``_grow`` widens it, and a region that touches an inner crop edge goes
-    to the next round. A channel that a batch repeats misses at the same
-    index with the same threshold, so its second region finds the first
-    one's entry.
+    An entry before the index was grown at a lower threshold, so its
+    region holds the one grown here, and the box of the entry just before
+    is the plane, labelled in one round: a cell of that box which the new
+    component reaches is in the entry's region too. With no such entry the
+    plane is a crop around the maximum, widened as ``_grow`` widens it,
+    and a region that touches an inner crop edge goes to the next round. A
+    channel that a batch repeats misses at the same index with the same
+    threshold, so its second region finds the first one's entry.
     """
-    entries: list[_FirstRegion | None] = [None] * len(channels)
+    entries: list[_FirstRegion | None] = [None] * len(misses)
     pending = []  # (slot, channel, threshold, memo index, crop, reach or None)
-    for slot, ch in enumerate(channels):
+    for slot, (ch, i) in enumerate(misses):
         lo = alpha * ch.peak  # the threshold _grow compares with
-        i, held = ch._find(lo)
-        if held:
-            entries[slot] = ch._first[i]
-        elif i:
+        if i:
             row0, col0, row1, col1 = ch._first[i - 1].region.bbox
             pending.append((slot, ch, lo, i, (row0, row1, col0, col1), None))
         else:
@@ -435,18 +437,22 @@ def _first_regions(channels: list[_Channel], alpha: float) -> list[_FirstRegion]
     return entries
 
 
-def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float) -> Iterator[PeakRegion]:
+def _iter_regions(channel: _Channel, d: int, tau: float, alpha: float,
+                  entry: _FirstRegion | None = None) -> Iterator[PeakRegion]:
     """The channel's regions in decode's order, each grown as it is read.
 
-    The first is the channel's memoised first region; the window winners
-    of d are computed, and cells claimed, only when a caller reads past it.
+    The first is the channel's memoised first region, ``entry`` when the
+    caller holds it; the window winners of d are computed, and cells
+    claimed, only when a caller reads past it.
     """
     if channel.peak < tau:
         return
-    first = _first_regions([channel], alpha)[0].region
-    yield first
+    if entry is None:
+        i, held = channel._find(alpha * channel.peak)
+        entry = channel._first[i] if held else _first_regions([(channel, i)], alpha)[0]
+    yield entry.region
     claimed = np.zeros(channel.p.shape, dtype=bool)
-    _claim(claimed, first)
+    _claim(claimed, entry.region)
     for r, c in channel.peaks(d, tau)[1:]:  # the first peak is the maximum's cell
         if not claimed[r, c]:  # else merged into an earlier region
             region = _peak_region(channel.p, channel.class_index, r, c,
@@ -540,58 +546,57 @@ def _detection(entry: _FirstRegion) -> Detection:
     return entry.detection
 
 
-def top_detections(maps: Sequence[PreparedMap], params: DecodeParams,
+def top_detections(queries: Sequence[tuple[PreparedMap, int]], params: DecodeParams,
                    decides: Callable[[int, Detection, Detection], bool],
                    ) -> list[tuple[Detection, Detection] | tuple[None, None]]:
-    """Per map ``m``, detections (inner, outer) whose boxes bound that of
-    ``decode(m, params)[0]``, read with one search of the map's memo:
-    the first detection itself, twice, when it is known, and (None, None)
-    where decode finds nothing.
+    """Per query (m, k), detections (inner, outer) whose boxes bound that
+    of the first detection of class k in ``decode(m, params)``, read with
+    one search of that class's memo: the first detection itself, twice,
+    when it is known, and (None, None) where decode finds none of class k.
 
-    Each first detection comes from its map's top class, the first whose
-    maximum is the highest, so no other class is read. Unless another cell
-    of that class holds its maximum, it is the detection kept with the
-    class's memoised first region, read without window winners. When the
-    memo misses the threshold strictly between two entries, the region
+    No class but the one a query names is read. Unless another cell of
+    that class holds its maximum, the first detection is the one kept with
+    the class's memoised first region, read without window winners. When
+    the memo misses the threshold strictly between two entries, the region
     holds inner's, the entry at the next higher threshold, and lies in
-    outer's, so its box does too; ``decides(k, inner, outer)`` tells
-    whether that pair will do for ``maps[k]``, and then no region is grown.
-    The other misses are grown together: one ``ndimage.label`` call per
-    crop round, not one per map. Where another cell holds the maximum,
-    the first detection is the region of least centroid among those of
-    the class's peaks at that maximum, the first on equal centroids, as
-    decode's stable sort keeps them.
+    outer's, so its box does too; ``decides(q, inner, outer)`` tells
+    whether that pair will do for ``queries[q]``, and then no region is
+    grown. The other misses are grown together: one ``ndimage.label`` call
+    per crop round, not one per query. Where another cell holds the
+    maximum, the first detection is the region of least centroid among
+    those of the class's peaks at that maximum, the first on equal
+    centroids, as decode's stable sort keeps them.
     """
     tau, alpha = params.tau, float(params.alpha)
-    tops: list = [(None, None)] * len(maps)
-    entries, missed = {}, []  # map index -> its memo entry; the maps whose region is grown
-    for k, m in enumerate(maps):
-        ch = m._top
+    tops: list = [(None, None)] * len(queries)
+    channels = [m._class(k) for m, k in queries]
+    entries, missed = {}, {}  # query -> its memo entry; query -> (channel, memo index) to grow
+    for q, ch in enumerate(channels):
         if ch.peak < tau:
             continue
         i, held = ch._find(alpha * ch.peak)
         if held:
-            entries[k] = ch._first[i]
+            entries[q] = ch._first[i]
             continue
         if ch.unique and 0 < i < len(ch._first):
-            tops[k] = _detection(ch._first[i]), _detection(ch._first[i - 1])
-            if decides(k, *tops[k]):
+            tops[q] = _detection(ch._first[i]), _detection(ch._first[i - 1])
+            if decides(q, *tops[q]):
                 continue
-        missed.append(k)
-    entries.update(zip(missed, _first_regions([maps[k]._top for k in missed], alpha)))
-    for k, entry in entries.items():
-        ch = maps[k]._top
+        missed[q] = ch, i
+    entries.update(zip(missed, _first_regions(list(missed.values()), alpha)))
+    for q, entry in entries.items():
+        ch = channels[q]
         if ch.unique:
             top = _detection(entry)
-        else:  # its regions start with the first, now memoised
-            regions = _iter_regions(ch, int(params.d), ch.peak, alpha)
+        else:  # its regions start with the first, held in entry
+            regions = _iter_regions(ch, int(params.d), ch.peak, alpha, entry)
             top = region_to_detection(min(regions, key=attrgetter("centroid")))
-        tops[k] = top, top
+        tops[q] = top, top
     return tops
 
 
 # ---------------------------------------------------------------------------
-# map files: one .npy (float32, C-order, [K, H, W]) plus a .json sidecar
+# map files: one .npy (float32, [K, H, W]) plus a .json sidecar
 
 
 @dataclass(frozen=True)
@@ -622,6 +627,36 @@ def save_map(directory, meta: MapMeta, logits: np.ndarray) -> Path:
     return npy_path
 
 
+def _read_logits(npy_path: Path, n_classes: int) -> np.ndarray:
+    """The float64 [K, H, W] logits of an NPY file, header version 1.0 or
+    2.0, in C or Fortran order. The header is checked before any data is
+    read, so no array is allocated for a file that cannot hold it: the
+    dtype must be little-endian float32, the shape one that
+    ``validate_logit_map`` takes with K = ``n_classes``, and the file
+    exactly the header plus the data the header declares."""
+    with open(npy_path, "rb") as f:
+        version = npy_format.read_magic(f)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"NPY version {version[0]}.{version[1]} is not 1.0 or 2.0")
+        read_header = (npy_format.read_array_header_1_0 if version == (1, 0)
+                       else npy_format.read_array_header_2_0)
+        shape, fortran_order, dtype = read_header(f)
+        if dtype != np.dtype("<f4"):
+            raise ValueError(f"expected float32, got {dtype}")
+        _check_shape(shape)
+        if shape[0] != n_classes:
+            raise ValueError(f"{shape[0]} channels but {n_classes} class names in sidecar")
+        count = math.prod(shape)
+        data_bytes = os.fstat(f.fileno()).st_size - f.tell()
+        if data_bytes != count * dtype.itemsize:
+            raise ValueError(f"the header declares {count * dtype.itemsize} bytes of data, "
+                             f"the file holds {data_bytes}")
+        data = np.fromfile(f, dtype=dtype, count=count)
+    # in C order, so that the softmax sums each cell's channels as for a C-order file
+    order = "F" if fortran_order else "C"
+    return validate_logit_map(data.reshape(shape, order=order).astype(np.float64, order="C"))
+
+
 def load_map(npy_path) -> LoadedMap:
     npy_path = Path(npy_path)
     sidecar = npy_path.with_suffix(".json")
@@ -644,13 +679,8 @@ def load_map(npy_path) -> LoadedMap:
     if space != MAP_SPACE:
         raise ValueError(f"{sidecar}: 'space' must be {MAP_SPACE!r}, not {space!r}")
     try:
-        arr = np.load(npy_path, allow_pickle=False)
-        if arr.dtype != np.float32:
-            raise ValueError(f"expected float32, got {arr.dtype}")
-        arr = validate_logit_map(arr)
-        if arr.shape[0] != len(classes):
-            raise ValueError(f"{arr.shape[0]} channels but {len(classes)} class names in sidecar")
-    except (ValueError, EOFError) as e:  # numpy raises EOFError for an empty file
+        arr = _read_logits(npy_path, len(classes))
+    except ValueError as e:
         raise ValueError(f"map {npy_path.name}: {e}") from e
     _, height, width = arr.shape
     # format 1 held the width's scale; any other would now decode to other boxes

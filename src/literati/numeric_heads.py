@@ -1,8 +1,8 @@
 """Desk-scale network head operations with analytic gradients.
 
-Forward passes for the five differentiable head operations (transposed
+Forward passes for the six differentiable head operations (transposed
 convolution, layer norm, global average pooling, cross entropy,
-layer-selecting 1-D convolution), the broadcast language-spatial fusion
+layer-selecting 1-D convolution, the broadcast language-spatial fusion)
 and a central-difference gradient checker. One table, ``_OPS``, gives each
 checked op its forward pass, vector-Jacobian product (private to the
 checker), inputs and error bound. Everything runs in float64: this module
@@ -189,6 +189,15 @@ def fuse_language_spatial(spatial, lang) -> np.ndarray:
     return np.concatenate([spatial, tiled], axis=0)
 
 
+def _fuse_language_spatial_vjp(spatial, lang, grad_out):
+    # d(lang / |lang|) = (I - u u^T) / |lang|, summed over the cells it is tiled to
+    C = spatial.shape[0]
+    norm = np.linalg.norm(lang)
+    unit = lang / norm
+    g = grad_out[C:].sum(axis=(1, 2))
+    return grad_out[:C], (g - unit * (unit @ g)) / norm
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -225,6 +234,12 @@ _OPS = {
         lambda rng: {"stack": 0.7 * rng.standard_normal((6, 5)),
                      "kernel": 0.7 * rng.standard_normal(3),
                      "stride": int(rng.integers(1, 3))}),
+    "fuse_language_spatial": _Op(
+        fuse_language_spatial, _fuse_language_spatial_vjp, ("spatial", "lang"), 1e-6,
+        # every entry at least 0.5 from 0, so |lang| stays away from 0, where
+        # the forward pass returns lang unchanged and has no derivative
+        lambda rng: {"spatial": rng.standard_normal((2, 3, 4)),
+                     "lang": rng.choice([-1.0, 1.0], 5) * rng.uniform(0.5, 1.5, 5)}),
 }
 
 GRAD_CHECK_OPS = tuple(_OPS)

@@ -428,19 +428,19 @@ def tune_decoder(
     map order: with the memos below a trial costs less than a round trip
     to a worker process would.
 
-    In ``top1`` mode a trial is one ``top_detections`` call over the scored
-    maps, which reads only each map's first detection, the one
-    ``match_image`` matches: a region of the map's top class, the first
-    whose maximum is the highest, which the map keeps, with window winners
-    only where that maximum ties in its class. Each class memoises its
+    In ``top1`` mode a trial is one ``top_detections`` call, whose query
+    per scored map names the class to read: the map's top class, the first
+    whose maximum is the highest, picked here once per map. Only that
+    class's first detection is read, the one ``match_image`` matches, with
+    window winners only where its maximum ties. Each class memoises its
     first regions by the interval of ``alpha * maximum`` over which they
     stay the same, each with its detection, so across trials a region is
     grown and its detection built once, not once per trial. A threshold
     strictly between two known regions often needs no region at all: first
     regions nest as the threshold falls, so the one it would grow holds the
     inner known region and lies in the outer one, and so does its box.
-    ``top_detections`` finds the two in the same memo search that finds a
-    known region, and asks ``decides``, which settles the map by
+    ``top_detections`` finds the two in the one memo search it makes per
+    map and trial, and asks ``decides``, which settles the map by
     ``harness.hit_between`` when, for some ground-truth box, the least IoU
     of any box between them reaches the threshold, or, for every
     ground-truth box, the greatest falls short of it, each by a margin
@@ -532,11 +532,12 @@ def tune_decoder(
         meta, _, memo = scored[k]
         return verdict(meta, memo, inner, outer) is not None
 
-    scored_maps = [prepared for _, prepared, _ in scored]
+    queries = [(prepared, max(range(1, prepared.shape[0]), key=lambda k: prepared._class(k).peak))
+               for _, prepared, _ in scored]
 
     def score_top1(params: DecodeParams) -> list[bool]:
         return [verdict(meta, memo, inner, outer) for (meta, _, memo), (inner, outer)
-                in zip(scored, top_detections(scored_maps, params, decides))]
+                in zip(scored, top_detections(queries, params, decides))]
 
     def first_hit(meta, prepared, params: DecodeParams) -> bool:
         # any one hitting region settles the map's hit

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -239,6 +239,18 @@ def _nan_map():
     return logits
 
 
+def _npy_bytes(arr, version=(1, 0), header=None):
+    """``arr`` as an NPY file of header ``version``, in Fortran order when
+    it is Fortran- and not C-contiguous; with ``header``, a version 1.0
+    file of that header's dict and no data."""
+    buf = io.BytesIO()
+    if header is None:
+        np.lib.format.write_array(buf, arr, version=version, allow_pickle=False)
+    else:
+        np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue()
+
+
 _MAP_REFUSALS = {
     "nan": (lambda path: np.save(path, _nan_map()), "non-finite logit at channel 1, cell (2, 1)"),
     "2-d": (lambda path: np.save(path, np.zeros((4, 4), dtype=np.float32)),
@@ -248,7 +260,24 @@ _MAP_REFUSALS = {
     "channel-count": (lambda path: np.save(path, np.zeros((3, 4, 4), dtype=np.float32)),
                       "3 channels but 2 class names in sidecar"),
     "float64": (lambda path: np.save(path, np.zeros((2, 4, 4))), "expected float32, got float64"),
-    "empty-file": (lambda path: path.write_bytes(b""), "No data left in file"),
+    "empty-file": (lambda path: path.write_bytes(b""),
+                   "EOF: reading magic string, expected 8 bytes got 0"),
+    # 128 bytes whose header declares 74.5 GiB: refused before anything is allocated
+    "huge-declared-shape": (lambda path: path.write_bytes(_npy_bytes(None, header={
+        "descr": "<f4", "fortran_order": False, "shape": (2, 100000, 100000)})),
+        "the header declares 80000000000 bytes of data, the file holds 0"),
+    # two negative dimensions whose product is the count of the data that follows
+    "negative-dimensions": (lambda path: path.write_bytes(_npy_bytes(None, header={
+        "descr": "<f4", "fortran_order": False, "shape": (2, -2, -4)}) + bytes(64)),
+        "no cells (shape (2, -2, -4))"),
+    "trailing-bytes": (lambda path: path.write_bytes(
+        _npy_bytes(np.zeros((2, 4, 4), dtype=np.float32)) + b"\0" * 4),
+        "the header declares 128 bytes of data, the file holds 132"),
+    "big-endian": (lambda path: np.save(path, np.zeros((2, 4, 4), dtype=">f4")),
+                   "expected float32, got >f4"),
+    "version-3": (lambda path: path.write_bytes(
+        _npy_bytes(np.zeros((2, 4, 4), dtype=np.float32), version=(3, 0))),
+        "NPY version 3.0 is not 1.0 or 2.0"),
 }
 
 
@@ -267,6 +296,48 @@ def test_map_refusal_names_the_map(tmp_path, caplog, command, write, message):
     assert run(argv) == 1
     _one_line_error(caplog, f"map x.npy: {message}")
     assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dtype=st.sampled_from(["<f4", ">f4", "<f8", "<f2", "<i4"]) | st.just("<f4"),
+       shape=(st.tuples(st.just(2), st.integers(1, 6), st.integers(1, 6))
+              | st.lists(st.integers(0, 6), min_size=2, max_size=4).map(tuple)),
+       fortran=st.booleans(), version=st.sampled_from([(1, 0), (2, 0)]),
+       extra=st.just(0) | st.integers(-9, 9), seed=st.integers(0, 2 ** 32 - 1))
+@example(dtype="<f4", shape=(2, 5, 6), fortran=True, version=(2, 0), extra=0, seed=1)
+@example(dtype="<f4", shape=(2, 5, 6), fortran=False, version=(1, 0), extra=0, seed=1)
+def test_npy_file_decodes_as_its_array_or_exits_1(tmp_path, monkeypatch, caplog, dtype, shape,
+                                                   fortran, version, extra, seed):
+    # a map's .npy of any dtype, shape, order and header version, cut short
+    # or followed by bytes: decode and tune either read the array it holds,
+    # as from the file save_map writes, or refuse it on one line with exit 1
+    monkeypatch.setenv("LITERATI_THREADS", "1")
+    arr = np.random.default_rng(seed).normal(0, 3, size=shape).astype(dtype)
+    data = _npy_bytes(np.asfortranarray(arr) if fortran else arr, version)
+    data = data[:len(data) + extra] if extra < 0 else data + bytes(extra)
+    readable = dtype == "<f4" and len(shape) == 3 and shape[0] == 2 and 0 not in shape
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        drawn, ann_path, [planted] = _write_maps(Path(tmp) / "drawn", n=1)
+        (drawn / f"{planted.meta.image_id}.npy").write_bytes(data)
+        if readable and not extra:
+            saved, _, _ = _write_maps(Path(tmp) / "saved", n=1)
+            save_map(saved, planted.meta, arr)
+        for command in ("decode", "tune"):
+            outs = []
+            for maps_dir in [drawn, saved] if readable and not extra else [drawn]:
+                caplog.clear()
+                out = Path(tmp) / f"{command}-{len(outs)}.json"
+                argv = [command, "--maps", str(maps_dir), "--out", str(out)]
+                if command == "tune":
+                    argv += ["--ann", str(ann_path), "--budget", "2"]
+                assert run(argv) == (0 if readable and not extra else 1), caplog.text
+                outs.append(out.read_bytes() if out.exists() else None)
+            if len(outs) == 2:
+                assert outs[0] == outs[1]
+            else:
+                assert outs == [None]
+                _one_line_error(caplog, f"map {planted.meta.image_id}.npy: ")
 
 
 @pytest.mark.parametrize("command", ["decode", "tune"])
@@ -1560,13 +1631,14 @@ def test_gradcheck_passes(capsys):
     assert "deconv2d" in out and "FAIL" not in out
 
 
-# sha256 of `literati gradcheck --seed N` stdout, recorded before grad_check
-# took each op's forward pass and VJP from one table
+# sha256 of `literati gradcheck --seed N` stdout, recorded when
+# fuse_language_spatial joined the five ops before it, whose errors it left
+# as they were
 GRADCHECK_DIGESTS = {
-    0: "398ddedf50ad4ff14733f95e113b783d164c0866af8397184c8cf076de588425",
-    1: "41d9083212dd94db1e83cd550855d2c9708d86a4a901ba20c8ed0330872242af",
-    2: "d2ca3e959f18d85bf8e1e410dfc1af8c98ae07b01ed89467f032697b104417f9",
-    3: "44c5ea00ddef797808ce786c10dbcf60b1785ea0829256c1abe484ae0d48fe47",
+    0: "d5a1a9163b37f51b6cd798ad4c3e250b96f348ed1062a1a75ccb7d86312aa259",
+    1: "554cdd996d30e6352a14b543a537a4f2fdcc870ecb195ea3f4f14aeed2164644",
+    2: "cc0ec9dbf37750e2a5ae0e89337cf0c9e755bc92e7afe86de53b13ea2644dade",
+    3: "1aa219ed0b62bb536d941b7cf0fc57cdd07e9e9c324df98a848048dbdb69a5d4",
 }
 
 

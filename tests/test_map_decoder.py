@@ -378,10 +378,16 @@ def _never(k, inner, outer):
     return False
 
 
+def _top_class(prepared):
+    """The map's top class: the first whose maximum is the highest."""
+    return max(range(1, prepared.shape[0]), key=lambda k: prepared._class(k).peak)
+
+
 def _tops(maps, params):
-    """The first detections that ``top_detections`` reads, with every map's
-    detection known: each pair is one detection twice, or (None, None)."""
-    pairs = top_detections(maps, params, _never)
+    """The first detections of each map's top class that ``top_detections``
+    reads, with every map's detection known: each pair is one detection
+    twice, or (None, None)."""
+    pairs = top_detections([(p, _top_class(p)) for p in maps], params, _never)
     assert all(inner is outer for inner, outer in pairs)
     return [inner for inner, _ in pairs]
 
@@ -488,6 +494,42 @@ def test_top_detection_on_maxima_tied_within_and_across_classes(data):
     p = data.draw(st.builds(DecodeParams, d=st.integers(1, 5), tau=st.floats(0, 0.2),
                             alpha=st.floats(0.05, 1)), label="params")
     assert _tops([PreparedMap(logits)], p) == (decode(logits, p) or [None])[:1]
+
+
+@pytest.mark.parametrize("params, found", [(DecodeParams(d=2, tau=0.05, alpha=0.5), {1, 2, 3}),
+                                           (DecodeParams(d=6, tau=0.3, alpha=0.8), {1, 2}),
+                                           (DecodeParams(d=2, tau=0.7, alpha=0.3), {1})],
+                         ids=["every-class", "tau-above-class-3", "tau-above-classes-2-and-3"])
+def test_top_detections_read_the_class_each_query_names(monkeypatch, params, found):
+    # a peak in each disease channel, their maxima different: class 1's the
+    # highest, at one cell; class 2's lower, at two cells, so it ties; class
+    # 3's lowest. Each query reads its own class's memo only, and gets that
+    # class's first detection in decode, top class or not, or none when
+    # tau leaves the class out
+    rows, cols = np.indices((24, 32))
+
+    def bump(center, height):  # rounded, so that far from its center it is exactly 0
+        dist2 = (rows - center[0]) ** 2 + (cols - center[1]) ** 2
+        return np.round(height * np.exp(-dist2 / 8), 2)
+
+    logits = np.stack([np.zeros((24, 32)), bump((6, 8), 4.0) - 2,
+                       np.maximum(bump((17, 6), 3.0), bump((17, 26), 3.0)) - 2,
+                       bump((6, 24), 1.0) - 2])
+    prepared = PreparedMap(logits)
+    assert [prepared._class(k).unique for k in (1, 2, 3)] == [True, False, True]
+    assert _top_class(prepared) == 1
+    full = decode(logits, params)
+    assert {det.class_index for det in full} == found
+    searched = []
+    real_find = map_decoder._Channel._find
+    monkeypatch.setattr(map_decoder._Channel, "_find",
+                        lambda ch, lo: searched.append(ch) or real_find(ch, lo))
+    for k in (1, 2, 3):
+        searched.clear()
+        first = next((det for det in full if det.class_index == k), None)
+        [(top, same)] = top_detections([(prepared, k)], params, _never)
+        assert top is same and top == first, (k, params)
+        assert searched == ([prepared._class(k)] if k in found else [])
 
 
 # --- the first-region memo -----------------------------------------------------------
@@ -615,29 +657,29 @@ def test_top_detections_ask_about_a_miss_between_two_entries(monkeypatch):
     for alpha in (0.3, 0.9):
         _tops([prepared, tied], DecodeParams(tau=0.05, alpha=alpha))
     params = DecodeParams(tau=0.05, alpha=0.6)
-    for channel in (prepared._top, tied._top):  # each misses between two entries
+    for channel in (prepared._class(1), tied._class(1)):  # each misses between two entries
         i, held = channel._find(params.alpha * channel.peak)
         assert not held and 0 < i < len(channel._first)
-    inner, outer = (region_to_detection(e.region) for e in prepared._top._first[::-1])
+    inner, outer = (region_to_detection(e.region) for e in prepared._class(1)._first[::-1])
     asked, grown = [], []
     real = map_decoder._first_regions
 
-    def first_regions(channels, alpha):
-        grown.extend(channels)
-        return real(channels, alpha)
+    def first_regions(misses, alpha):
+        grown.extend(ch for ch, _ in misses)
+        return real(misses, alpha)
 
     def taking(*question):
         asked.append(question)
         return True
 
     monkeypatch.setattr(map_decoder, "_first_regions", first_regions)
-    pairs = top_detections([tied, prepared, below_tau], params, taking)
+    pairs = top_detections([(tied, 1), (prepared, 1), (below_tau, 1)], params, taking)
     assert asked == [(1, inner, outer)] and pairs[1:] == [(inner, outer), (None, None)]
-    assert prepared._top not in grown and pairs[0][0] is pairs[0][1]
+    assert prepared._class(1) not in grown and pairs[0][0] is pairs[0][1]
     assert pairs[0][0] == decode(tied, params)[0]
     grown.clear()
-    [(top, same)] = top_detections([prepared], params, _never)
-    assert grown == [prepared._top]
+    [(top, same)] = top_detections([(prepared, 1)], params, _never)
+    assert grown == [prepared._class(1)]
     assert top is same and top == decode(planted.logits, params)[0]
     for a, b in ((inner.box, top.box), (top.box, outer.box)):  # a lies in b
         assert b.x <= a.x and b.y <= a.y and a.x + a.w <= b.x + b.w and a.y + a.h <= b.y + b.h
@@ -712,13 +754,13 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
     branches = set()
 
     def run(params):
-        before = [_memo(p._top) for p in together]
+        before = [_memo(p._class(1)) for p in together]
         tops = _tops(together, params)
         assert tops == [_tops([p], params)[0] for p in alone], params
         assert tops == [(decode(m, params) or [None])[0] for m in logits], params
         for p, q, old in zip(together, alone, before):
-            channel, memo = p._top, _memo(p._top)
-            assert memo == _memo(q._top), params
+            channel, memo = p._class(1), _memo(p._class(1))
+            assert memo == _memo(q._class(1)), params
             if channel.peak < tau:
                 continue
             lo = params.alpha * channel.peak
@@ -738,8 +780,10 @@ def _check_batches(logits, alphas, d=3, tau=0.05):
     for n, alpha in enumerate(alphas):
         params = DecodeParams(d=d, tau=tau, alpha=alpha)
         run(params)
-        channel = together[n % len(together)]._top
-        below = map_decoder._first_regions([channel], alpha)[0].below if channel.peak >= tau else 0
+        channel = together[n % len(together)]._class(1)
+        below = 0
+        if channel.peak >= tau:  # the entry the run just read
+            below = channel._first[channel._find(alpha * channel.peak)[0]].below
         if below > 0:
             edge = below / channel.peak
             while edge * channel.peak > below:
@@ -792,7 +836,7 @@ def test_first_region_memo_entries_hold_over_their_whole_interval(data):
     for alpha in alphas + alphas[::2]:
         _tops(maps, DecodeParams(d=3, tau=0.05, alpha=alpha))
     for prepared in maps:
-        channel = prepared._top
+        channel = prepared._class(1)
         r, c = channel.peak_cell
         for least, below, region in _memo(channel):
             row0, col0, row1, col1 = region.bbox

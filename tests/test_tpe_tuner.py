@@ -689,7 +689,7 @@ def _with_edge_cases(maps, gts):
     logits = rng.choice([-1.0, 0.0, 0.5], size=(3, 12, 16))
     logits[:, 3, 4] = logits[:, 8, 11] = (-1.0, 1.5, -1.0)  # class 1's maximum, twice
     meta = MapMeta("tied", ("background", "pneumonia", "pneumothorax"), size=(16, 12))
-    assert not PreparedMap(logits)._top.unique
+    assert not PreparedMap(logits)._class(1).unique
     first = maps[0]
     second = decode(first.logits, DecodeParams(d=2, tau=0.05, alpha=0.9))[0]
     return [*maps, LoadedMap(meta, logits)], {
@@ -791,7 +791,7 @@ def test_tune_decoder_log_does_not_depend_on_worker_count(monkeypatch, caplog, s
 
     def failing(maps, *args):
         params = args[0] if mode == "top1" else args[-1]  # (params, decides) or (k, params)
-        for prepared in maps if mode == "top1" else [maps]:
+        for prepared in [p for p, _ in maps] if mode == "top1" else [maps]:
             peak = int(prepared._class(1).p.argmax())
             if params.tau < 0.3 and peak % 3:
                 raise ValueError(f"no decode below tau 0.3 at cell {peak}")
@@ -847,7 +847,7 @@ def test_tune_decodes_no_map_without_ground_truth(monkeypatch, mode):
         real = getattr(map_decoder, name)
 
         def wrapper(maps, *args):
-            shapes.extend(prepared.shape for prepared in (maps if batched else [maps]))
+            shapes.extend(p.shape for p in ([p for p, _ in maps] if batched else [maps]))
             return real(maps, *args)
         monkeypatch.setattr(map_decoder, name, wrapper)
 
@@ -875,7 +875,7 @@ def test_top1_trial_with_a_repeated_tie_group_matches_nothing(monkeypatch):
     scripted = [{"d": 3, "tau": 0.2, "alpha": 0.5}, {"d": 7, "tau": 0.5, "alpha": 0.5},
                 {"d": 1, "tau": 0.05, "alpha": 0.5 + 5e-10}, {"d": 3, "tau": 0.5, "alpha": 0.9}]
     for m in maps:
-        tops = [top_detections([PreparedMap(m.logits)], DecodeParams(**raw), _never)[0][0]
+        tops = [top_detections([(PreparedMap(m.logits), 1)], DecodeParams(**raw), _never)[0][0]
                 for raw in [{"d": 3, "tau": 0.5, "alpha": 0.5}, *scripted]]
         assert tops[0] is not None and tops[:4] == [tops[0]] * 4
 
@@ -997,7 +997,7 @@ def test_top1_tune_builds_each_first_detection_once(monkeypatch):
     _, _, history = tune_decoder(prepared, gts, budget=30, cfg=TpeConfig(seed=4),
                                  iou_threshold=0.7)
     assert len({t.objective for t in history}) > 1
-    entries = [e for _, p in prepared for e in p._top._first]
+    entries = [e for _, p in prepared for e in p._class(1)._first]
     assert all(e.detection is not None for e in entries)
     assert len(built) == len(entries) == len({id(r) for r in built})
     assert len(built) < len(planted) * len(history)
@@ -1005,7 +1005,7 @@ def test_top1_tune_builds_each_first_detection_once(monkeypatch):
     # the same trial again builds nothing and returns the same objects
     params = [DecodeParams(**{"d": 3, "tau": 0.5, "alpha": 0.5, **t.params}) for t in history]
     def first(p):
-        return map_decoder.top_detections([p], params[-1], _never)[0][0]
+        return map_decoder.top_detections([(p, 1)], params[-1], _never)[0][0]
 
     tops = [first(p) for _, p in prepared]
     built.clear()
@@ -1048,14 +1048,14 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
         labelled.append(stack.copy())
         return real_label(stack, *args, **kwargs)
 
-    def top_detections(maps, params, decides):
+    def top_detections(queries, params, decides):
         taken = {}
 
         def recorded(k, inner, outer):
-            taken[id(maps[k])] = decides(k, inner, outer)
-            return taken[id(maps[k])]
-        starts.append((params, list(maps), taken, len(labelled)))
-        return real_top(maps, params, recorded)
+            taken[id(queries[k][0])] = decides(k, inner, outer)
+            return taken[id(queries[k][0])]
+        starts.append((params, [p for p, _ in queries], taken, len(labelled)))
+        return real_top(queries, params, recorded)
 
     monkeypatch.setattr(ndimage, "label", label)
     monkeypatch.setattr(map_decoder, "top_detections", top_detections)
@@ -1076,12 +1076,12 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
         rounds, inner = [], []  # label calls per map; the planes of inner misses
         for m in maps:
             p = alone[id(m)]
-            channel = p._top
+            channel = p._class(1)
             lo = params.alpha * channel.peak
             # entries are sorted by least: the last under lo is the next lower one
             lower = [e.region for least, e in zip(channel._least, channel._first) if least < lo]
             start = len(labelled)
-            real_top([p], params, lambda k, inner, outer: taken[id(m)])
+            real_top([(p, 1)], params, lambda k, inner, outer: taken[id(m)])
             if len(labelled) > start and lower:  # an inner miss, the k-th miss of the trial
                 row0, col0, row1, col1 = lower[-1].bbox
                 inner.append((sum(n > 0 for n in rounds), channel.p[row0:row1, col0:col1] >= lo))
@@ -1102,12 +1102,12 @@ def test_top1_tune_labels_the_missed_first_regions_once_per_crop_round(monkeypat
 
 
 def test_top1_trial_searches_each_memo_once(monkeypatch):
-    # a top-1 trial is one top_detections call over every scored map. It
-    # searches the first-region memo of each map whose maximum reaches tau
-    # once, plus once per channel it passes to _first_regions (a missed
-    # region, or a tied maximum's regions read in full), and asks about a
-    # pair of boxes only for a map whose top class holds its maximum at
-    # one cell, at least tau
+    # a top-1 trial is one top_detections call with one query per scored
+    # map, its top class. It searches the first-region memo of each query
+    # whose maximum reaches tau once, whether the search holds the
+    # threshold, settles it between two entries, grows its region or reads
+    # a tied maximum's regions, and asks about a pair of boxes only for a
+    # class that holds its maximum at one cell, at least tau
     import literati.map_decoder as map_decoder
 
     maps, gts = _with_edge_cases(*_two_peak_fixture())
@@ -1126,18 +1126,18 @@ def test_top1_trial_searches_each_memo_once(monkeypatch):
         searches.append(channel)
         return real_find(channel, lo)
 
-    def first_regions(channels, alpha):
-        grown.extend(channels)
-        return real_first(channels, alpha)
+    def first_regions(misses, alpha):
+        grown.extend(ch for ch, _ in misses)
+        return real_first(misses, alpha)
 
-    def top_detections(maps, params, decides):
+    def top_detections(queries, params, decides):
         before = len(searches), len(grown)
 
         def asking(k, inner, outer):
-            asked.append((maps[k]._top, params))
+            asked.append((queries[k][0]._class(queries[k][1]), params))
             return decides(k, inner, outer)
-        tops = real_top(maps, params, asking)
-        calls.append((params, list(maps), len(searches) - before[0], len(grown) - before[1]))
+        tops = real_top(queries, params, asking)
+        calls.append((params, list(queries), len(searches) - before[0], len(grown) - before[1]))
         return tops
 
     monkeypatch.setattr(map_decoder._Channel, "_find", find)
@@ -1148,11 +1148,13 @@ def test_top1_trial_searches_each_memo_once(monkeypatch):
     assert len({t.objective for t in history}) > 1
     assert len(calls) == len(history)
     assert len(searches) == sum(n for _, _, n, _ in calls)  # none outside a trial's call
-    for params, called, n_searches, n_grown in calls:
-        assert called == [p for _, p in prepared]
-        assert n_searches == sum(p._top.peak >= params.tau for p in called) + n_grown
+    for params, queries, n_searches, n_grown in calls:
+        assert queries == [(p, 1) for _, p in prepared]  # each map's top class
+        assert n_searches == sum(p._class(k).peak >= params.tau for p, k in queries)
+    assert any(n_grown for *_, n_grown in calls)
     assert asked and all(ch.unique and ch.peak >= params.tau for ch, params in asked)
     # the maps hold a top class that ties at its maximum, and maxima that
     # some trials' tau leaves out
-    assert any(not p._top.unique for _, p in prepared)
-    assert any(p._top.peak < params.tau for params, called, *_ in calls for p in called)
+    assert any(not p._class(1).unique for _, p in prepared)
+    assert any(p._class(k).peak < params.tau for params, queries, *_ in calls
+               for p, k in queries)
